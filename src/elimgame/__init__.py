@@ -5,32 +5,19 @@ This package computes outcomes under sincere, strategic and mixed behaviour,
 measures the welfare cost of strategy through exact Borda-score ratios,
 constructs worst-case profiles attaining the closed-form bounds, and runs
 exhaustive and Monte-Carlo ratio studies reproducibly across worker counts.
+
+The top level re-exports the entry points and the types they take; every
+other name lives in its submodule.
 """
 
 from .core import (
     EliminationSequence,
-    OccurrenceTable,
     PreferenceProfile,
     Vote,
-    default_labels,
     format_profile,
     parse_profile,
 )
-from .cultures import (
-    CultureKind,
-    CultureSpec,
-    RngStream,
-    enumerate_profiles,
-    enumeration_size,
-    kendall_tau,
-    mallows_log_weights,
-    permutation_table,
-    profile_at_index,
-    sample_impartial,
-    sample_mallows,
-    sample_profile,
-    sample_rankings_batch,
-)
+from .cultures import CultureSpec, sample_rankings_batch
 from .errors import (
     BudgetExceeded,
     CandidateUnknown,
@@ -46,54 +33,21 @@ from .errors import (
     Unsatisfiable,
     ZeroWelfare,
 )
-from .experiments import (
-    CSV_HEADER,
-    HIST_HEADER,
-    ExperimentConfig,
-    ExperimentResult,
-    csv_row,
-    histogram_rows,
-    json_summary,
-    ratio_range,
-    render_report,
-    run_experiment,
-    write_histogram_csv,
-)
-from .extremal import (
-    ExtremalMode,
-    ExtremalSpec,
-    TightnessReport,
-    gen_poa_tight,
-    gen_sr_tight,
-    generate,
-    verify_tight,
-)
+from .experiments import ExperimentConfig, run_experiment
+from .extremal import ExtremalMode, generate, verify_tight
 from .play import (
     BehaviorAssignment,
-    GameTrace,
     backward_induction,
     mixed_play,
-    play_batch_winners,
     sincere_play,
     spne_outcome,
-    trace_report,
 )
-from .sweep import (
-    RatioMode,
-    SweepResult,
-    run_exhaustive,
-    run_montecarlo,
-)
+from .sweep import RatioMode
 from .welfare import (
-    Ratio,
-    WorstCaseResult,
-    exact_worst_ratio,
     poa_for_sequence,
     poa_formula,
     ratio_ab,
     ratio_cb,
-    ratio_json,
-    sr_bound_for_sequence,
     sr_upper_bound,
 )
 
@@ -102,75 +56,39 @@ __version__ = "0.1.0"
 __all__ = [
     "BehaviorAssignment",
     "BudgetExceeded",
-    "CSV_HEADER",
     "CandidateUnknown",
-    "CultureKind",
     "CultureSpec",
     "ElimGameError",
     "EliminationSequence",
     "ExperimentConfig",
-    "ExperimentResult",
     "ExtremalMode",
-    "ExtremalSpec",
-    "GameTrace",
-    "HIST_HEADER",
     "InvalidVoter",
     "LengthMismatch",
-    "OccurrenceTable",
     "OutOfDomain",
     "ParseError",
     "PhiOutOfRange",
     "PreferenceProfile",
-    "Ratio",
     "RatioMode",
-    "RngStream",
     "SequenceLengthMismatch",
     "StructureUnsatisfiable",
-    "SweepResult",
-    "TightnessReport",
     "TreeTooLarge",
     "Unsatisfiable",
     "Vote",
-    "WorstCaseResult",
     "ZeroWelfare",
+    "__version__",
     "backward_induction",
-    "csv_row",
-    "default_labels",
-    "enumerate_profiles",
-    "enumeration_size",
-    "exact_worst_ratio",
     "format_profile",
-    "gen_poa_tight",
-    "gen_sr_tight",
     "generate",
-    "histogram_rows",
-    "json_summary",
-    "kendall_tau",
-    "mallows_log_weights",
     "mixed_play",
     "parse_profile",
-    "permutation_table",
-    "play_batch_winners",
     "poa_for_sequence",
     "poa_formula",
-    "profile_at_index",
     "ratio_ab",
     "ratio_cb",
-    "ratio_json",
-    "ratio_range",
-    "render_report",
-    "run_exhaustive",
     "run_experiment",
-    "run_montecarlo",
-    "sample_impartial",
-    "sample_mallows",
-    "sample_profile",
     "sample_rankings_batch",
     "sincere_play",
     "spne_outcome",
-    "sr_bound_for_sequence",
     "sr_upper_bound",
-    "trace_report",
     "verify_tight",
-    "write_histogram_csv",
 ]

@@ -16,23 +16,15 @@ from .core import EliminationSequence, format_profile, parse_profile
 from .cultures import CultureSpec, resolve_budget
 from .errors import (
     BudgetExceeded,
-    CandidateUnknown,
     ElimGameError,
     InvalidVoter,
-    LengthMismatch,
     OutOfDomain,
     ParseError,
-    PhiOutOfRange,
-    SequenceLengthMismatch,
-    TreeTooLarge,
     Unsatisfiable,
-    ZeroWelfare,
 )
 from .experiments import (
-    CSV_HEADER,
     ExperimentConfig,
-    csv_row,
-    json_summary,
+    render_report,
     run_experiment,
     write_histogram_csv,
 )
@@ -54,16 +46,15 @@ EXIT_SHAPE = 3
 EXIT_INFEASIBLE = 4
 EXIT_BUDGET = 5
 
-_SHAPE_ERRORS = (
-    CandidateUnknown,
-    SequenceLengthMismatch,
-    InvalidVoter,
-    TreeTooLarge,
-    ZeroWelfare,
-    OutOfDomain,
-    PhiOutOfRange,
-    LengthMismatch,
-)
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_sequence_arg(p):
@@ -77,8 +68,8 @@ def _add_study_args(p):
     _add_sequence_arg(p)
     p.add_argument("--mode", choices=["ab", "cb"], default="ab",
                    help="ratio: ab = anarchy, cb = sincerity")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--bins", type=int, default=60, help="histogram bins")
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--bins", type=_positive_int, default=60, help="histogram bins")
     p.add_argument("--out", help="write histogram CSV to this path")
 
 
@@ -105,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pin voter 1 to the identity ranking (sound by relabelling)")
     p.add_argument("--force", action="store_true",
                    help="ignore the enumeration budget")
-    p.set_defaults(func=cmd_exhaustive)
+    p.set_defaults(func=cmd_study, config=_exhaustive_config)
 
     p = sub.add_parser("montecarlo", help="ratio stats over sampled profiles")
     _add_study_args(p)
@@ -113,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, help="Mallows dispersion in (0,1]")
     p.add_argument("--reference", choices=["identity", "random"], default="identity",
                    help="Mallows reference ranking policy")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_montecarlo)
+    p.set_defaults(func=cmd_study, config=_montecarlo_config)
 
     p = sub.add_parser("extremal", help="construct a bound-attaining profile")
     p.add_argument("--n", type=int, required=True)
@@ -172,18 +163,8 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _emit_study(args, config) -> int:
-    result = run_experiment(config)
-    print(CSV_HEADER)
-    print(csv_row(result))
-    print(json.dumps(json_summary(result), sort_keys=True))
-    if args.out:
-        write_histogram_csv(args.out, result)
-    return EXIT_OK
-
-
-def cmd_exhaustive(args) -> int:
-    config = ExperimentConfig(
+def _exhaustive_config(args) -> ExperimentConfig:
+    return ExperimentConfig(
         n=args.n, m=args.m,
         sequence=EliminationSequence.parse(args.sequence),
         mode=RatioMode.parse(args.mode),
@@ -191,23 +172,29 @@ def cmd_exhaustive(args) -> int:
         fix_first=args.fix_first,
         budget=(1 << 62) if args.force else resolve_budget(None),
     )
-    return _emit_study(args, config)
 
 
-def cmd_montecarlo(args) -> int:
+def _montecarlo_config(args) -> ExperimentConfig:
     culture = CultureSpec.parse(args.culture, phi=args.phi)
     if args.reference == "random":
         if culture.kind.value != "mallows":
             raise OutOfDomain("--reference only applies to Mallows cultures")
         culture = CultureSpec.mallows(culture.phi, random_reference=True)
-    config = ExperimentConfig(
+    return ExperimentConfig(
         n=args.n, m=args.m,
         sequence=EliminationSequence.parse(args.sequence),
         mode=RatioMode.parse(args.mode),
         culture=culture, samples=args.samples, seed=args.seed,
         workers=args.workers, histogram_bins=args.bins,
     )
-    return _emit_study(args, config)
+
+
+def cmd_study(args) -> int:
+    result = run_experiment(args.config(args))
+    sys.stdout.write(render_report(result))
+    if args.out:
+        write_histogram_csv(args.out, result)
+    return EXIT_OK
 
 
 def cmd_extremal(args) -> int:
@@ -265,9 +252,6 @@ def main(argv=None) -> int:
     except Unsatisfiable as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except _SHAPE_ERRORS as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
     except ElimGameError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_SHAPE

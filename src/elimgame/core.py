@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     CandidateUnknown,
     InvalidVoter,
@@ -137,10 +135,6 @@ class PreferenceProfile:
         return PreferenceProfile.from_rankings(
             tuple(tuple(perm[c] for c in v.ranking) for v in self.votes)
         )
-
-    def position_matrix(self) -> np.ndarray:
-        """(n, m) array of 0-based slots, one row per voter."""
-        return np.array([v.positions for v in self.votes], dtype=np.int8)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from math import factorial
 import numpy as np
 
 from .core import PreferenceProfile, Vote
-from .errors import BudgetExceeded, LengthMismatch, ParseError, PhiOutOfRange
+from .errors import BudgetExceeded, LengthMismatch, OutOfDomain, ParseError, PhiOutOfRange
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MASK64 = (1 << 64) - 1
@@ -75,21 +75,6 @@ def _bounded(words: np.ndarray, bound: int) -> np.ndarray:
     """Unbiased-enough integers in [0, bound): fixed-point multiply on the
     top 32 bits (bias < 2**-32, far below every tolerance used here)."""
     return ((words >> np.uint64(32)) * np.uint64(bound)) >> np.uint64(32)
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Handle on one counter-based stream: ``(master_seed, stream_index)``."""
-
-    master_seed: int
-    stream_index: int = 0
-
-    def split(self, index: int) -> "RngStream":
-        return RngStream(self.master_seed, index)
-
-    def word(self, k: int) -> int:
-        key = _stream_keys(self.master_seed, self.stream_index, 1)
-        return int(_words_block(key, k + 1)[0, k])
 
 
 class CultureKind(Enum):
@@ -168,7 +153,7 @@ def kendall_tau(v1: Vote, v2: Vote) -> int:
     return inv
 
 
-def mallows_log_weights(m: int, phi: float, reference: Vote) -> dict[tuple[int, ...], float]:
+def mallows_pmf(m: int, phi: float, reference: Vote) -> dict[tuple[int, ...], float]:
     """Exact Mallows pmf over all m! rankings (tiny m only; test oracle)."""
     z = 1.0
     for j in range(2, m + 1):
@@ -230,6 +215,9 @@ def sample_rankings_batch(
     """
     if m < 1 or n < 1:
         raise ValueError("need n >= 1 voters and m >= 1 candidates")
+    if m > 127:
+        # rankings hold candidate ids as int8
+        raise OutOfDomain(f"sampling supports at most 127 candidates, got {m}")
     if count == 0:
         return np.zeros((0, n, m), dtype=np.int8)
     keys = _stream_keys(master_seed, start_index, count)
@@ -261,31 +249,6 @@ def sample_rankings_batch(
     return rankings
 
 
-def _profile_from_rows(rows: np.ndarray) -> PreferenceProfile:
-    return PreferenceProfile.from_rankings([tuple(int(c) for c in r) for r in rows])
-
-
-def sample_impartial(n: int, m: int, rng: RngStream) -> PreferenceProfile:
-    """One uniform profile from the stream's index."""
-    rows = sample_rankings_batch(
-        n, m, CultureSpec.impartial(), rng.master_seed, rng.stream_index, 1
-    )[0]
-    return _profile_from_rows(rows)
-
-
-def sample_mallows(n: int, m: int, spec: CultureSpec, rng: RngStream) -> PreferenceProfile:
-    """One Mallows profile from the stream's index."""
-    if spec.kind is not CultureKind.MALLOWS:
-        raise ValueError("spec must be a Mallows culture")
-    rows = sample_rankings_batch(n, m, spec, rng.master_seed, rng.stream_index, 1)[0]
-    return _profile_from_rows(rows)
-
-
-def sample_profile(n: int, m: int, spec: CultureSpec, rng: RngStream) -> PreferenceProfile:
-    rows = sample_rankings_batch(n, m, spec, rng.master_seed, rng.stream_index, 1)[0]
-    return _profile_from_rows(rows)
-
-
 @lru_cache(maxsize=8)
 def permutation_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """All m! rankings in lexicographic order plus their position tables.
@@ -303,11 +266,24 @@ def enumeration_size(n: int, m: int, fix_first: bool = True) -> int:
     return factorial(m) ** free
 
 
+def index_digits(index: int, base: int, width: int) -> list[int]:
+    """The ``width`` base-``base`` digits of ``index``, most significant first.
+
+    An enumeration index decodes into one ranking rank per free voter this
+    way; see :func:`profile_at_index`.
+    """
+    digits = [0] * width
+    for k in range(width - 1, -1, -1):
+        index, digits[k] = divmod(index, base)
+    return digits
+
+
 def profile_at_index(n: int, m: int, index: int, fix_first: bool = True) -> PreferenceProfile:
     """Profile at a given rank of the enumeration order.
 
     The order is lexicographic over the free voters' rankings, first free
-    voter most significant. With ``fix_first`` voter 1 is pinned to the
+    voter most significant, each ranking numbered as in
+    :func:`permutation_table`. With ``fix_first`` voter 1 is pinned to the
     identity ranking, which is sound for worst-case and distributional work
     because every quantity of interest is invariant under candidate
     relabelling.
@@ -315,32 +291,17 @@ def profile_at_index(n: int, m: int, index: int, fix_first: bool = True) -> Pref
     total = enumeration_size(n, m, fix_first)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside 0..{total - 1}")
-    perms = list(itertools.permutations(range(m)))
-    fact = len(perms)
+    perms, _ = permutation_table(m)
     free = n - 1 if fix_first else n
-    digits = []
-    rem = index
-    for k in range(free - 1, -1, -1):
-        d, rem = divmod(rem, fact**k)
-        digits.append(d)
-    rows = ([tuple(range(m))] if fix_first else []) + [perms[d] for d in digits]
-    return PreferenceProfile.from_rankings(rows)
+    ranks = ([0] if fix_first else []) + index_digits(index, perms.shape[0], free)
+    return PreferenceProfile.from_rankings([perms[r].tolist() for r in ranks])
 
 
-def enumerate_profiles(
-    n: int,
-    m: int,
-    fix_first: bool = True,
-    budget: int | None = None,
-    start: int = 0,
-    count: int | None = None,
-):
-    """Yield profiles in enumeration order; see :func:`profile_at_index`.
+def enumerate_profiles(n: int, m: int, fix_first: bool = True, budget: int | None = None):
+    """Yield every profile in enumeration order; see :func:`profile_at_index`.
 
-    ``start``/``count`` select a contiguous slice so callers can split the
-    space. The budget guards the full space size, not the slice. This is the
-    plain-python path for small spaces and oracles; large enumerations go
-    through the vectorised sweep engine.
+    This is the plain-python path for small spaces and oracles; large
+    enumerations go through the vectorised sweep engine.
     """
     total = enumeration_size(n, m, fix_first)
     limit = resolve_budget(budget)
@@ -349,11 +310,5 @@ def enumerate_profiles(
             f"enumeration would touch {total} profiles, over the budget of {limit}; "
             "raise ELIMGAME_BUDGET or pass a larger budget to proceed"
         )
-    if count is None:
-        count = total - start
-    perms = list(itertools.permutations(range(m)))
-    free = n - 1 if fix_first else n
-    head = [tuple(range(m))] if fix_first else []
-    it = itertools.product(perms, repeat=free)
-    for rows in itertools.islice(it, start, start + count):
-        yield PreferenceProfile.from_rankings(head + list(rows))
+    for index in range(total):
+        yield profile_at_index(n, m, index, fix_first)

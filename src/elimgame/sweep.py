@@ -14,6 +14,7 @@ ties resolved toward the lowest enumeration or sample index.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .core import EliminationSequence, PreferenceProfile
 from .cultures import (
     CultureSpec,
     enumeration_size,
+    index_digits,
     permutation_table,
     profile_at_index,
     resolve_budget,
@@ -220,16 +222,14 @@ def _exhaustive_chunk(args) -> _Summary:
         return summary
     # voters: optional pinned voter 0, then free voters; the last free voter
     # is vectorised across all m! rankings, the others are set per outer index
-    middle = list(range(1 if fix_first else 0, n - 1))
+    middle = range(1 if fix_first else 0, n - 1)
     for outer in range(outer_start, outer_start + outer_len):
         pos_list: list = [None] * n
         base = np.zeros(m, dtype=np.int32)
         if fix_first:
             pos_list[0] = pos[0:1]
             base += contrib[0]
-        rem = outer
-        for k, voter in enumerate(middle):
-            d, rem = divmod(rem, fact ** (len(middle) - 1 - k))
+        for voter, d in zip(middle, index_digits(outer, fact, len(middle))):
             pos_list[voter] = pos[d:d + 1]
             base += contrib[d]
         pos_list[n - 1] = pos
@@ -253,24 +253,15 @@ def _montecarlo_chunk(args) -> _Summary:
 
 
 def _run_chunks(fn, args_list, workers: int) -> _Summary:
+    pool = None
     if workers > 1 and len(args_list) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as ex:
-            summaries = ex.map(fn, args_list, chunksize=1)
-            first = None
-            for s in summaries:
-                if first is None:
-                    first = s
-                else:
-                    first.merge(s)
-            return first
-    first = None
-    for a in args_list:
-        s = fn(a)
-        if first is None:
-            first = s
-        else:
-            first.merge(s)
-    return first
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(args_list)))
+    with pool or nullcontext():
+        summaries = pool.map(fn, args_list, chunksize=1) if pool else map(fn, args_list)
+        total = next(summaries)
+        for s in summaries:
+            total.merge(s)
+    return total
 
 
 def histogram_edges(low: Fraction, high: Fraction, bins: int) -> np.ndarray:

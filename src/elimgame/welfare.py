@@ -20,15 +20,11 @@ ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EliminationSequence, PreferenceProfile
 from .errors import OutOfDomain, ZeroWelfare
 from .play import sincere_play, spne_outcome
-from .sweep import RatioMode, exhaustive_witness, run_exhaustive
-
-Ratio = Fraction
 
 
 def ratio_json(r: Fraction) -> dict:
@@ -88,28 +84,3 @@ def sr_bound_for_sequence(seq: EliminationSequence, n: int, m: int) -> Fraction:
     seq.validate(n, m)
     return sr_upper_bound(n, m, seq.occurrences(n).o_max)
 
-
-@dataclass(frozen=True)
-class WorstCaseResult:
-    """An exact maximum with a profile that attains it."""
-
-    value: Fraction
-    witness: PreferenceProfile
-    population_size: int
-
-
-def exact_worst_ratio(
-    seq: EliminationSequence,
-    n: int,
-    m: int,
-    mode: RatioMode = RatioMode.AB,
-    fix_first: bool = True,
-    budget: int | None = None,
-    workers: int = 1,
-) -> WorstCaseResult:
-    """Maximise the ratio over every profile by exhaustive sweep."""
-    res = run_exhaustive(
-        seq, n, m, mode, fix_first=fix_first, budget=budget, workers=workers
-    )
-    witness = exhaustive_witness(n, m, res.max_index, fix_first)
-    return WorstCaseResult(res.max_ratio, witness, res.count)

@@ -54,11 +54,8 @@ from elimgame import (
     RatioMode,
     Vote,
     backward_induction,
-    enumerate_profiles,
     generate,
-    mallows_log_weights,
     mixed_play,
-    play_batch_winners,
     poa_for_sequence,
     poa_formula,
     ratio_ab,
@@ -67,10 +64,12 @@ from elimgame import (
     sample_rankings_batch,
     sincere_play,
     spne_outcome,
-    sr_bound_for_sequence,
     sr_upper_bound,
     verify_tight,
 )
+from elimgame.cultures import enumerate_profiles, mallows_pmf
+from elimgame.play import play_batch_winners
+from elimgame.welfare import sr_bound_for_sequence
 from helpers import random_instance, seq, seq_from
 
 WORKERS = min(8, os.cpu_count() or 1)
@@ -461,7 +460,7 @@ def test_c09_mallows_sampler_matches_the_exact_distribution():
                                   2024, 0, 10**6)[:, 0, :].astype(np.int64)
     code = ((votes[:, 0] * 4 + votes[:, 1]) * 4 + votes[:, 2]) * 4 + votes[:, 3]
     counts = np.bincount(code, minlength=256)
-    pmf = mallows_log_weights(4, 0.6, Vote((0, 1, 2, 3)))
+    pmf = mallows_pmf(4, 0.6, Vote((0, 1, 2, 3)))
     covered = 0
     worst = 0.0
     for p, prob in pmf.items():

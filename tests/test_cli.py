@@ -187,6 +187,36 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exhaustive", "--workers", "0"],
+            ["exhaustive", "--bins", "0"],
+            ["montecarlo", "--samples", "10", "--workers", "0"],
+            ["montecarlo", "--samples", "0"],
+            ["montecarlo", "--samples", "10", "--bins", "0"],
+        ],
+    )
+    def test_count_flags_below_one_are_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--n", "2", "--m", "3", "--sequence", "1,2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: must be at least 1, got 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers,samples", [("1", "10"), ("2", "70000")])
+    def test_more_than_127_candidates_is_3(self, capsys, workers, samples):
+        m = 130
+        code, out, err = run_main(
+            capsys, "montecarlo", "--n", "2", "--m", str(m),
+            "--sequence", ",".join("12"[i % 2] for i in range(m - 1)),
+            "--samples", samples, "--workers", workers,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "OUT_OF_DOMAIN" in err
+
 
 class TestStudies:
     def test_exhaustive_report(self, tmp_path, capsys):

@@ -11,10 +11,10 @@ from elimgame import (
     PreferenceProfile,
     SequenceLengthMismatch,
     Vote,
-    default_labels,
     format_profile,
     parse_profile,
 )
+from elimgame.core import default_labels
 from helpers import profile, seq
 
 

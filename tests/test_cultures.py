@@ -7,25 +7,26 @@ import pytest
 
 from elimgame import (
     BudgetExceeded,
-    CultureKind,
     CultureSpec,
     LengthMismatch,
+    OutOfDomain,
     ParseError,
     PhiOutOfRange,
-    RngStream,
     Vote,
-    enumerate_profiles,
-    enumeration_size,
-    kendall_tau,
-    mallows_log_weights,
-    permutation_table,
-    profile_at_index,
-    sample_impartial,
-    sample_mallows,
-    sample_profile,
     sample_rankings_batch,
 )
-from elimgame.cultures import resolve_budget
+from elimgame.cultures import (
+    CultureKind,
+    enumerate_profiles,
+    enumeration_size,
+    index_digits,
+    kendall_tau,
+    mallows_pmf,
+    permutation_table,
+    profile_at_index,
+    resolve_budget,
+)
+from elimgame.sweep import montecarlo_witness
 
 
 IC = CultureSpec.impartial()
@@ -61,12 +62,17 @@ class TestStreams:
         )
 
     def test_stream_handle_matches_batch(self):
-        rng = RngStream(42, 9)
-        p = sample_impartial(4, 5, rng)
-        batch = sample_rankings_batch(4, 5, IC, 42, 9, 1)[0]
-        assert [v.ranking for v in p.votes] == [tuple(r) for r in batch]
-        assert rng.split(3).stream_index == 3
-        assert RngStream(42, 9).word(4) == rng.word(4)
+        # (seed, index) names one stream; the single-profile sampler reads it
+        # exactly as the batch sampler does, for every culture
+        for culture in (IC, CultureSpec.mallows(0.5)):
+            p = montecarlo_witness(4, 5, culture, 42, 9)
+            batch = sample_rankings_batch(4, 5, culture, 42, 9, 1)[0]
+            assert [v.ranking for v in p.votes] == [tuple(r) for r in batch]
+
+    def test_candidate_ids_fit_int8(self):
+        assert sample_rankings_batch(1, 127, IC, 0, 0, 2).shape == (2, 1, 127)
+        with pytest.raises(OutOfDomain):
+            sample_rankings_batch(1, 200, IC, 0, 0, 3)
 
 
 class TestKendall:
@@ -131,7 +137,7 @@ class TestImpartialDistribution:
 
 class TestMallowsDistribution:
     def test_pmf_oracle_is_a_distribution(self):
-        pmf = mallows_log_weights(4, 0.7, Vote((0, 1, 2, 3)))
+        pmf = mallows_pmf(4, 0.7, Vote((0, 1, 2, 3)))
         assert len(pmf) == 24
         assert math.isclose(sum(pmf.values()), 1.0, rel_tol=1e-12)
         # dispersion weights orderings by pairwise disagreement count
@@ -145,7 +151,7 @@ class TestMallowsDistribution:
         batch = sample_rankings_batch(1, 3, CultureSpec.mallows(phi), 99, 0, N)[:, 0, :]
         codes = batch[:, 0] * 9 + batch[:, 1] * 3 + batch[:, 2]
         counts = Counter(codes.tolist())
-        pmf = mallows_log_weights(3, phi, Vote((0, 1, 2)))
+        pmf = mallows_pmf(3, phi, Vote((0, 1, 2)))
         for perm, p in pmf.items():
             code = perm[0] * 9 + perm[1] * 3 + perm[2]
             assert abs(counts.get(code, 0) / N - p) < 0.01
@@ -198,15 +204,6 @@ class TestMallowsDistribution:
         # at negligible dispersion each sample sits on its own reference
         assert len({tuple(r.tolist()) for r in batch}) > 1
 
-    def test_sample_mallows_requires_mallows_spec(self):
-        with pytest.raises(ValueError):
-            sample_mallows(2, 3, IC, RngStream(0))
-
-    def test_sample_profile_dispatch(self):
-        p = sample_profile(2, 4, CultureSpec.mallows(0.5), RngStream(3, 2))
-        q = sample_mallows(2, 4, CultureSpec.mallows(0.5), RngStream(3, 2))
-        assert p == q
-
 
 class TestEnumeration:
     def test_sizes(self):
@@ -240,11 +237,15 @@ class TestEnumeration:
         p = profile_at_index(3, 4, 0, fix_first=False)
         assert all(v.ranking == (0, 1, 2, 3) for v in p.votes)
 
-    def test_slices_partition_the_space(self):
-        whole = list(enumerate_profiles(2, 3, fix_first=False))
-        parts = list(enumerate_profiles(2, 3, fix_first=False, start=0, count=10))
-        parts += list(enumerate_profiles(2, 3, fix_first=False, start=10, count=26))
-        assert parts == whole
+    def test_order_is_lexicographic(self):
+        # first free voter most significant, rankings in lexicographic order
+        rows = [
+            tuple(v.ranking for v in p.votes)
+            for p in enumerate_profiles(2, 3, fix_first=False)
+        ]
+        assert rows == list(itertools.product(itertools.permutations(range(3)), repeat=2))
+        assert index_digits(6 * 6 * 2 + 6 * 5 + 4, 6, 3) == [2, 5, 4]
+        assert index_digits(7, 24, 0) == []
 
     def test_permutation_table(self):
         perms, pos = permutation_table(4)

@@ -4,22 +4,24 @@ from fractions import Fraction
 import pytest
 
 from elimgame import (
-    CSV_HEADER,
-    HIST_HEADER,
     CultureSpec,
     ExperimentConfig,
     RatioMode,
+    ratio_ab,
+    ratio_cb,
+    run_experiment,
+)
+from elimgame.experiments import (
+    CSV_HEADER,
+    HIST_HEADER,
     csv_row,
     histogram_rows,
     json_summary,
-    ratio_ab,
-    ratio_cb,
     ratio_range,
     render_report,
-    run_exhaustive,
-    run_experiment,
     write_histogram_csv,
 )
+from elimgame.sweep import run_exhaustive
 from helpers import seq, seq_from
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,18 +9,17 @@ from elimgame import (
     StructureUnsatisfiable,
     Unsatisfiable,
     backward_induction,
-    exact_worst_ratio,
-    gen_poa_tight,
-    gen_sr_tight,
     generate,
     poa_for_sequence,
     ratio_ab,
     ratio_cb,
     sincere_play,
     spne_outcome,
-    sr_bound_for_sequence,
     verify_tight,
 )
+from elimgame.extremal import gen_poa_tight, gen_sr_tight
+from elimgame.sweep import run_exhaustive
+from elimgame.welfare import sr_bound_for_sequence
 from helpers import profile, seq, seq_from
 
 
@@ -74,7 +74,7 @@ class TestAnarchyTight:
     )
     def test_nothing_beats_it_in_the_full_space(self, s, n, m):
         p, _ = gen_poa_tight(s, n, m)
-        assert exact_worst_ratio(s, n, m, RatioMode.AB).value == ratio_ab(p, s)
+        assert run_exhaustive(s, n, m, RatioMode.AB).max_ratio == ratio_ab(p, s)
 
     def test_rejects_single_voter(self):
         with pytest.raises(Unsatisfiable):
@@ -137,8 +137,6 @@ class TestSincerityTight:
         p, _ = gen_sr_tight(s, 2, 4)
         bound = sr_bound_for_sequence(s, 2, 4)
         assert ratio_cb(p, s.reverse()) == 1 / bound
-        from elimgame import run_exhaustive
-
         rev = run_exhaustive(s.reverse(), 2, 4, RatioMode.CB)
         assert rev.min_ratio == 1 / bound
 
@@ -163,10 +161,6 @@ class TestSincerityTight:
     def test_refusals_are_honest(self):
         # where the generator refuses, no profile attains the bound either;
         # where it builds one, nothing in the full space beats it
-        import itertools
-
-        from elimgame import run_exhaustive
-
         for turns in itertools.product([1, 2], repeat=3):
             s = seq(*turns)
             bound = sr_bound_for_sequence(s, 2, 4)

@@ -6,17 +6,15 @@ import pytest
 
 from elimgame import (
     BehaviorAssignment,
-    GameTrace,
     InvalidVoter,
     SequenceLengthMismatch,
     TreeTooLarge,
     backward_induction,
     mixed_play,
-    play_batch_winners,
     sincere_play,
     spne_outcome,
-    trace_report,
 )
+from elimgame.play import GameTrace, play_batch_winners, trace_report
 from helpers import profile, random_instance, random_sequence, seq
 
 

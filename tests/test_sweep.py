@@ -7,20 +7,18 @@ from elimgame import (
     BudgetExceeded,
     CultureSpec,
     RatioMode,
-    RngStream,
     ZeroWelfare,
-    enumerate_profiles,
     ratio_ab,
     ratio_cb,
-    run_exhaustive,
-    run_montecarlo,
-    sample_profile,
 )
+from elimgame.cultures import enumerate_profiles
 from elimgame.sweep import (
     _Summary,
     exhaustive_witness,
     histogram_edges,
     montecarlo_witness,
+    run_exhaustive,
+    run_montecarlo,
 )
 from helpers import seq
 
@@ -169,9 +167,7 @@ class TestMonteCarlo:
         s = seq(1, 2, 3, 1)
         n, m, N, seed = 3, 5, 500, 77
         fn = ratio_ab if mode is RatioMode.AB else ratio_cb
-        vals = [
-            fn(sample_profile(n, m, culture, RngStream(seed, i)), s) for i in range(N)
-        ]
+        vals = [fn(montecarlo_witness(n, m, culture, seed, i), s) for i in range(N)]
         mean = sum(vals, Fraction(0)) / N
         res = run_montecarlo(s, n, m, mode, culture, N, seed)
         assert res.count == N

@@ -8,17 +8,15 @@ from elimgame import (
     RatioMode,
     SequenceLengthMismatch,
     ZeroWelfare,
-    enumerate_profiles,
-    exact_worst_ratio,
     poa_for_sequence,
     poa_formula,
     ratio_ab,
     ratio_cb,
-    ratio_json,
-    sr_bound_for_sequence,
     sr_upper_bound,
 )
-from elimgame.welfare import _score_ratio
+from elimgame.cultures import enumerate_profiles
+from elimgame.sweep import exhaustive_witness, run_exhaustive
+from elimgame.welfare import _score_ratio, ratio_json, sr_bound_for_sequence
 from helpers import profile, random_instance, seq
 
 
@@ -151,30 +149,28 @@ class TestExactWorstRatio:
         s = seq(1, 2, 1)
         fn = ratio_ab if mode is RatioMode.AB else ratio_cb
         best = max(fn(p, s) for p in enumerate_profiles(2, 4, fix_first=True))
-        res = exact_worst_ratio(s, 2, 4, mode)
-        assert res.value == best
-        assert res.population_size == 24
+        res = run_exhaustive(s, 2, 4, mode)
+        assert res.max_ratio == best
+        assert res.count == 24
         # the witness really attains the reported value
-        assert fn(res.witness, s) == res.value
+        assert fn(exhaustive_witness(2, 4, res.max_index), s) == res.max_ratio
 
     def test_full_space_agrees_with_reduced(self):
         s = seq(1, 2, 1)
-        full = exact_worst_ratio(s, 2, 4, RatioMode.CB, fix_first=False)
-        reduced = exact_worst_ratio(s, 2, 4, RatioMode.CB, fix_first=True)
-        assert full.value == reduced.value
-        assert full.population_size == 576
+        full = run_exhaustive(s, 2, 4, RatioMode.CB, fix_first=False)
+        reduced = run_exhaustive(s, 2, 4, RatioMode.CB, fix_first=True)
+        assert full.max_ratio == reduced.max_ratio
+        assert full.count == 576
 
     def test_poa_tightness_small(self):
         for s, n, m in [(seq(1, 2, 1), 2, 4), (seq(1, 2, 3), 3, 4), (seq(2, 2, 1), 2, 4)]:
-            res = exact_worst_ratio(s, n, m, RatioMode.AB)
-            assert res.value == poa_for_sequence(s, n, m)
+            res = run_exhaustive(s, n, m, RatioMode.AB)
+            assert res.max_ratio == poa_for_sequence(s, n, m)
 
     def test_worst_case_reversal_duality(self):
         # the max sincerity ratio of a sequence is the reciprocal of the
         # reversed sequence's minimum
-        from elimgame import run_exhaustive
-
         for s in [seq(1, 2, 1), seq(2, 1, 1), seq(1, 1, 2)]:
-            res = exact_worst_ratio(s, 2, 4, RatioMode.CB)
+            res = run_exhaustive(s, 2, 4, RatioMode.CB)
             rev = run_exhaustive(s.reverse(), 2, 4, RatioMode.CB)
-            assert rev.min_ratio == 1 / res.value
+            assert rev.min_ratio == 1 / res.max_ratio
