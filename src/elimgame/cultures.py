@@ -256,8 +256,24 @@ def permutation_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     ``perms[r, slot]`` is the candidate at ``slot``; ``pos[r, c]`` the slot
     of candidate ``c``. Rank 0 is the identity.
     """
-    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-    pos = np.argsort(perms, axis=1).astype(np.int8)
+    # Rankings of k candidates, built in place from those of k - 1: block c
+    # leads with candidate c, then the k - 1 others in the smaller table's
+    # order with every id >= c shifted up by one. In block c candidate c sits
+    # in slot 0 and every other candidate one slot below its smaller-table
+    # slot. No temporary is larger than the smaller table.
+    perms = pos = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, m + 1):
+        rows = perms.shape[0]
+        next_perms = np.empty((k * rows, k), dtype=np.int8)
+        next_pos = np.empty_like(next_perms)
+        for c in range(k):
+            block = slice(c * rows, (c + 1) * rows)
+            next_perms[block, 0] = c
+            np.add(perms, perms >= c, out=next_perms[block, 1:])
+            next_pos[block, c] = 0
+            np.add(pos[:, :c], 1, out=next_pos[block, :c])
+            np.add(pos[:, c:], 1, out=next_pos[block, c + 1:])
+        perms, pos = next_perms, next_pos
     return perms, pos
 
 

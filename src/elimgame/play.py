@@ -202,8 +202,10 @@ def play_batch_winners(positions, turns) -> np.ndarray:
 
     ``positions`` is indexed by voter id; entry ``v`` is an ``(B, m)`` or
     ``(1, m)`` int array of 0-based rank slots (broadcast across the batch).
-    Returns the ``(B,)`` winners. This is the hot kernel behind the sweeps;
-    the scalar functions above stay the readable reference implementation.
+    Returns the ``(B,)`` winners. This is the hot kernel behind the
+    Monte-Carlo sweeps and the exhaustive sweeps too large for
+    :func:`table_batch_winners`; the scalar functions above stay the
+    readable reference implementation.
     """
     m = positions[0].shape[1]
     B = max(p.shape[0] for p in positions)
@@ -214,3 +216,46 @@ def play_batch_winners(positions, turns) -> np.ndarray:
         worst = masked.argmax(axis=1)
         remaining[rows, worst] = False
     return remaining.argmax(axis=1)
+
+
+def worst_alive_table(pos: np.ndarray) -> np.ndarray:
+    """``W[r, mask]``: the candidate in ``mask`` that ranking ``r`` puts lowest.
+
+    ``pos`` is an ``(R, m)`` position table (``pos[r, c]`` is the slot of
+    candidate ``c`` in ranking ``r``); the result is ``(R, 2**m)`` int8, with
+    ``W[r, 0]`` unused. Masks are filled in increasing order from the mask
+    without their lowest candidate ``c``: the worst of ``mask`` is ``c`` when
+    ``c`` sits below the worst of the rest, else the worst of the rest.
+    """
+    rows, m = pos.shape
+    cols = np.ascontiguousarray(pos.T)
+    worst = np.zeros((rows, 1 << m), dtype=np.int8)
+    # slot[mask]: the slot of worst[:, mask]; -1 below every slot for mask 0
+    slot = np.full((1 << m, rows), -1, dtype=np.int8)
+    for mask in range(1, 1 << m):
+        c = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << c)
+        worst[:, mask] = np.where(cols[c] > slot[rest], c, worst[:, rest])
+        np.maximum(slot[rest], cols[c], out=slot[mask])
+    return worst
+
+
+def table_batch_winners(table: np.ndarray, ids, turns) -> np.ndarray:
+    """Vectorised sincere play over a batch of profiles given as ranking ids.
+
+    ``table`` is a :func:`worst_alive_table`; ``ids`` is indexed by voter id
+    and entry ``v`` is a ranking id (a row of the position table the table
+    was built from) or a ``(B,)`` int array of them. Each turn is one gather:
+    the acting voter's worst alive candidate leaves the alive bitmask.
+    Returns the ``(B,)`` winners, equal to :func:`play_batch_winners` on the
+    matching position rows.
+    """
+    size = table.shape[1]
+    m = size.bit_length() - 1
+    off = [np.asarray(i, dtype=np.intp) << m for i in ids]
+    bit = np.left_shift(1, np.arange(m, dtype=np.intp))
+    alive = np.full(max(o.size for o in off), size - 1, dtype=np.intp)
+    for voter in turns:
+        alive -= bit.take(table.take(off[voter] + alive))
+    # row 0 of the table names the single candidate of a one-bit mask
+    return table.take(alive)

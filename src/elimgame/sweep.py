@@ -18,6 +18,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import sqrt
 
 import numpy as np
@@ -33,10 +34,13 @@ from .cultures import (
     sample_rankings_batch,
 )
 from .errors import BudgetExceeded, ZeroWelfare
-from .play import play_batch_winners
+from .play import play_batch_winners, table_batch_winners, worst_alive_table
 
 #: outer-voter assignments per exhaustive chunk (each costs m! evaluations)
 EXHAUSTIVE_OUTER_CHUNK = 64
+#: largest m whose exhaustive sweeps play through a worst-alive table
+#: (m! * 2**m int8 per process: 0.62 MiB at m=7, 9.8 MiB at m=8)
+WORST_TABLE_MAX_M = 7
 #: samples per Monte-Carlo chunk
 MC_CHUNK = 1 << 16
 
@@ -192,17 +196,25 @@ def _finish(summary: _Summary, mode: RatioMode, edges) -> SweepResult:
     )
 
 
-def _evaluate(pos_list, scores, turns, rev_turns, mode):
-    """Winners and (numerator, denominator) arrays for one batch."""
-    spne = play_batch_winners(pos_list, rev_turns)
+def _evaluate(winners, scores, turns, rev_turns, mode):
+    """(numerator, denominator) arrays for one batch.
+
+    ``winners(turns)`` plays the batch sincerely on ``turns``; the strategic
+    winner is sincere play on the reversed sequence.
+    """
+    spne = winners(rev_turns)
     rows = np.arange(spne.shape[0])
     den = scores[rows, spne].astype(np.int64)
     if mode is RatioMode.CB:
-        sinc = play_batch_winners(pos_list, turns)
-        num = scores[rows, sinc].astype(np.int64)
+        num = scores[rows, winners(turns)].astype(np.int64)
     else:
         num = scores.max(axis=1).astype(np.int64)
     return num, den
+
+
+@lru_cache(maxsize=2)
+def _worst_table(m: int) -> np.ndarray:
+    return worst_alive_table(permutation_table(m)[1])
 
 
 def _exhaustive_chunk(args) -> _Summary:
@@ -213,28 +225,23 @@ def _exhaustive_chunk(args) -> _Summary:
     contrib = (m - 1 - pos).astype(np.int32)
     free = n - (1 if fix_first else 0)
     summary = _Summary(n * (m - 1), bins)
-    if free == 0:
-        # single profile: everyone pinned to the identity ranking
-        pos_list = [pos[0:1]] * n
-        scores = contrib[0:1].copy()
-        num, den = _evaluate(pos_list, scores, turns, rev_turns, mode)
-        summary.absorb_batch(num, den, 0, edges)
-        return summary
-    # voters: optional pinned voter 0, then free voters; the last free voter
-    # is vectorised across all m! rankings, the others are set per outer index
-    middle = range(1 if fix_first else 0, n - 1)
+    # Voters are ranking ids into the permutation table: the pinned voter 0
+    # and the middle voters hold one id per outer index, the last voter runs
+    # over every ranking. A single pinned voter (no free voter) is that last
+    # voter with the identity as its only ranking.
+    pinned = [0] if fix_first and free else []
+    middle = n - 1 - len(pinned)
+    last = np.arange(fact if free else 1)
+    table = _worst_table(m) if m <= WORST_TABLE_MAX_M else None
     for outer in range(outer_start, outer_start + outer_len):
-        pos_list: list = [None] * n
-        base = np.zeros(m, dtype=np.int32)
-        if fix_first:
-            pos_list[0] = pos[0:1]
-            base += contrib[0]
-        for voter, d in zip(middle, index_digits(outer, fact, len(middle))):
-            pos_list[voter] = pos[d:d + 1]
-            base += contrib[d]
-        pos_list[n - 1] = pos
-        scores = base[None, :] + contrib
-        num, den = _evaluate(pos_list, scores, turns, rev_turns, mode)
+        ids = pinned + index_digits(outer, fact, middle)
+        scores = contrib[ids].sum(axis=0, dtype=np.int32) + contrib[:last.shape[0]]
+        ids.append(last)
+        if table is None:
+            winners = partial(play_batch_winners, [pos[np.atleast_1d(i)] for i in ids])
+        else:
+            winners = partial(table_batch_winners, table, ids)
+        num, den = _evaluate(winners, scores, turns, rev_turns, mode)
         summary.absorb_batch(num, den, outer * fact, edges)
     return summary
 
@@ -247,7 +254,9 @@ def _montecarlo_chunk(args) -> _Summary:
     pos_list = [pos[:, v, :] for v in range(n)]
     scores = (m - 1 - pos).sum(axis=1, dtype=np.int32)
     summary = _Summary(n * (m - 1), bins)
-    num, den = _evaluate(pos_list, scores, turns, rev_turns, mode)
+    num, den = _evaluate(
+        partial(play_batch_winners, pos_list), scores, turns, rev_turns, mode
+    )
     summary.absorb_batch(num, den, start, edges)
     return summary
 

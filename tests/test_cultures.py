@@ -258,6 +258,14 @@ class TestEnumeration:
                               np.broadcast_to(np.arange(4), (24, 4)))
 
 
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_permutation_table_matches_itertools(self, m):
+        perms, pos = permutation_table(m)
+        assert perms.dtype == pos.dtype == np.int8
+        assert perms.tolist() == [list(p) for p in itertools.permutations(range(m))]
+        assert np.array_equal(pos, np.argsort(perms, axis=1))
+
+
 class TestBudget:
     def test_explicit_budget_enforced(self):
         with pytest.raises(BudgetExceeded):

@@ -14,7 +14,14 @@ from elimgame import (
     sincere_play,
     spne_outcome,
 )
-from elimgame.play import GameTrace, play_batch_winners, trace_report
+from elimgame.cultures import permutation_table
+from elimgame.play import (
+    GameTrace,
+    play_batch_winners,
+    table_batch_winners,
+    trace_report,
+    worst_alive_table,
+)
 from helpers import profile, random_instance, random_sequence, seq
 
 
@@ -275,3 +282,36 @@ class TestBatchKernel:
             )
             want = sincere_play(full, seq(*[t + 1 for t in turns])).winner
             assert got[b] == want
+
+
+class TestWorstAliveTable:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_every_entry_is_the_lowest_alive(self, m):
+        _, pos = permutation_table(m)
+        table = worst_alive_table(pos)
+        assert table.shape == (pos.shape[0], 1 << m) and table.dtype == np.int8
+        for r in range(pos.shape[0]):
+            for mask in range(1, 1 << m):
+                alive = [c for c in range(m) if mask >> c & 1]
+                assert table[r, mask] == max(alive, key=lambda c: pos[r, c])
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_kernel_matches_position_kernel(self, m):
+        rng = np.random.default_rng(70 + m)
+        _, pos = permutation_table(m)
+        table = worst_alive_table(pos)
+        fact = pos.shape[0]
+        for _ in range(10):
+            n = int(rng.integers(1, 5))
+            B = int(rng.integers(1, 50))
+            # each voter is one scalar id for the whole batch or one id per row
+            ids = [
+                int(rng.integers(fact)) if rng.random() < 0.5
+                else rng.integers(fact, size=B)
+                for _ in range(n)
+            ]
+            ids[int(rng.integers(n))] = rng.integers(fact, size=B)
+            turns = tuple(int(t) for t in rng.integers(n, size=m - 1))
+            got = table_batch_winners(table, ids, turns)
+            want = play_batch_winners([pos[np.atleast_1d(i)] for i in ids], turns)
+            assert got.tolist() == want.tolist()

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from elimgame import (
 )
 from elimgame.cultures import enumerate_profiles
 from elimgame.sweep import (
+    SweepResult,
     _Summary,
     exhaustive_witness,
     histogram_edges,
@@ -188,6 +190,34 @@ class TestMonteCarlo:
             run_montecarlo(
                 seq(1, 1), 1, 3, RatioMode.AB, CultureSpec.impartial(), 0, seed=1
             )
+
+
+class TestWorstTablePath:
+    """Exhaustive sweeps play through the worst-alive table for small m; the
+    position kernel that larger m uses must give the same result."""
+
+    @pytest.mark.parametrize(
+        "s,n,m,mode,fix_first",
+        [
+            (seq(1, 2, 3), 3, 4, RatioMode.AB, True),
+            (seq(1, 2, 3), 3, 4, RatioMode.CB, True),
+            (seq(2, 1, 2, 1), 2, 5, RatioMode.CB, False),
+            (seq(1, 1, 1), 1, 4, RatioMode.CB, True),
+            (seq(1, 1, 1), 1, 4, RatioMode.AB, False),
+        ],
+    )
+    def test_same_result_as_position_kernel(self, monkeypatch, s, n, m, mode, fix_first):
+        edges = histogram_edges(Fraction(1, 2), Fraction(2), 9)
+        kw = dict(fix_first=fix_first, bins=9, edges=edges)
+        table = run_exhaustive(s, n, m, mode, **kw)
+        monkeypatch.setattr("elimgame.sweep.WORST_TABLE_MAX_M", 0)
+        plain = run_exhaustive(s, n, m, mode, **kw)
+        for field in fields(SweepResult):
+            a, b = getattr(table, field.name), getattr(plain, field.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
 
 
 class TestHistogram:
