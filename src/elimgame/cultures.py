@@ -48,10 +48,14 @@ def resolve_budget(budget: int | None = None) -> int:
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise on uint64 (wrapping arithmetic)."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    """SplitMix64 finalizer, elementwise and in place on a fresh uint64 array
+    (wrapping arithmetic); returns ``x``."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def _stream_keys(master_seed: int, start: int, count: int) -> np.ndarray:
@@ -60,10 +64,17 @@ def _stream_keys(master_seed: int, start: int, count: int) -> np.ndarray:
     return _mix64(seed + (idx + np.uint64(1)) * _GOLDEN)
 
 
-def _words_block(keys: np.ndarray, nwords: int) -> np.ndarray:
-    """(len(keys), nwords) raw words; column k is word k of each stream."""
-    ks = (np.arange(nwords, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-    return _mix64(keys[:, None] + ks[None, :])
+def _word_rows(keys: np.ndarray, first: int, voters: int, width: int):
+    """Yield words ``first + v * width + k`` of every stream, ``k = 0..width-1``.
+
+    Each yield is one ``(R,)`` row, sample major and voter minor
+    (``R = len(keys) * voters``): word ``k`` of every voter's block. Rows are
+    made as a sampling step asks for them, so no block of words is resident.
+    """
+    offsets = np.uint64(width) * np.arange(voters, dtype=np.uint64)
+    for k in range(width):
+        ks = (offsets + np.uint64(first + k + 1)) * _GOLDEN
+        yield _mix64(keys[:, None] + ks).reshape(-1)
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -164,39 +175,117 @@ def mallows_pmf(m: int, phi: float, reference: Vote) -> dict[tuple[int, ...], fl
     return out
 
 
-def _fisher_yates(words: np.ndarray) -> np.ndarray:
-    """Uniform permutations from raw words; one row per (R, m-1) word row."""
-    rows_n, mm1 = words.shape
-    m = mm1 + 1
-    perm = np.tile(np.arange(m, dtype=np.int8), (rows_n, 1))
-    rows = np.arange(rows_n)
-    for j in range(m - 1, 0, -1):
-        r = _bounded(words[:, m - 1 - j], j + 1).astype(np.int64)
-        tmp = perm[rows, r]
-        perm[rows, r] = perm[:, j]
-        perm[:, j] = tmp
+def _fisher_yates(words, m: int, rows_n: int) -> np.ndarray:
+    """Uniform permutations of ``rows_n`` rows from ``m-1`` word rows.
+
+    Returns ``(m, R)`` int8: ``perm[s, r]`` is the candidate at slot ``s`` of
+    row ``r``. Step ``j`` (from ``m-1`` down to 1) swaps slot ``j`` with a
+    slot drawn from the next word row.
+    """
+    perm = np.empty((m, rows_n), dtype=np.int8)
+    perm[:] = np.arange(m, dtype=np.int8)[:, None]
+    flat = perm.reshape(-1)
+    rows = np.arange(rows_n, dtype=np.intp)
+    for j, word in zip(range(m - 1, 0, -1), words):
+        idx = _bounded(word, j + 1).astype(np.intp)
+        idx *= rows_n
+        idx += rows
+        drawn = flat[idx]
+        flat[idx] = perm[j]
+        perm[j] = drawn
     return perm
 
 
-def _mallows_identity(words: np.ndarray, phi: float) -> np.ndarray:
-    """Repeated insertion against the identity reference.
+def _mallows_slots(words, m: int, rows_n: int, phi: float) -> np.ndarray:
+    """Repeated insertion against the identity reference, in slot space.
 
-    Returns (R, m) rankings. Candidate j-1 (0-based) inserts into the prefix
-    order of candidates 0..j-2; positions counted from the top carry weights
-    phi**(j-i) so the bottom slot has weight 1.
+    Returns ``(m, R)`` int8: ``pos[c, r]`` is the slot of candidate ``c`` in
+    row ``r``. Step ``j`` reads the next word row and inserts candidate
+    ``j-1`` (0-based) at slot ``p`` among the ``j`` slots of candidates
+    ``0..j-1``; every earlier candidate at slot ``p`` or below moves one slot
+    down. Slots counted from the top carry weights ``phi**(j-p)``, so the
+    bottom slot has weight 1. ``p`` counts the cdf entries at or below the
+    scaled uniform, which is ``searchsorted(cdf, u, side="right")`` without
+    the binary search.
     """
-    rows_n, mm1 = words.shape
-    m = mm1 + 1
-    order = np.zeros((rows_n, m), dtype=np.int8)
-    cols = np.arange(m, dtype=np.int64)[None, :]
-    for j in range(2, m + 1):
-        weights = phi ** np.arange(j - 1, -1, -1, dtype=np.float64)
-        cdf = np.cumsum(weights)
-        u = _uniforms(words[:, j - 2]) * cdf[-1]
-        p = np.searchsorted(cdf, u, side="right").astype(np.int64)[:, None]
-        shifted = np.roll(order, 1, axis=1)
-        order = np.where(cols < p, order, np.where(cols == p, np.int8(j - 1), shifted))
-    return order
+    pos = np.zeros((m, rows_n), dtype=np.int8)
+    for j, word in zip(range(2, m + 1), words):
+        cdf = np.cumsum(phi ** np.arange(j - 1, -1, -1, dtype=np.float64))
+        u = _uniforms(word) * cdf[-1]
+        p = pos[j - 1]
+        for edge in cdf:
+            p += u >= edge
+        head = pos[: j - 1]
+        head += head >= p
+    return pos
+
+
+def _invert(cols: np.ndarray) -> np.ndarray:
+    """Row-major ``(R, m)`` inverses of the permutations held as ``(m, R)``
+    columns: ``out[r, cols[s, r]] = s``.
+
+    Rankings become position tables and back. One column is scattered at a
+    time, so no index temporary is larger than ``R``.
+    """
+    m, rows_n = cols.shape
+    out = np.empty((rows_n, m), dtype=np.int8)
+    flat = out.reshape(-1)
+    base = np.arange(0, rows_n * m, m, dtype=np.intp)
+    for s in range(m):
+        flat[base + cols[s]] = s
+    return out
+
+
+def sample_positions_batch(
+    n: int,
+    m: int,
+    spec: CultureSpec,
+    master_seed: int,
+    start_index: int,
+    count: int,
+) -> np.ndarray:
+    """Rank positions for profile samples ``start_index .. start_index+count-1``.
+
+    Returns a ``(count, n, m)`` int8 array; ``[s, v, c]`` is the slot of
+    candidate ``c`` in voter ``v``'s ranking, 0 for the best. Pure function
+    of its arguments, so any chunking of the index range yields identical
+    rows.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("need n >= 1 voters and m >= 1 candidates")
+    if m > 127:
+        # positions and rankings hold slots and candidate ids as int8
+        raise OutOfDomain(f"sampling supports at most 127 candidates, got {m}")
+    if count == 0 or m == 1:
+        return np.zeros((count, n, m), dtype=np.int8)
+    keys = _stream_keys(master_seed, start_index, count)
+    # fixed word layout per sample: (m-1) words per voter, then (m-1) words
+    # for an optional random reference; keeping the layout culture-independent
+    # keeps sample i stable across cultures.
+    words = _word_rows(keys, 0, n, m - 1)
+    if spec.kind is CultureKind.IMPARTIAL or spec.phi == 1.0:
+        flat = _invert(_fisher_yates(words, m, count * n))
+    else:
+        flat = np.ascontiguousarray(_mallows_slots(words, m, count * n, spec.phi).T)
+    pos = flat.reshape(count, n, m)
+    if spec.kind is not CultureKind.MALLOWS:
+        return pos
+    # the identity reference's candidate k is the reference's slot-k candidate
+    if spec.random_reference:
+        refs = _fisher_yates(_word_rows(keys, n * (m - 1), 1, m - 1), m, count)
+        out = np.empty_like(pos)
+        samples = np.arange(count)
+        for k in range(m):
+            out[samples, :, refs[k]] = pos[:, :, k]
+        return out
+    if spec.reference is not None:
+        ref = np.asarray(spec.reference.ranking, dtype=np.intp)
+        if ref.shape[0] != m:
+            raise LengthMismatch(f"reference ranks {ref.shape[0]} of {m} candidates")
+        out = np.empty_like(pos)
+        out[:, :, ref] = pos
+        return out
+    return pos
 
 
 def sample_rankings_batch(
@@ -210,43 +299,11 @@ def sample_rankings_batch(
     """Rankings for profile samples ``start_index .. start_index+count-1``.
 
     Returns a ``(count, n, m)`` int8 array; ``[s, v]`` is voter v's ranking,
-    best first. Pure function of its arguments, so any chunking of the index
-    range yields identical rows.
+    best first. It is the inverse of :func:`sample_positions_batch` on the
+    same arguments, so any chunking of the index range yields identical rows.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need n >= 1 voters and m >= 1 candidates")
-    if m > 127:
-        # rankings hold candidate ids as int8
-        raise OutOfDomain(f"sampling supports at most 127 candidates, got {m}")
-    if count == 0:
-        return np.zeros((0, n, m), dtype=np.int8)
-    keys = _stream_keys(master_seed, start_index, count)
-    # fixed word layout per sample: (m-1) words per voter, then (m-1) words
-    # for an optional random reference; unused words cost nothing but keeping
-    # the layout culture-independent keeps sample i stable across cultures.
-    words = _words_block(keys, (n + 1) * (m - 1)) if m > 1 else None
-    if m == 1:
-        return np.zeros((count, n, 1), dtype=np.int8)
-    vote_words = words[:, : n * (m - 1)].reshape(count * n, m - 1)
-    if spec.kind is CultureKind.IMPARTIAL or spec.phi == 1.0:
-        flat = _fisher_yates(vote_words)
-    else:
-        flat = _mallows_identity(vote_words, spec.phi)
-    rankings = flat.reshape(count, n, m)
-    if spec.kind is CultureKind.MALLOWS:
-        if spec.random_reference:
-            refs = _fisher_yates(words[:, n * (m - 1):])
-            rankings = np.take_along_axis(
-                np.broadcast_to(refs[:, None, :], rankings.shape),
-                rankings.astype(np.int64),
-                axis=2,
-            ).astype(np.int8)
-        elif spec.reference is not None:
-            ref = np.asarray(spec.reference.ranking, dtype=np.int8)
-            if ref.shape[0] != m:
-                raise LengthMismatch(f"reference ranks {ref.shape[0]} of {m} candidates")
-            rankings = ref[rankings]
-    return rankings
+    pos = sample_positions_batch(n, m, spec, master_seed, start_index, count)
+    return _invert(pos.reshape(-1, m).T).reshape(pos.shape)
 
 
 @lru_cache(maxsize=8)

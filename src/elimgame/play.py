@@ -206,15 +206,21 @@ def play_batch_winners(positions, turns) -> np.ndarray:
     Monte-Carlo sweeps and the exhaustive sweeps too large for
     :func:`table_batch_winners`; the scalar functions above stay the
     readable reference implementation.
+
+    Each turn multiplies the acting voter's slots by the 0/1 alive mask and
+    drops the argmax. Slots are distinct and at least two candidates are
+    alive at every turn, so the worst alive slot is at least 1 and beats
+    every zeroed dead entry.
     """
     m = positions[0].shape[1]
     B = max(p.shape[0] for p in positions)
-    remaining = np.ones((B, m), dtype=bool)
-    rows = np.arange(B)
+    remaining = np.ones((B, m), dtype=np.int8)
+    flat = remaining.reshape(-1)
+    base = np.arange(0, B * m, m, dtype=np.intp)
+    masked = np.empty((B, m), dtype=np.result_type(*positions, remaining))
     for voter in turns:
-        masked = np.where(remaining, positions[voter], -1)
-        worst = masked.argmax(axis=1)
-        remaining[rows, worst] = False
+        np.multiply(positions[voter], remaining, out=masked)
+        flat[base + masked.argmax(axis=1)] = 0
     return remaining.argmax(axis=1)
 
 

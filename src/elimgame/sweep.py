@@ -31,6 +31,7 @@ from .cultures import (
     permutation_table,
     profile_at_index,
     resolve_budget,
+    sample_positions_batch,
     sample_rankings_batch,
 )
 from .errors import BudgetExceeded, ZeroWelfare
@@ -41,8 +42,12 @@ EXHAUSTIVE_OUTER_CHUNK = 64
 #: largest m whose exhaustive sweeps play through a worst-alive table
 #: (m! * 2**m int8 per process: 0.62 MiB at m=7, 9.8 MiB at m=8)
 WORST_TABLE_MAX_M = 7
-#: samples per Monte-Carlo chunk
+#: most samples per Monte-Carlo chunk
 MC_CHUNK = 1 << 16
+#: bytes of sampling words a Monte-Carlo chunk draws, (n+1)(m-1) 8-byte words
+#: per sample; a chunk's arrays are no larger per sample, so wide profiles get
+#: fewer samples per chunk
+MC_WORD_BYTES = 128 << 20
 
 
 class RatioMode(Enum):
@@ -249,8 +254,7 @@ def _exhaustive_chunk(args) -> _Summary:
 def _montecarlo_chunk(args) -> _Summary:
     (turns, rev_turns, n, m, mode, culture, seed, start, count,
      bins, edges) = args
-    rankings = sample_rankings_batch(n, m, culture, seed, start, count)
-    pos = np.argsort(rankings, axis=2).astype(np.int8)
+    pos = sample_positions_batch(n, m, culture, seed, start, count)
     pos_list = [pos[:, v, :] for v in range(n)]
     scores = (m - 1 - pos).sum(axis=1, dtype=np.int32)
     summary = _Summary(n * (m - 1), bins)
@@ -344,10 +348,11 @@ def run_montecarlo(
         raise ValueError("need at least one sample")
     turns = seq.turns
     rev_turns = seq.reverse().turns
+    chunk = min(MC_CHUNK, max(1, MC_WORD_BYTES // max(1, (n + 1) * (m - 1) * 8)))
     args_list = [
         (turns, rev_turns, n, m, mode, culture, seed, start,
-         min(MC_CHUNK, samples - start), bins, edges)
-        for start in range(0, samples, MC_CHUNK)
+         min(chunk, samples - start), bins, edges)
+        for start in range(0, samples, chunk)
     ]
     summary = _run_chunks(_montecarlo_chunk, args_list, workers)
     return _finish(summary, mode, edges)

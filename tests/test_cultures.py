@@ -25,6 +25,7 @@ from elimgame.cultures import (
     permutation_table,
     profile_at_index,
     resolve_budget,
+    sample_positions_batch,
 )
 from elimgame.sweep import montecarlo_witness
 
@@ -73,6 +74,129 @@ class TestStreams:
         assert sample_rankings_batch(1, 127, IC, 0, 0, 2).shape == (2, 1, 127)
         with pytest.raises(OutOfDomain):
             sample_rankings_batch(1, 200, IC, 0, 0, 3)
+
+
+def _oracle_mix64(x):
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _oracle_fisher_yates(words):
+    rows_n, mm1 = words.shape
+    m = mm1 + 1
+    perm = np.tile(np.arange(m, dtype=np.int8), (rows_n, 1))
+    rows = np.arange(rows_n)
+    for j in range(m - 1, 0, -1):
+        r = (((words[:, m - 1 - j] >> np.uint64(32)) * np.uint64(j + 1))
+             >> np.uint64(32)).astype(np.int64)
+        tmp = perm[rows, r]
+        perm[rows, r] = perm[:, j]
+        perm[:, j] = tmp
+    return perm
+
+
+def _oracle_mallows_identity(words, phi):
+    rows_n, mm1 = words.shape
+    m = mm1 + 1
+    order = np.zeros((rows_n, m), dtype=np.int8)
+    cols = np.arange(m, dtype=np.int64)[None, :]
+    for j in range(2, m + 1):
+        cdf = np.cumsum(phi ** np.arange(j - 1, -1, -1, dtype=np.float64))
+        u = (words[:, j - 2] >> np.uint64(11)).astype(np.float64) * (2.0**-53) * cdf[-1]
+        p = np.searchsorted(cdf, u, side="right").astype(np.int64)[:, None]
+        shifted = np.roll(order, 1, axis=1)
+        order = np.where(cols < p, order, np.where(cols == p, np.int8(j - 1), shifted))
+    return order
+
+
+def oracle_rankings(n, m, spec, seed, start, count):
+    """The row-major sampler that built full rankings before the position
+    sampler: one (count, (n+1)(m-1)) word block, rankings by Fisher-Yates or
+    by repeated insertion over the prefix order, then the reference."""
+    if count == 0 or m == 1:
+        return np.zeros((count, n, m), dtype=np.int8)
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    keys = _oracle_mix64(np.uint64(seed) + (idx + np.uint64(1)) * golden)
+    ks = (np.arange((n + 1) * (m - 1), dtype=np.uint64) + np.uint64(1)) * golden
+    words = _oracle_mix64(keys[:, None] + ks[None, :])
+    vote_words = words[:, : n * (m - 1)].reshape(count * n, m - 1)
+    if spec.kind is CultureKind.IMPARTIAL or spec.phi == 1.0:
+        rankings = _oracle_fisher_yates(vote_words).reshape(count, n, m)
+    else:
+        rankings = _oracle_mallows_identity(vote_words, spec.phi).reshape(count, n, m)
+    if spec.random_reference:
+        refs = _oracle_fisher_yates(words[:, n * (m - 1):])
+        rankings = np.take_along_axis(
+            np.broadcast_to(refs[:, None, :], rankings.shape),
+            rankings.astype(np.int64), axis=2,
+        ).astype(np.int8)
+    elif spec.reference is not None:
+        rankings = np.asarray(spec.reference.ranking, dtype=np.int8)[rankings]
+    return rankings
+
+
+SAMPLER_CULTURES = [
+    IC,
+    CultureSpec.mallows(0.3),
+    CultureSpec.mallows(0.6),
+    CultureSpec.mallows(1.0),
+    CultureSpec.mallows(0.6, random_reference=True),
+]
+
+
+class TestPositionSampler:
+    @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
+    @pytest.mark.parametrize("n,m", [(1, 2), (3, 5), (4, 9), (2, 24)])
+    def test_equals_argsort_of_oracle_rankings(self, culture, n, m):
+        want = np.argsort(oracle_rankings(n, m, culture, 19, 3, 257), axis=2)
+        got = sample_positions_batch(n, m, culture, 19, 3, 257)
+        assert got.dtype == np.int8 and got.shape == (257, n, m)
+        assert np.array_equal(got, want)
+
+    def test_fixed_reference(self):
+        spec = CultureSpec.mallows(0.4, reference=Vote((2, 0, 4, 3, 1)))
+        want = np.argsort(oracle_rankings(3, 5, spec, 77, 0, 300), axis=2)
+        assert np.array_equal(sample_positions_batch(3, 5, spec, 77, 0, 300), want)
+
+    @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
+    def test_rankings_are_the_inverse(self, culture):
+        pos = sample_positions_batch(3, 6, culture, 4, 0, 200)
+        rankings = sample_rankings_batch(3, 6, culture, 4, 0, 200)
+        assert np.array_equal(rankings, oracle_rankings(3, 6, culture, 4, 0, 200))
+        assert np.array_equal(np.take_along_axis(rankings, pos.astype(np.int64), axis=2),
+                              np.broadcast_to(np.arange(6, dtype=np.int8), pos.shape))
+
+    @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
+    def test_single_candidate_and_empty_batches(self, culture):
+        one = sample_positions_batch(3, 1, culture, 5, 0, 4)
+        assert one.shape == (4, 3, 1) and not one.any()
+        for m in (1, 2, 5):
+            empty = sample_positions_batch(2, m, culture, 5, 10, 0)
+            assert empty.shape == (0, 2, m) and empty.dtype == np.int8
+        two = sample_positions_batch(2, 2, culture, 5, 0, 400)
+        assert np.array_equal(np.sort(two, axis=2),
+                              np.broadcast_to(np.arange(2, dtype=np.int8), two.shape))
+        assert 0 < int(two[:, :, 0].sum()) < 800
+
+    @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
+    def test_chunking_is_invisible(self, culture):
+        whole = sample_positions_batch(3, 7, culture, 8, 40, 500)
+        parts = np.concatenate([
+            sample_positions_batch(3, 7, culture, 8, lo, hi - lo)
+            for lo, hi in [(40, 41), (41, 200), (200, 200), (200, 540)]
+        ])
+        assert np.array_equal(whole, parts)
+
+    def test_candidate_ids_fit_int8(self):
+        for culture in (IC, CultureSpec.mallows(0.9)):
+            pos = sample_positions_batch(1, 127, culture, 0, 0, 2)
+            assert pos.shape == (2, 1, 127)
+            assert np.array_equal(np.sort(pos, axis=2),
+                                  np.broadcast_to(np.arange(127, dtype=np.int8), pos.shape))
+            with pytest.raises(OutOfDomain):
+                sample_positions_batch(1, 200, culture, 0, 0, 3)
 
 
 class TestKendall:

@@ -7,6 +7,7 @@ import pytest
 from elimgame import (
     BehaviorAssignment,
     InvalidVoter,
+    PreferenceProfile,
     SequenceLengthMismatch,
     TreeTooLarge,
     backward_induction,
@@ -282,6 +283,60 @@ class TestBatchKernel:
             )
             want = sincere_play(full, seq(*[t + 1 for t in turns])).winner
             assert got[b] == want
+
+
+class TestInPlaceKernel:
+    """The alive mask is multiplied into the slots in place; dead entries
+    read 0, below every alive slot while two or more candidates are alive."""
+
+    @staticmethod
+    def scalar_winners(batches, turns):
+        B = max(b.shape[0] for b in batches)
+        s = seq(*[t + 1 for t in turns])
+        out = []
+        for row in range(B):
+            votes = [b[row if b.shape[0] > 1 else 0] for b in batches]
+            p = PreferenceProfile.from_rankings(
+                [tuple(int(c) for c in np.argsort(v)) for v in votes]
+            )
+            out.append(sincere_play(p, s).winner)
+        return out
+
+    @staticmethod
+    def random_positions(rng, rows, m, dtype=np.int8):
+        return np.argsort(rng.random((rows, m)), axis=1).astype(dtype)
+
+    def test_int64_positions(self):
+        rng = np.random.default_rng(80)
+        for m in (2, 3, 7, 12):
+            n = 3
+            batches = [self.random_positions(rng, 25, m, np.int64) for _ in range(n)]
+            turns = tuple(int(t) for t in rng.integers(n, size=m - 1))
+            got = play_batch_winners(batches, turns)
+            narrow = play_batch_winners([b.astype(np.int8) for b in batches], turns)
+            assert got.tolist() == narrow.tolist() == self.scalar_winners(batches, turns)
+
+    def test_all_but_one_voter_broadcast(self):
+        rng = np.random.default_rng(81)
+        for m in (3, 6, 10):
+            n = 4
+            batches = [self.random_positions(rng, 1, m) for _ in range(n)]
+            batches[2] = self.random_positions(rng, 60, m)
+            turns = tuple(int(t) for t in rng.integers(n, size=m - 1))
+            got = play_batch_winners(batches, turns)
+            assert got.shape == (60,)
+            assert got.tolist() == self.scalar_winners(batches, turns)
+
+    @pytest.mark.parametrize("m", [2, 5, 9, 16, 24])
+    def test_matches_sincere_play(self, m):
+        rng = np.random.default_rng(82 + m)
+        for _ in range(4):
+            n = int(rng.integers(1, 6))
+            batches = [self.random_positions(rng, 30, m) for _ in range(n)]
+            turns = tuple(int(t) for t in rng.integers(n, size=m - 1))
+            assert play_batch_winners(batches, turns).tolist() == self.scalar_winners(
+                batches, turns
+            )
 
 
 class TestWorstAliveTable:

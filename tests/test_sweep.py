@@ -12,6 +12,8 @@ from elimgame import (
     ratio_ab,
     ratio_cb,
 )
+from elimgame import sweep
+from elimgame.core import EliminationSequence
 from elimgame.cultures import enumerate_profiles
 from elimgame.sweep import (
     SweepResult,
@@ -151,6 +153,42 @@ class TestDeterminism:
         monkeypatch.setattr("elimgame.sweep.MC_CHUNK", 64)
         chunked = run_montecarlo(s, 2, 4, RatioMode.CB, **kw)
         assert whole == chunked
+
+    def test_word_budget_chunks_are_invisible(self, monkeypatch):
+        s = seq(1, 2, 3, 1, 2)
+        edges = histogram_edges(Fraction(1, 2), Fraction(2), 12)
+        kw = dict(culture=CultureSpec.mallows(0.6), samples=2000, seed=9,
+                  bins=12, edges=edges)
+        whole = run_montecarlo(s, 3, 6, RatioMode.CB, **kw)
+        counts = []
+        chunk = sweep._montecarlo_chunk
+        monkeypatch.setattr(
+            "elimgame.sweep._montecarlo_chunk",
+            lambda args: counts.append(args[8]) or chunk(args),
+        )
+        # 4 * 5 words of 8 bytes per sample: 400 samples per chunk
+        monkeypatch.setattr("elimgame.sweep.MC_WORD_BYTES", 400 * 160 + 159)
+        chunked = run_montecarlo(s, 3, 6, RatioMode.CB, **kw)
+        assert counts == [400] * 5
+        for field in fields(SweepResult):
+            a, b = getattr(whole, field.name), getattr(chunked, field.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+
+    def test_word_budget_sizes_chunks(self, monkeypatch):
+        counts = []
+        monkeypatch.setattr(
+            "elimgame.sweep._montecarlo_chunk",
+            lambda args: counts.append(args[8]) or _Summary(1, None),
+        )
+        monkeypatch.setattr("elimgame.sweep._finish", lambda *args: None)
+        for n, m, rows in [(5, 10, 65536), (9, 24, 65536), (50, 50, 6713), (3, 1, 65536)]:
+            counts.clear()
+            run_montecarlo(EliminationSequence((0,) * (m - 1)), n, m, RatioMode.AB,
+                           CultureSpec.impartial(), rows + 1, seed=0)
+            assert counts == [rows, 1]
 
     def test_exhaustive_chunk_size_is_invisible(self, monkeypatch):
         s = seq(1, 2, 3)
