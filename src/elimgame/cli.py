@@ -13,7 +13,7 @@ import json
 import sys
 
 from .core import EliminationSequence, format_profile, parse_profile
-from .cultures import CultureSpec, resolve_budget
+from .cultures import CultureSpec
 from .errors import (
     BudgetExceeded,
     ElimGameError,
@@ -170,7 +170,7 @@ def _exhaustive_config(args) -> ExperimentConfig:
         mode=RatioMode.parse(args.mode),
         workers=args.workers, histogram_bins=args.bins,
         fix_first=args.fix_first,
-        budget=(1 << 62) if args.force else resolve_budget(None),
+        budget=(1 << 62) if args.force else None,
     )
 
 

@@ -102,14 +102,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         res = run_exhaustive(
             config.sequence, config.n, config.m, config.mode,
             fix_first=config.fix_first, budget=config.budget,
-            workers=config.workers, bins=config.histogram_bins, edges=edges,
+            workers=config.workers, edges=edges,
         )
         witness = exhaustive_witness(config.n, config.m, res.max_index, config.fix_first)
     else:
         res = run_montecarlo(
             config.sequence, config.n, config.m, config.mode, config.culture,
-            config.samples, config.seed, workers=config.workers,
-            bins=config.histogram_bins, edges=edges,
+            config.samples, config.seed, workers=config.workers, edges=edges,
         )
         witness = montecarlo_witness(
             config.n, config.m, config.culture, config.seed, res.max_index

@@ -1,14 +1,14 @@
 """Chunked ratio sweeps over profile spaces, exhaustive and Monte-Carlo.
 
-Both drivers reduce fixed-size chunks of work to one integer summary and
-merge summaries in chunk order, so results are bit-identical for every
-worker count. The trick making that cheap: each welfare ratio is a quotient
-of two Borda scores, and the score of the strategic winner (the shared
-denominator) is at most ``n * (m - 1)``. Chunks therefore accumulate exact
-int64 sums of numerators, and of squared numerators, bucketed by
-denominator; means and variances come out as exact fractions afterwards.
-Extremes are tracked as integer pairs and compared by cross-multiplication,
-ties resolved toward the lowest enumeration or sample index.
+Each welfare ratio is a quotient of two integer Borda scores in
+``0..n(m-1)``, so a sweep's whole result is one exact table: every distinct
+(numerator, denominator) pair, how often it occurs and the lowest
+enumeration or sample index that produced it. Chunks build such tables,
+which merge exactly in any order, so results are bit-identical for every
+worker count and chunk size. The count, the exact mean and variance, the
+spike at exactly 1, the extremes with their indices (equal ratios such as
+2/4 and 3/6 going to the lowest index) and the histogram are all read off
+the final table.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -67,84 +67,45 @@ class RatioMode(Enum):
 
 
 class _Summary:
-    """Mutable per-chunk reduction state; merged across chunks in order."""
+    """Exact table of a ratio population: one row per distinct pair.
 
-    __slots__ = (
-        "count", "num_sums", "sq_sums", "spike",
-        "max_num", "max_den", "max_tag",
-        "min_num", "min_den", "min_tag",
-        "hist",
-    )
+    A pair ``(num, den)`` is keyed ``den * base + num`` with
+    ``base = den_limit + 1``; a row holds a key, its count and the lowest
+    tag (enumeration or sample index) that produced it. Each batch adds its
+    own table, and :meth:`table` folds them into one, the same in any order.
+    """
 
-    def __init__(self, den_limit: int, bins: int | None):
-        self.count = 0
-        self.num_sums = np.zeros(den_limit + 1, dtype=np.int64)
-        self.sq_sums = np.zeros(den_limit + 1, dtype=np.int64)
-        self.spike = 0
-        self.max_num = self.max_den = 0
-        self.max_tag = -1
-        self.min_num = self.min_den = 0
-        self.min_tag = -1
-        self.hist = None if bins is None else np.zeros(bins, dtype=np.int64)
+    __slots__ = ("base", "parts")
 
-    def absorb_batch(self, num, den, tag_offset, edges):
-        """Fold one evaluated batch in; tags are tag_offset + row index."""
+    def __init__(self, den_limit: int):
+        self.base = den_limit + 1
+        empty = np.zeros(0, dtype=np.int64)
+        self.parts = [(empty, empty, empty)]
+
+    def absorb_batch(self, num, den, tag_offset):
+        """Add one evaluated batch; tags are tag_offset + row index."""
         if den.min(initial=1) <= 0:
             raise ZeroWelfare("strategic winner has zero Borda score")
-        b = num.shape[0]
-        self.count += b
-        self.num_sums += np.bincount(
-            den, weights=num, minlength=self.num_sums.shape[0]
-        ).astype(np.int64)
-        self.sq_sums += np.bincount(
-            den, weights=num * num, minlength=self.sq_sums.shape[0]
-        ).astype(np.int64)
-        self.spike += int((num == den).sum())
-        ratios = num / den
-        # float argmax/argmin are exact here: distinct ratios with these
-        # denominators differ by >= 1/den_limit**2, far above float error,
-        # and argmax returns the first (lowest-tag) of equal entries.
-        i = int(np.argmax(ratios))
-        self._offer_max(int(num[i]), int(den[i]), tag_offset + i)
-        j = int(np.argmin(ratios))
-        self._offer_min(int(num[j]), int(den[j]), tag_offset + j)
-        if self.hist is not None:
-            off = num != den
-            r = ratios[off]
-            idx = np.searchsorted(edges, r, side="right") - 1
-            idx = np.clip(idx, 0, self.hist.shape[0] - 1)
-            self.hist += np.bincount(idx, minlength=self.hist.shape[0]).astype(np.int64)
-
-    def _offer_max(self, num, den, tag):
-        if self.max_tag < 0:
-            better = True
-        else:
-            cross = num * self.max_den - self.max_num * den
-            better = cross > 0 or (cross == 0 and tag < self.max_tag)
-        if better:
-            self.max_num, self.max_den, self.max_tag = num, den, tag
-
-    def _offer_min(self, num, den, tag):
-        if self.min_tag < 0:
-            better = True
-        else:
-            cross = num * self.min_den - self.min_num * den
-            better = cross < 0 or (cross == 0 and tag < self.min_tag)
-        if better:
-            self.min_num, self.min_den, self.min_tag = num, den, tag
+        # Keys go to the narrowest unsigned type that holds them because
+        # np.unique sorts stably when asked for first indices, and numpy's
+        # stable sort is a radix sort for 8- and 16-bit integers, faster than
+        # the timsort wider keys get; keys fit 16 bits while n(m-1) <= 255.
+        keys = (den * self.base + num).astype(np.min_scalar_type(self.base * self.base - 1))
+        keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        self.parts.append((keys.astype(np.int64), counts, first + tag_offset))
 
     def merge(self, other: "_Summary"):
-        """Fold a later chunk's summary into this one (call in chunk order)."""
-        self.count += other.count
-        self.num_sums += other.num_sums
-        self.sq_sums += other.sq_sums
-        self.spike += other.spike
-        if other.max_tag >= 0:
-            self._offer_max(other.max_num, other.max_den, other.max_tag)
-        if other.min_tag >= 0:
-            self._offer_min(other.min_num, other.min_den, other.min_tag)
-        if self.hist is not None:
-            self.hist += other.hist
+        """Fold another chunk's summary into this one."""
+        self.parts += other.parts
+        self.parts = [self.table()]
+
+    def table(self):
+        """(keys, counts, tags), one row per distinct key, keys ascending."""
+        keys, counts, tags = (np.concatenate(col) for col in zip(*self.parts))
+        order = np.lexsort((tags, keys))
+        keys = keys[order]
+        heads = np.flatnonzero(np.diff(keys, prepend=-1))
+        return keys[heads], np.add.reduceat(counts[order], heads), tags[order][heads]
 
 
 @dataclass(frozen=True)
@@ -174,30 +135,46 @@ class SweepResult:
 
 
 def _finish(summary: _Summary, mode: RatioMode, edges) -> SweepResult:
-    n_total = summary.count
-    mean = Fraction(0)
-    second = Fraction(0)
-    for d in range(1, summary.num_sums.shape[0]):
-        s = int(summary.num_sums[d])
-        q = int(summary.sq_sums[d])
-        if s:
-            mean += Fraction(s, d)
-        if q:
-            second += Fraction(q, d * d)
-    mean /= n_total
-    second /= n_total
+    keys, counts, tags = summary.table()
+    den, num = np.divmod(keys, summary.base)
+    # Keys ascend by (den, num), so each denominator's rows form one run
+    # that starts at its smallest ratio and ends at its largest.
+    heads = np.flatnonzero(np.diff(den, prepend=-1))
+    tails = np.append(heads[1:], den.shape[0]) - 1
+    # Sums of num and num**2 per denominator in Python ints (object arrays):
+    # exact for any n(m-1) and any population size.
+    big_num = num.astype(object)
+    weighted = counts.astype(object) * big_num
+    firsts = np.add.reduceat(weighted, heads)
+    seconds = np.add.reduceat(weighted * big_num, heads)
+    dens = den[heads].tolist()
+    n_total = int(counts.sum())
+    mean = sum(map(Fraction, firsts, dens), Fraction(0)) / n_total
+    second = sum(map(Fraction, seconds, [d * d for d in dens]), Fraction(0)) / n_total
+    # Equal ratios under different keys (2/4, 3/6) compare equal as
+    # Fractions, so each extreme goes to the lowest tag among them.
+    def candidates(rows):
+        return [(Fraction(int(num[i]), int(den[i])), int(tags[i])) for i in rows]
+    max_ratio, max_index = min(candidates(tails), key=lambda p: (-p[0], p[1]))
+    min_ratio, min_index = min(candidates(heads))
+    hist = None
+    if edges is not None:
+        off = num != den
+        idx = np.searchsorted(edges, num[off] / den[off], side="right") - 1
+        hist = np.zeros(len(edges) - 1, dtype=np.int64)
+        np.add.at(hist, np.clip(idx, 0, hist.shape[0] - 1), counts[off])
     return SweepResult(
         mode=mode,
         count=n_total,
         mean=mean,
         variance=second - mean * mean,
-        max_ratio=Fraction(summary.max_num, summary.max_den),
-        max_index=summary.max_tag,
-        min_ratio=Fraction(summary.min_num, summary.min_den),
-        min_index=summary.min_tag,
-        spike_count=summary.spike,
+        max_ratio=max_ratio,
+        max_index=max_index,
+        min_ratio=min_ratio,
+        min_index=min_index,
+        spike_count=int(counts[num == den].sum()),
         hist_edges=edges,
-        hist_counts=None if summary.hist is None else summary.hist,
+        hist_counts=hist,
     )
 
 
@@ -223,13 +200,12 @@ def _worst_table(m: int) -> np.ndarray:
 
 
 def _exhaustive_chunk(args) -> _Summary:
-    (turns, rev_turns, n, m, mode, fix_first, outer_start, outer_len,
-     bins, edges) = args
+    turns, rev_turns, n, m, mode, fix_first, outer_start, outer_len = args
     perms, pos = permutation_table(m)
     fact = perms.shape[0]
     contrib = (m - 1 - pos).astype(np.int32)
     free = n - (1 if fix_first else 0)
-    summary = _Summary(n * (m - 1), bins)
+    summary = _Summary(n * (m - 1))
     # Voters are ranking ids into the permutation table: the pinned voter 0
     # and the middle voters hold one id per outer index, the last voter runs
     # over every ranking. A single pinned voter (no free voter) is that last
@@ -247,21 +223,20 @@ def _exhaustive_chunk(args) -> _Summary:
         else:
             winners = partial(table_batch_winners, table, ids)
         num, den = _evaluate(winners, scores, turns, rev_turns, mode)
-        summary.absorb_batch(num, den, outer * fact, edges)
+        summary.absorb_batch(num, den, outer * fact)
     return summary
 
 
 def _montecarlo_chunk(args) -> _Summary:
-    (turns, rev_turns, n, m, mode, culture, seed, start, count,
-     bins, edges) = args
+    turns, rev_turns, n, m, mode, culture, seed, start, count = args
     pos = sample_positions_batch(n, m, culture, seed, start, count)
     pos_list = [pos[:, v, :] for v in range(n)]
     scores = (m - 1 - pos).sum(axis=1, dtype=np.int32)
-    summary = _Summary(n * (m - 1), bins)
+    summary = _Summary(n * (m - 1))
     num, den = _evaluate(
         partial(play_batch_winners, pos_list), scores, turns, rev_turns, mode
     )
-    summary.absorb_batch(num, den, start, edges)
+    summary.absorb_batch(num, den, start)
     return summary
 
 
@@ -292,14 +267,14 @@ def run_exhaustive(
     fix_first: bool = True,
     budget: int | None = None,
     workers: int = 1,
-    bins: int | None = None,
     edges: np.ndarray | None = None,
 ) -> SweepResult:
     """Evaluate the ratio on every profile of the enumeration.
 
     With ``fix_first`` (the default) voter 1 is pinned to the identity
     ranking; ratios are relabelling-invariant, so the reduced space carries
-    the same distribution at 1/m! the cost.
+    the same distribution at 1/m! the cost. ``edges`` (ascending) adds a
+    histogram of the ratios other than exactly 1.
     """
     seq.validate(n, m)
     total = enumeration_size(n, m, fix_first)
@@ -309,17 +284,13 @@ def run_exhaustive(
             f"exhaustive sweep needs {total} profiles, over the budget of {limit}; "
             "raise ELIMGAME_BUDGET or pass --force"
         )
-    if bins is not None and edges is None:
-        raise ValueError("bins without edges; compute edges first")
-    perms, _ = permutation_table(m)
-    fact = perms.shape[0]
     free = n - (1 if fix_first else 0)
-    outer_total = fact ** max(free - 1, 0) if free > 0 else 1
+    outer_total = factorial(m) ** max(free - 1, 0)
     turns = seq.turns
     rev_turns = seq.reverse().turns
     args_list = [
         (turns, rev_turns, n, m, mode, fix_first, start,
-         min(EXHAUSTIVE_OUTER_CHUNK, outer_total - start), bins, edges)
+         min(EXHAUSTIVE_OUTER_CHUNK, outer_total - start))
         for start in range(0, outer_total, EXHAUSTIVE_OUTER_CHUNK)
     ]
     summary = _run_chunks(_exhaustive_chunk, args_list, workers)
@@ -335,13 +306,12 @@ def run_montecarlo(
     samples: int,
     seed: int,
     workers: int = 1,
-    bins: int | None = None,
     edges: np.ndarray | None = None,
 ) -> SweepResult:
     """Evaluate the ratio on ``samples`` profiles drawn from ``culture``.
 
     Sample ``i`` is a pure function of ``(seed, i)``; chunking and worker
-    count never change any output bit.
+    count never change any output bit. ``edges`` as in :func:`run_exhaustive`.
     """
     seq.validate(n, m)
     if samples < 1:
@@ -351,7 +321,7 @@ def run_montecarlo(
     chunk = min(MC_CHUNK, max(1, MC_WORD_BYTES // max(1, (n + 1) * (m - 1) * 8)))
     args_list = [
         (turns, rev_turns, n, m, mode, culture, seed, start,
-         min(chunk, samples - start), bins, edges)
+         min(chunk, samples - start))
         for start in range(0, samples, chunk)
     ]
     summary = _run_chunks(_montecarlo_chunk, args_list, workers)

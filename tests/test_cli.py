@@ -151,6 +151,15 @@ class TestExitCodes:
         code, out, _ = run_main(capsys, *(args + ["--force"]))
         assert code == 0
 
+    def test_malformed_budget_is_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("ELIMGAME_BUDGET", "lots")
+        code, out, err = run_main(
+            capsys, "exhaustive", "--n", "2", "--m", "4", "--sequence", "1,2,1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "ELIMGAME_BUDGET" in err
+
     def test_infeasible_construction_is_4(self, capsys):
         code, _, err = run_main(
             capsys, "extremal", "--n", "3", "--m", "7",

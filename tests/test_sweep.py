@@ -131,8 +131,8 @@ class TestDeterminism:
     def test_worker_count_is_invisible_exhaustive(self):
         s = seq(1, 2, 3)
         edges = histogram_edges(Fraction(1, 2), Fraction(2), 8)
-        a = run_exhaustive(s, 3, 4, RatioMode.CB, workers=1, bins=8, edges=edges)
-        b = run_exhaustive(s, 3, 4, RatioMode.CB, workers=4, bins=8, edges=edges)
+        a = run_exhaustive(s, 3, 4, RatioMode.CB, workers=1, edges=edges)
+        b = run_exhaustive(s, 3, 4, RatioMode.CB, workers=4, edges=edges)
         assert a.mean == b.mean and a.variance == b.variance
         assert (a.max_ratio, a.max_index) == (b.max_ratio, b.max_index)
         assert (a.min_ratio, a.min_index) == (b.min_ratio, b.min_index)
@@ -157,8 +157,7 @@ class TestDeterminism:
     def test_word_budget_chunks_are_invisible(self, monkeypatch):
         s = seq(1, 2, 3, 1, 2)
         edges = histogram_edges(Fraction(1, 2), Fraction(2), 12)
-        kw = dict(culture=CultureSpec.mallows(0.6), samples=2000, seed=9,
-                  bins=12, edges=edges)
+        kw = dict(culture=CultureSpec.mallows(0.6), samples=2000, seed=9, edges=edges)
         whole = run_montecarlo(s, 3, 6, RatioMode.CB, **kw)
         counts = []
         chunk = sweep._montecarlo_chunk
@@ -181,7 +180,7 @@ class TestDeterminism:
         counts = []
         monkeypatch.setattr(
             "elimgame.sweep._montecarlo_chunk",
-            lambda args: counts.append(args[8]) or _Summary(1, None),
+            lambda args: counts.append(args[8]) or _Summary(1),
         )
         monkeypatch.setattr("elimgame.sweep._finish", lambda *args: None)
         for n, m, rows in [(5, 10, 65536), (9, 24, 65536), (50, 50, 6713), (3, 1, 65536)]:
@@ -246,7 +245,7 @@ class TestWorstTablePath:
     )
     def test_same_result_as_position_kernel(self, monkeypatch, s, n, m, mode, fix_first):
         edges = histogram_edges(Fraction(1, 2), Fraction(2), 9)
-        kw = dict(fix_first=fix_first, bins=9, edges=edges)
+        kw = dict(fix_first=fix_first, edges=edges)
         table = run_exhaustive(s, n, m, mode, **kw)
         monkeypatch.setattr("elimgame.sweep.WORST_TABLE_MAX_M", 0)
         plain = run_exhaustive(s, n, m, mode, **kw)
@@ -262,7 +261,7 @@ class TestHistogram:
     def test_counts_cover_offspike_mass(self):
         s = seq(1, 2, 3)
         edges = histogram_edges(Fraction(1, 2), Fraction(2), 10)
-        res = run_exhaustive(s, 3, 4, RatioMode.CB, bins=10, edges=edges)
+        res = run_exhaustive(s, 3, 4, RatioMode.CB, edges=edges)
         assert res.hist_counts.sum() == res.count - res.spike_count
         assert len(res.hist_edges) == 11
         # rebuild the histogram from the naive value list
@@ -279,12 +278,52 @@ class TestHistogram:
     def test_edges_validation(self):
         with pytest.raises(ValueError):
             histogram_edges(Fraction(1), Fraction(2), 0)
-        with pytest.raises(ValueError):
-            run_exhaustive(seq(1, 2, 1), 2, 4, RatioMode.AB, bins=5)
 
     def test_no_histogram_by_default(self):
         res = run_exhaustive(seq(1, 2, 1), 2, 4, RatioMode.AB)
         assert res.hist_counts is None and res.hist_edges is None
+
+
+class TestSummary:
+    """The exact pair table every sweep reduces to, fed by hand."""
+
+    @staticmethod
+    def build(den_limit, batches):
+        summary = _Summary(den_limit)
+        for tag_offset, pairs in batches:
+            num, den = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+            summary.absorb_batch(num, den, tag_offset)
+        return summary
+
+    def test_equal_ratios_go_to_the_lowest_tag(self):
+        # 1/2, 2/4, 3/6 and 3/2, 6/4, 9/6 are two ratios under six keys
+        a = [(10, [(2, 4), (6, 4), (5, 5)]), (20, [(1, 2), (3, 2)])]
+        b = [(3, [(5, 5), (3, 6), (9, 6)]), (30, [(1, 2)])]
+        alone = sweep._finish(self.build(9, a), RatioMode.CB, None)
+        assert (alone.min_ratio, alone.min_index) == (Fraction(1, 2), 10)
+        assert (alone.max_ratio, alone.max_index) == (Fraction(3, 2), 11)
+        for first, second in [(a, b), (b, a)]:
+            merged = self.build(9, first)
+            merged.merge(self.build(9, second))
+            res = sweep._finish(merged, RatioMode.CB, None)
+            assert (res.min_ratio, res.min_index) == (Fraction(1, 2), 4)
+            assert (res.max_ratio, res.max_index) == (Fraction(3, 2), 5)
+            assert res.count == 9 and res.spike_count == 2
+        for got, want in zip(merged.table(), self.build(9, a + b).table()):
+            assert np.array_equal(got, want)
+
+    def test_wide_moments_are_exact(self):
+        # base = 2**27 + 1: the squared numerators pass 2**53, where float
+        # sums stop being exact
+        d = 1 << 27
+        pairs = [(d, d - 1), (d - 1, d), (d - 3, d - 5), (d, d), (d - 1, d), (7, d)]
+        res = sweep._finish(self.build(d, [(0, pairs[:3]), (3, pairs[3:])]),
+                            RatioMode.AB, None)
+        vals = [Fraction(num, den) for num, den in pairs]
+        mean = sum(vals, Fraction(0)) / len(vals)
+        assert res.count == len(vals)
+        assert res.mean == mean
+        assert res.variance == sum((v - mean) ** 2 for v in vals) / len(vals)
 
 
 class TestGuards:
@@ -295,13 +334,12 @@ class TestGuards:
         run_exhaustive(seq(1, 2, 1, 2), 2, 5, RatioMode.AB, budget=1000)
 
     def test_zero_denominator_guard(self):
-        s = _Summary(den_limit=4, bins=None)
+        s = _Summary(den_limit=4)
         with pytest.raises(ZeroWelfare):
             s.absorb_batch(
                 np.array([1, 2], dtype=np.int64),
                 np.array([2, 0], dtype=np.int64),
                 0,
-                None,
             )
 
     def test_mode_parse(self):
