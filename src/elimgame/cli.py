@@ -175,6 +175,8 @@ def _exhaustive_config(args) -> ExperimentConfig:
 
 
 def _montecarlo_config(args) -> ExperimentConfig:
+    if not 0 <= args.seed < 1 << 64:
+        raise ParseError(f"--seed must lie in 0..2**64-1, got {args.seed}")
     culture = CultureSpec.parse(args.culture, phi=args.phi)
     if args.reference == "random":
         if culture.kind.value != "mallows":

@@ -28,7 +28,6 @@ from .core import PreferenceProfile, Vote
 from .errors import BudgetExceeded, LengthMismatch, OutOfDomain, ParseError, PhiOutOfRange
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MASK64 = (1 << 64) - 1
 
 #: profiles an exhaustive enumeration may touch unless overridden; the
 #: ELIMGAME_BUDGET environment variable or an explicit argument wins.
@@ -60,21 +59,20 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 def _stream_keys(master_seed: int, start: int, count: int) -> np.ndarray:
     idx = np.arange(start, start + count, dtype=np.uint64)
-    seed = np.uint64(master_seed & _MASK64)
-    return _mix64(seed + (idx + np.uint64(1)) * _GOLDEN)
+    return _mix64(np.uint64(master_seed) + (idx + np.uint64(1)) * _GOLDEN)
 
 
 def _word_rows(keys: np.ndarray, first: int, voters: int, width: int):
     """Yield words ``first + v * width + k`` of every stream, ``k = 0..width-1``.
 
-    Each yield is one ``(R,)`` row, sample major and voter minor
-    (``R = len(keys) * voters``): word ``k`` of every voter's block. Rows are
+    Each yield is one ``(R,)`` row, voter major and sample minor
+    (``R = voters * len(keys)``): word ``k`` of every voter's block. Rows are
     made as a sampling step asks for them, so no block of words is resident.
     """
     offsets = np.uint64(width) * np.arange(voters, dtype=np.uint64)
     for k in range(width):
         ks = (offsets + np.uint64(first + k + 1)) * _GOLDEN
-        yield _mix64(keys[:, None] + ks).reshape(-1)
+        yield _mix64(ks[:, None] + keys).reshape(-1)
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -221,18 +219,21 @@ def _mallows_slots(words, m: int, rows_n: int, phi: float) -> np.ndarray:
 
 
 def _invert(cols: np.ndarray) -> np.ndarray:
-    """Row-major ``(R, m)`` inverses of the permutations held as ``(m, R)``
-    columns: ``out[r, cols[s, r]] = s``.
+    """Inverses of the permutations held as ``(m, R)`` columns, as ``(m, R)``
+    columns: ``out[cols[s, r], r] = s``.
 
-    Rankings become position tables and back. One column is scattered at a
+    Rankings become position tables and back. One slot is scattered at a
     time, so no index temporary is larger than ``R``.
     """
     m, rows_n = cols.shape
-    out = np.empty((rows_n, m), dtype=np.int8)
+    out = np.empty(cols.shape, dtype=np.int8)
     flat = out.reshape(-1)
-    base = np.arange(0, rows_n * m, m, dtype=np.intp)
+    rows = np.arange(rows_n, dtype=np.intp)
+    idx = np.empty_like(rows)
     for s in range(m):
-        flat[base + cols[s]] = s
+        np.multiply(cols[s], np.intp(rows_n), out=idx)
+        idx += rows
+        flat[idx] = s
     return out
 
 
@@ -249,43 +250,34 @@ def sample_positions_batch(
     Returns a ``(count, n, m)`` int8 array; ``[s, v, c]`` is the slot of
     candidate ``c`` in voter ``v``'s ranking, 0 for the best. Pure function
     of its arguments, so any chunking of the index range yields identical
-    rows.
+    rows. The array is the ``.transpose(2, 1, 0)`` view of C-contiguous
+    candidate-major ``(m, n, count)`` memory, the layout the samplers build,
+    so each voter's ``[:, v, :].T`` has contiguous rows.
     """
     if m < 1 or n < 1:
         raise ValueError("need n >= 1 voters and m >= 1 candidates")
     if m > 127:
         # positions and rankings hold slots and candidate ids as int8
         raise OutOfDomain(f"sampling supports at most 127 candidates, got {m}")
-    if count == 0 or m == 1:
-        return np.zeros((count, n, m), dtype=np.int8)
     keys = _stream_keys(master_seed, start_index, count)
     # fixed word layout per sample: (m-1) words per voter, then (m-1) words
     # for an optional random reference; keeping the layout culture-independent
     # keeps sample i stable across cultures.
     words = _word_rows(keys, 0, n, m - 1)
     if spec.kind is CultureKind.IMPARTIAL or spec.phi == 1.0:
-        flat = _invert(_fisher_yates(words, m, count * n))
+        cols = _invert(_fisher_yates(words, m, n * count)).reshape(m, n, count)
     else:
-        flat = np.ascontiguousarray(_mallows_slots(words, m, count * n, spec.phi).T)
-    pos = flat.reshape(count, n, m)
-    if spec.kind is not CultureKind.MALLOWS:
-        return pos
-    # the identity reference's candidate k is the reference's slot-k candidate
-    if spec.random_reference:
+        cols = _mallows_slots(words, m, n * count, spec.phi).reshape(m, n, count)
+    # the identity reference's candidate k is the reference's slot-k
+    # candidate, so candidate c takes the slots drawn for its reference slot
+    if spec.kind is CultureKind.MALLOWS and spec.random_reference:
         refs = _fisher_yates(_word_rows(keys, n * (m - 1), 1, m - 1), m, count)
-        out = np.empty_like(pos)
-        samples = np.arange(count)
-        for k in range(m):
-            out[samples, :, refs[k]] = pos[:, :, k]
-        return out
-    if spec.reference is not None:
-        ref = np.asarray(spec.reference.ranking, dtype=np.intp)
-        if ref.shape[0] != m:
-            raise LengthMismatch(f"reference ranks {ref.shape[0]} of {m} candidates")
-        out = np.empty_like(pos)
-        out[:, :, ref] = pos
-        return out
-    return pos
+        cols = np.take_along_axis(cols, _invert(refs)[:, None, :], axis=0)
+    elif spec.kind is CultureKind.MALLOWS and spec.reference is not None:
+        if spec.reference.m != m:
+            raise LengthMismatch(f"reference ranks {spec.reference.m} of {m} candidates")
+        cols = cols[list(spec.reference.positions)]
+    return cols.transpose(2, 1, 0)
 
 
 def sample_rankings_batch(
@@ -302,8 +294,8 @@ def sample_rankings_batch(
     best first. It is the inverse of :func:`sample_positions_batch` on the
     same arguments, so any chunking of the index range yields identical rows.
     """
-    pos = sample_positions_batch(n, m, spec, master_seed, start_index, count)
-    return _invert(pos.reshape(-1, m).T).reshape(pos.shape)
+    cols = sample_positions_batch(n, m, spec, master_seed, start_index, count).T
+    return _invert(cols.reshape(m, -1)).reshape(cols.shape).T
 
 
 @lru_cache(maxsize=8)

@@ -207,21 +207,23 @@ def play_batch_winners(positions, turns) -> np.ndarray:
     :func:`table_batch_winners`; the scalar functions above stay the
     readable reference implementation.
 
-    Each turn multiplies the acting voter's slots by the 0/1 alive mask and
-    drops the argmax. Slots are distinct and at least two candidates are
-    alive at every turn, so the worst alive slot is at least 1 and beats
-    every zeroed dead entry.
+    Each turn works slot-major on the voters' ``(m, B)`` transposes: it
+    multiplies the acting voter's slots by an ``(m, B)`` alive mask, reduces
+    the m rows to each profile's worst alive slot and clears the entry equal
+    to it. That is exact: the two or more alive slots are distinct, so the
+    worst is at least 1, above every zeroed dead entry, and no other entry
+    equals it. Transposed :func:`sample_positions_batch` voter slices have
+    contiguous rows, the fast path.
     """
-    m = positions[0].shape[1]
-    B = max(p.shape[0] for p in positions)
-    remaining = np.ones((B, m), dtype=np.int8)
-    flat = remaining.reshape(-1)
-    base = np.arange(0, B * m, m, dtype=np.intp)
-    masked = np.empty((B, m), dtype=np.result_type(*positions, remaining))
+    cols = [p.T for p in positions]
+    alive = np.ones(np.broadcast_shapes(*(c.shape for c in cols)), dtype=bool)
+    masked = np.empty(alive.shape, dtype=np.result_type(*cols))
+    worst = np.empty(alive.shape[1], dtype=masked.dtype)
     for voter in turns:
-        np.multiply(positions[voter], remaining, out=masked)
-        flat[base + masked.argmax(axis=1)] = 0
-    return remaining.argmax(axis=1)
+        np.multiply(cols[voter], alive, out=masked)
+        np.maximum.reduce(masked, axis=0, out=worst)
+        alive &= masked != worst
+    return alive.argmax(axis=0)
 
 
 def worst_alive_table(pos: np.ndarray) -> np.ndarray:

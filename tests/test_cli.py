@@ -226,6 +226,17 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and "OUT_OF_DOMAIN" in err
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_is_2(self, capsys, seed):
+        # seeds used to wrap modulo 2**64: 2**64 gave the statistics of 0
+        code, out, err = run_main(
+            capsys, "montecarlo", "--n", "2", "--m", "3", "--sequence", "1,2",
+            "--samples", "10", "--seed", str(seed),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "PARSE_ERROR" in err and str(seed) in err
+
 
 class TestStudies:
     def test_exhaustive_report(self, tmp_path, capsys):

@@ -189,6 +189,19 @@ class TestPositionSampler:
         ])
         assert np.array_equal(whole, parts)
 
+    @pytest.mark.parametrize(
+        "culture",
+        SAMPLER_CULTURES + [CultureSpec.mallows(0.4, reference=Vote((2, 0, 4, 3, 1, 5)))],
+    )
+    def test_candidate_major_layout(self, culture):
+        # play_batch_winners reduces each voter's (m, count) transpose over its
+        # m rows; that is fast only while those rows are contiguous
+        pos = sample_positions_batch(3, 6, culture, 4, 0, 200)
+        assert pos.transpose(2, 1, 0).flags.c_contiguous
+        assert pos[:, 1, :].T.strides == (3 * 200, 1)
+        rankings = sample_rankings_batch(3, 6, culture, 4, 0, 200)
+        assert np.array_equal(rankings, np.argsort(pos, axis=2))
+
     def test_candidate_ids_fit_int8(self):
         for culture in (IC, CultureSpec.mallows(0.9)):
             pos = sample_positions_batch(1, 127, culture, 0, 0, 2)

@@ -286,8 +286,10 @@ class TestBatchKernel:
 
 
 class TestInPlaceKernel:
-    """The alive mask is multiplied into the slots in place; dead entries
-    read 0, below every alive slot while two or more candidates are alive."""
+    """Each turn multiplies the acting voter's slots by the (m, B) alive mask
+    and reduces the m rows to the worst alive slot; dead entries read 0,
+    below every alive slot while two or more candidates are alive, so
+    clearing the one entry equal to that worst slot is exact."""
 
     @staticmethod
     def scalar_winners(batches, turns):
@@ -337,6 +339,22 @@ class TestInPlaceKernel:
             assert play_batch_winners(batches, turns).tolist() == self.scalar_winners(
                 batches, turns
             )
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize("m", [2, 10, 24, 127])
+    def test_layouts_agree(self, m, dtype):
+        # C-contiguous (B, m) rows, (m, B)-contiguous transposes (the sampler's
+        # layout) and (1, m) broadcast rows all give the scalar winners
+        rng = np.random.default_rng(90 + m)
+        n, B = 3, 20
+        rows = [self.random_positions(rng, B, m, dtype) for _ in range(n)]
+        rows[1] = self.random_positions(rng, 1, m, dtype)
+        cols = [np.ascontiguousarray(r.T).T for r in rows]
+        assert not cols[0].flags.c_contiguous and cols[0].T.flags.c_contiguous
+        turns = tuple(int(t) for t in rng.integers(n, size=m - 1))
+        want = self.scalar_winners(rows, turns)
+        assert play_batch_winners(rows, turns).tolist() == want
+        assert play_batch_winners(cols, turns).tolist() == want
 
 
 class TestWorstAliveTable:

@@ -228,6 +228,13 @@ class TestMonteCarlo:
                 seq(1, 1), 1, 3, RatioMode.AB, CultureSpec.impartial(), 0, seed=1
             )
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            run_montecarlo(
+                seq(1, 1), 1, 3, RatioMode.AB, CultureSpec.impartial(), 5, seed=seed
+            )
+
 
 class TestWorstTablePath:
     """Exhaustive sweeps play through the worst-alive table for small m; the
