@@ -46,14 +46,18 @@ def resolve_budget(budget: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise and in place on a fresh uint64 array
-    (wrapping arithmetic); returns ``x``."""
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+def _mix64(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer, elementwise and in place on a uint64 array
+    (wrapping arithmetic); returns ``x``. Each shift goes to ``tmp``, a
+    scratch array of ``x``'s shape, so no op allocates a temporary."""
+    if tmp is None:
+        tmp = np.empty_like(x)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(x, np.uint64(shift), out=tmp)
+        x ^= tmp
+        x *= np.uint64(mult)
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
     return x
 
 
@@ -62,28 +66,30 @@ def _stream_keys(master_seed: int, start: int, count: int) -> np.ndarray:
     return _mix64(np.uint64(master_seed) + (idx + np.uint64(1)) * _GOLDEN)
 
 
-def _word_rows(keys: np.ndarray, first: int, voters: int, width: int):
-    """Yield words ``first + v * width + k`` of every stream, ``k = 0..width-1``.
+def _word_rows(keys: np.ndarray, first: int, voters: int, width: int,
+               reverse: bool = False):
+    """Yield words ``first + v * width + k`` of every stream, ``k = 0..width-1``
+    (``k = width-1..0`` with ``reverse``).
 
     Each yield is one ``(R,)`` row, voter major and sample minor
-    (``R = voters * len(keys)``): word ``k`` of every voter's block. Rows are
-    made as a sampling step asks for them, so no block of words is resident.
+    (``R = voters * len(keys)``): word ``k`` of every voter's block. Every
+    row is mixed in place in one buffer, which the generator yields and
+    overwrites for the next row: a row is valid until the next one is asked
+    for, and a consumer may change it in place. So no block of words is
+    resident and no row allocates.
     """
     offsets = np.uint64(width) * np.arange(voters, dtype=np.uint64)
-    for k in range(width):
+    x = np.empty((voters, keys.shape[0]), dtype=np.uint64)
+    tmp = np.empty_like(x)
+    for k in range(width - 1, -1, -1) if reverse else range(width):
         ks = (offsets + np.uint64(first + k + 1)) * _GOLDEN
-        yield _mix64(ks[:, None] + keys).reshape(-1)
+        np.add(ks[:, None], keys, out=x)
+        yield _mix64(x, tmp).reshape(-1)
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
     """Map raw words to float64 uniforms in [0, 1) with 53 random bits."""
     return (words >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-
-
-def _bounded(words: np.ndarray, bound: int) -> np.ndarray:
-    """Unbiased-enough integers in [0, bound): fixed-point multiply on the
-    top 32 bits (bias < 2**-32, far below every tolerance used here)."""
-    return ((words >> np.uint64(32)) * np.uint64(bound)) >> np.uint64(32)
 
 
 class CultureKind(Enum):
@@ -174,24 +180,36 @@ def mallows_pmf(m: int, phi: float, reference: Vote) -> dict[tuple[int, ...], fl
 
 
 def _fisher_yates(words, m: int, rows_n: int) -> np.ndarray:
-    """Uniform permutations of ``rows_n`` rows from ``m-1`` word rows.
+    """Inverses of uniform permutations of ``rows_n`` rows, from ``m-1`` word
+    rows read last first.
 
-    Returns ``(m, R)`` int8: ``perm[s, r]`` is the candidate at slot ``s`` of
-    row ``r``. Step ``j`` (from ``m-1`` down to 1) swaps slot ``j`` with a
-    slot drawn from the next word row.
+    Returns ``(m, R)`` int8: ``pos[c, r]`` is the slot of candidate ``c`` in
+    row ``r``. The ranking the same words draw runs step ``j`` from ``m-1``
+    down to 1, swapping slot ``j`` with a slot drawn from word row
+    ``m-1-j``; it is the product of those swaps. Each swap is its own
+    inverse, so the positions are the same swaps applied in the opposite
+    order: steps ``j = 1 .. m-1`` on the identity, reading the word rows
+    from the last (``_word_rows(..., reverse=True)``). Each word row is
+    bounded to ``[0, j]`` in place by a fixed-point multiply on its top 32
+    bits (bias < 2**-32, far below every tolerance used here); the result is
+    below 2**32, so the row read as int64 is the exact index.
     """
-    perm = np.empty((m, rows_n), dtype=np.int8)
-    perm[:] = np.arange(m, dtype=np.int8)[:, None]
-    flat = perm.reshape(-1)
-    rows = np.arange(rows_n, dtype=np.intp)
-    for j, word in zip(range(m - 1, 0, -1), words):
-        idx = _bounded(word, j + 1).astype(np.intp)
+    pos = np.empty((m, rows_n), dtype=np.int8)
+    pos[:] = np.arange(m, dtype=np.int8)[:, None]
+    flat = pos.reshape(-1)
+    rows = np.arange(rows_n, dtype=np.int64)
+    shift = np.uint64(32)
+    for j, word in zip(range(1, m), words):
+        word >>= shift
+        word *= np.uint64(j + 1)
+        word >>= shift
+        idx = word.view(np.int64)
         idx *= rows_n
         idx += rows
         drawn = flat[idx]
-        flat[idx] = perm[j]
-        perm[j] = drawn
-    return perm
+        flat[idx] = pos[j]
+        pos[j] = drawn
+    return pos
 
 
 def _mallows_slots(words, m: int, rows_n: int, phi: float) -> np.ndarray:
@@ -222,8 +240,8 @@ def _invert(cols: np.ndarray) -> np.ndarray:
     """Inverses of the permutations held as ``(m, R)`` columns, as ``(m, R)``
     columns: ``out[cols[s, r], r] = s``.
 
-    Rankings become position tables and back. One slot is scattered at a
-    time, so no index temporary is larger than ``R``.
+    Position tables become rankings (:func:`sample_rankings_batch`). One slot
+    is scattered at a time, so no index temporary is larger than ``R``.
     """
     m, rows_n = cols.shape
     out = np.empty(cols.shape, dtype=np.int8)
@@ -263,16 +281,17 @@ def sample_positions_batch(
     # fixed word layout per sample: (m-1) words per voter, then (m-1) words
     # for an optional random reference; keeping the layout culture-independent
     # keeps sample i stable across cultures.
-    words = _word_rows(keys, 0, n, m - 1)
     if spec.kind is CultureKind.IMPARTIAL or spec.phi == 1.0:
-        cols = _invert(_fisher_yates(words, m, n * count)).reshape(m, n, count)
+        words = _word_rows(keys, 0, n, m - 1, reverse=True)
+        cols = _fisher_yates(words, m, n * count).reshape(m, n, count)
     else:
+        words = _word_rows(keys, 0, n, m - 1)
         cols = _mallows_slots(words, m, n * count, spec.phi).reshape(m, n, count)
     # the identity reference's candidate k is the reference's slot-k
     # candidate, so candidate c takes the slots drawn for its reference slot
     if spec.kind is CultureKind.MALLOWS and spec.random_reference:
-        refs = _fisher_yates(_word_rows(keys, n * (m - 1), 1, m - 1), m, count)
-        cols = np.take_along_axis(cols, _invert(refs)[:, None, :], axis=0)
+        ref_pos = _fisher_yates(_word_rows(keys, n * (m - 1), 1, m - 1, reverse=True), m, count)
+        cols = np.take_along_axis(cols, ref_pos[:, None, :], axis=0)
     elif spec.kind is CultureKind.MALLOWS and spec.reference is not None:
         if spec.reference.m != m:
             raise LengthMismatch(f"reference ranks {spec.reference.m} of {m} candidates")

@@ -13,6 +13,8 @@ the final table.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -42,12 +44,10 @@ EXHAUSTIVE_OUTER_CHUNK = 64
 #: largest m whose exhaustive sweeps play through a worst-alive table
 #: (m! * 2**m int8 per process: 0.62 MiB at m=7, 9.8 MiB at m=8)
 WORST_TABLE_MAX_M = 7
-#: most samples per Monte-Carlo chunk
+#: voter rows per Monte-Carlo chunk: a chunk holds max(1, MC_CHUNK // n)
+#: samples, so one 8-byte sampling-word row is 512 KiB and every array the
+#: chunk builds stays about a core's L2 in size
 MC_CHUNK = 1 << 16
-#: bytes of sampling words a Monte-Carlo chunk draws, (n+1)(m-1) 8-byte words
-#: per sample; a chunk's arrays are no larger per sample, so wide profiles get
-#: fewer samples per chunk
-MC_WORD_BYTES = 128 << 20
 
 
 class RatioMode(Enum):
@@ -241,12 +241,35 @@ def _montecarlo_chunk(args) -> _Summary:
     return summary
 
 
-def _run_chunks(fn, args_list, workers: int) -> _Summary:
-    pool = None
-    if workers > 1 and len(args_list) > 1:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(args_list)))
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(pool, fn, args, depth: int):
+    """Yield ``fn(a)`` for each of ``args`` in order, run on ``pool`` with at
+    most ``depth`` tasks submitted and not yet yielded."""
+    pending = deque()
+    for a in args:
+        pending.append(pool.submit(fn, a))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _run_chunks(fn, args, chunks: int, workers: int) -> _Summary:
+    """Merge ``fn`` over the ``chunks`` lazily built ``args`` in chunk order.
+
+    The pool has at most one process per usable CPU and keeps at most two
+    chunks per process in flight, so memory does not grow with the chunk
+    count.
+    """
+    workers = min(workers, chunks, _usable_cpus())
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
-        summaries = pool.map(fn, args_list, chunksize=1) if pool else map(fn, args_list)
+        summaries = _in_order(pool, fn, args, 2 * workers) if pool else map(fn, args)
         total = next(summaries)
         for s in summaries:
             total.merge(s)
@@ -289,12 +312,13 @@ def run_exhaustive(
     outer_total = factorial(m) ** max(free - 1, 0)
     turns = seq.turns
     rev_turns = seq.reverse().turns
-    args_list = [
+    args = (
         (turns, rev_turns, n, m, mode, fix_first, start,
          min(EXHAUSTIVE_OUTER_CHUNK, outer_total - start))
         for start in range(0, outer_total, EXHAUSTIVE_OUTER_CHUNK)
-    ]
-    summary = _run_chunks(_exhaustive_chunk, args_list, workers)
+    )
+    chunks = -(-outer_total // EXHAUSTIVE_OUTER_CHUNK)
+    summary = _run_chunks(_exhaustive_chunk, args, chunks, workers)
     return _finish(summary, mode, edges)
 
 
@@ -321,13 +345,12 @@ def run_montecarlo(
         raise ValueError(f"seed must lie in 0..2**64-1, got {seed}")
     turns = seq.turns
     rev_turns = seq.reverse().turns
-    chunk = min(MC_CHUNK, max(1, MC_WORD_BYTES // max(1, (n + 1) * (m - 1) * 8)))
-    args_list = [
-        (turns, rev_turns, n, m, mode, culture, seed, start,
-         min(chunk, samples - start))
+    chunk = max(1, MC_CHUNK // n)
+    args = (
+        (turns, rev_turns, n, m, mode, culture, seed, start, min(chunk, samples - start))
         for start in range(0, samples, chunk)
-    ]
-    summary = _run_chunks(_montecarlo_chunk, args_list, workers)
+    )
+    summary = _run_chunks(_montecarlo_chunk, args, -(-samples // chunk), workers)
     return _finish(summary, mode, edges)
 
 

@@ -17,6 +17,9 @@ from elimgame import (
 )
 from elimgame.cultures import (
     CultureKind,
+    _fisher_yates,
+    _stream_keys,
+    _word_rows,
     enumerate_profiles,
     enumeration_size,
     index_digits,
@@ -27,7 +30,7 @@ from elimgame.cultures import (
     resolve_budget,
     sample_positions_batch,
 )
-from elimgame.sweep import montecarlo_witness
+from elimgame.sweep import MC_CHUNK, montecarlo_witness
 
 
 IC = CultureSpec.impartial()
@@ -137,6 +140,27 @@ def oracle_rankings(n, m, spec, seed, start, count):
     return rankings
 
 
+class TestSamplerStages:
+    @pytest.mark.parametrize("voters,width", [(1, 1), (3, 5), (2, 23)])
+    def test_reversed_word_rows_are_forward_rows_reversed(self, voters, width):
+        keys = _stream_keys(6, 100, 37)
+        forward = [row.copy() for row in _word_rows(keys, 4, voters, width)]
+        backward = [row.copy() for row in _word_rows(keys, 4, voters, width, reverse=True)]
+        assert len(forward) == width
+        assert all(np.array_equal(a, b) for a, b in zip(forward, backward[::-1]))
+        words = _oracle_mix64(keys[None, :] + np.uint64(0x9E3779B97F4A7C15) * (
+            np.uint64(5) + np.uint64(width) * np.arange(voters, dtype=np.uint64))[:, None])
+        assert np.array_equal(forward[0], words.reshape(-1))
+
+    @pytest.mark.parametrize("m", [2, 10, 24, 127])
+    def test_fisher_yates_positions_invert_oracle(self, m):
+        keys = _stream_keys(3, 0, 300)
+        words = np.stack([row.copy() for row in _word_rows(keys, 0, 1, m - 1)], axis=1)
+        want = np.argsort(_oracle_fisher_yates(words), axis=1)
+        got = _fisher_yates(_word_rows(keys, 0, 1, m - 1, reverse=True), m, 300)
+        assert got.dtype == np.int8 and np.array_equal(got.T, want)
+
+
 SAMPLER_CULTURES = [
     IC,
     CultureSpec.mallows(0.3),
@@ -201,6 +225,22 @@ class TestPositionSampler:
         assert pos[:, 1, :].T.strides == (3 * 200, 1)
         rankings = sample_rankings_batch(3, 6, culture, 4, 0, 200)
         assert np.array_equal(rankings, np.argsort(pos, axis=2))
+
+    @pytest.mark.parametrize(
+        "culture",
+        [IC, CultureSpec.mallows(0.6), CultureSpec.mallows(0.4, reference=Vote((3, 1, 4, 0, 2))),
+         CultureSpec.mallows(0.6, random_reference=True)],
+    )
+    def test_sweep_chunks_concatenate_to_whole(self, culture):
+        # sweeps draw MC_CHUNK // n samples per call
+        n, m = 7, 5
+        chunk = MC_CHUNK // n
+        whole = sample_positions_batch(n, m, culture, 21, 5, 2 * chunk + 33)
+        parts = np.concatenate([
+            sample_positions_batch(n, m, culture, 21, 5 + lo, min(chunk, 2 * chunk + 33 - lo))
+            for lo in range(0, 2 * chunk + 33, chunk)
+        ])
+        assert np.array_equal(whole, parts)
 
     def test_candidate_ids_fit_int8(self):
         for culture in (IC, CultureSpec.mallows(0.9)):

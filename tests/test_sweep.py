@@ -157,24 +157,27 @@ class TestDeterminism:
     def test_word_budget_chunks_are_invisible(self, monkeypatch):
         s = seq(1, 2, 3, 1, 2)
         edges = histogram_edges(Fraction(1, 2), Fraction(2), 12)
-        kw = dict(culture=CultureSpec.mallows(0.6), samples=2000, seed=9, edges=edges)
-        whole = run_montecarlo(s, 3, 6, RatioMode.CB, **kw)
+        kw = dict(culture=CultureSpec.mallows(0.6), seed=9, edges=edges)
+        whole = {k: run_montecarlo(s, 3, 6, RatioMode.CB, samples=k, **kw) for k in (40, 2000)}
         counts = []
         chunk = sweep._montecarlo_chunk
         monkeypatch.setattr(
             "elimgame.sweep._montecarlo_chunk",
             lambda args: counts.append(args[8]) or chunk(args),
         )
-        # 4 * 5 words of 8 bytes per sample: 400 samples per chunk
-        monkeypatch.setattr("elimgame.sweep.MC_WORD_BYTES", 400 * 160 + 159)
-        chunked = run_montecarlo(s, 3, 6, RatioMode.CB, **kw)
-        assert counts == [400] * 5
-        for field in fields(SweepResult):
-            a, b = getattr(whole, field.name), getattr(chunked, field.name)
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b), field.name
-            else:
-                assert a == b, field.name
+        # a budget of 1,202 voter rows holds 400 samples of 3 voters; a budget
+        # below the voter count still holds one sample
+        for budget, samples, sizes in [(400 * 3 + 2, 2000, [400] * 5), (2, 40, [1] * 40)]:
+            monkeypatch.setattr("elimgame.sweep.MC_CHUNK", budget)
+            counts.clear()
+            chunked = run_montecarlo(s, 3, 6, RatioMode.CB, samples=samples, **kw)
+            assert counts == sizes
+            for field in fields(SweepResult):
+                a, b = getattr(whole[samples], field.name), getattr(chunked, field.name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b), field.name
+                else:
+                    assert a == b, field.name
 
     def test_word_budget_sizes_chunks(self, monkeypatch):
         counts = []
@@ -183,7 +186,9 @@ class TestDeterminism:
             lambda args: counts.append(args[8]) or _Summary(1),
         )
         monkeypatch.setattr("elimgame.sweep._finish", lambda *args: None)
-        for n, m, rows in [(5, 10, 65536), (9, 24, 65536), (50, 50, 6713), (3, 1, 65536)]:
+        # MC_CHUNK voter rows per chunk: 65,536 // n samples, at least one
+        for n, m, rows in [(5, 10, 13107), (9, 24, 7281), (50, 50, 1310), (3, 1, 21845),
+                           (sweep.MC_CHUNK + 1, 2, 1)]:
             counts.clear()
             run_montecarlo(EliminationSequence((0,) * (m - 1)), n, m, RatioMode.AB,
                            CultureSpec.impartial(), rows + 1, seed=0)
@@ -195,6 +200,66 @@ class TestDeterminism:
         monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 7)
         chunked = run_exhaustive(s, 3, 4, RatioMode.AB)
         assert whole == chunked
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that runs each task as it is submitted
+    and records its size and the most tasks submitted and not yet collected."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.in_flight = self.peak = 0
+        self.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, arg):
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        value = fn(arg)
+        pool = self
+
+        class Done:
+            def result(self):
+                pool.in_flight -= 1
+                return value
+
+        return Done()
+
+
+class TestPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        _RecordingPool.made = []
+        monkeypatch.setattr("elimgame.sweep.ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr("elimgame.sweep.os.sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+        return _RecordingPool.made
+
+    def test_pool_is_clamped_and_bounded(self, monkeypatch, pools):
+        s = seq(1, 2, 1)
+        kw = dict(culture=CultureSpec.mallows(0.5), samples=1000, seed=4)
+        serial = run_montecarlo(s, 2, 4, RatioMode.CB, **kw)
+        # 25 samples of 2 voters per chunk: 40 chunks
+        monkeypatch.setattr("elimgame.sweep.MC_CHUNK", 50)
+        assert run_montecarlo(s, 2, 4, RatioMode.CB, workers=64, **kw) == serial
+        assert [(p.max_workers, p.peak, p.in_flight) for p in pools] == [(3, 6, 0)]
+
+    def test_pool_never_outnumbers_chunks(self, monkeypatch, pools):
+        s = seq(1, 2, 3)
+        serial = run_exhaustive(s, 3, 4, RatioMode.AB)
+        # 24 outer rankings in 12-ranking chunks
+        monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 12)
+        assert run_exhaustive(s, 3, 4, RatioMode.AB, workers=64) == serial
+        monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 24)
+        assert run_exhaustive(s, 3, 4, RatioMode.AB, workers=64) == serial
+        assert [(p.max_workers, p.peak) for p in pools] == [(2, 2)]
 
 
 class TestMonteCarlo:
