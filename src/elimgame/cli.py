@@ -46,6 +46,9 @@ EXIT_SHAPE = 3
 EXIT_INFEASIBLE = 4
 EXIT_BUDGET = 5
 
+#: most histogram bins; each costs about 140 bytes of peak memory
+MAX_BINS = 10**5
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -54,6 +57,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _bins(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_BINS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_BINS}, got {value}")
     return value
 
 
@@ -69,7 +79,8 @@ def _add_study_args(p):
     p.add_argument("--mode", choices=["ab", "cb"], default="ab",
                    help="ratio: ab = anarchy, cb = sincerity")
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--bins", type=_positive_int, default=60, help="histogram bins")
+    p.add_argument("--bins", type=_bins, default=60,
+                   help=f"histogram bins, 1 to {MAX_BINS}")
     p.add_argument("--out", help="write histogram CSV to this path")
 
 

@@ -236,25 +236,6 @@ def _mallows_slots(words, m: int, rows_n: int, phi: float) -> np.ndarray:
     return pos
 
 
-def _invert(cols: np.ndarray) -> np.ndarray:
-    """Inverses of the permutations held as ``(m, R)`` columns, as ``(m, R)``
-    columns: ``out[cols[s, r], r] = s``.
-
-    Position tables become rankings (:func:`sample_rankings_batch`). One slot
-    is scattered at a time, so no index temporary is larger than ``R``.
-    """
-    m, rows_n = cols.shape
-    out = np.empty(cols.shape, dtype=np.int8)
-    flat = out.reshape(-1)
-    rows = np.arange(rows_n, dtype=np.intp)
-    idx = np.empty_like(rows)
-    for s in range(m):
-        np.multiply(cols[s], np.intp(rows_n), out=idx)
-        idx += rows
-        flat[idx] = s
-    return out
-
-
 def sample_positions_batch(
     n: int,
     m: int,
@@ -313,36 +294,35 @@ def sample_rankings_batch(
     best first. It is the inverse of :func:`sample_positions_batch` on the
     same arguments, so any chunking of the index range yields identical rows.
     """
-    cols = sample_positions_batch(n, m, spec, master_seed, start_index, count).T
-    return _invert(cols.reshape(m, -1)).reshape(cols.shape).T
+    pos = sample_positions_batch(n, m, spec, master_seed, start_index, count)
+    return pos.argsort(axis=2).astype(np.int8)
 
 
 @lru_cache(maxsize=8)
-def permutation_table(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """All m! rankings in lexicographic order plus their position tables.
+def permutation_table(m: int) -> np.ndarray:
+    """Rank positions of all m! rankings, in lexicographic order of the rankings.
 
-    ``perms[r, slot]`` is the candidate at ``slot``; ``pos[r, c]`` the slot
-    of candidate ``c``. Rank 0 is the identity.
+    Returns ``(m!, m)`` int8: ``pos[r, c]`` is the slot of candidate ``c`` in
+    ranking ``r``, and ``pos[r].argsort()`` is ranking ``r``, best first.
+    Ranking 0 is the identity. Positions are the only ranking table: sweeps
+    sum and play them, and a witness profile argsorts one row.
     """
     # Rankings of k candidates, built in place from those of k - 1: block c
     # leads with candidate c, then the k - 1 others in the smaller table's
-    # order with every id >= c shifted up by one. In block c candidate c sits
-    # in slot 0 and every other candidate one slot below its smaller-table
-    # slot. No temporary is larger than the smaller table.
-    perms = pos = np.zeros((1, 0), dtype=np.int8)
+    # order. So in block c candidate c sits in slot 0 and every other
+    # candidate one slot below its smaller-table slot. No temporary is larger
+    # than the smaller table.
+    pos = np.zeros((1, 0), dtype=np.int8)
     for k in range(1, m + 1):
-        rows = perms.shape[0]
-        next_perms = np.empty((k * rows, k), dtype=np.int8)
-        next_pos = np.empty_like(next_perms)
+        rows = pos.shape[0]
+        next_pos = np.empty((k * rows, k), dtype=np.int8)
         for c in range(k):
             block = slice(c * rows, (c + 1) * rows)
-            next_perms[block, 0] = c
-            np.add(perms, perms >= c, out=next_perms[block, 1:])
             next_pos[block, c] = 0
             np.add(pos[:, :c], 1, out=next_pos[block, :c])
             np.add(pos[:, c:], 1, out=next_pos[block, c + 1:])
-        perms, pos = next_perms, next_pos
-    return perms, pos
+        pos = next_pos
+    return pos
 
 
 def enumeration_size(n: int, m: int, fix_first: bool = True) -> int:
@@ -350,35 +330,31 @@ def enumeration_size(n: int, m: int, fix_first: bool = True) -> int:
     return factorial(m) ** free
 
 
-def index_digits(index: int, base: int, width: int) -> list[int]:
-    """The ``width`` base-``base`` digits of ``index``, most significant first.
+def ranking_ids(n: int, m: int, index: int, fix_first: bool = True) -> list[int]:
+    """Each voter's ranking id (a row of :func:`permutation_table`) in the
+    profile at rank ``index`` of the enumeration order.
 
-    An enumeration index decodes into one ranking rank per free voter this
-    way; see :func:`profile_at_index`.
-    """
-    digits = [0] * width
-    for k in range(width - 1, -1, -1):
-        index, digits[k] = divmod(index, base)
-    return digits
-
-
-def profile_at_index(n: int, m: int, index: int, fix_first: bool = True) -> PreferenceProfile:
-    """Profile at a given rank of the enumeration order.
-
-    The order is lexicographic over the free voters' rankings, first free
-    voter most significant, each ranking numbered as in
-    :func:`permutation_table`. With ``fix_first`` voter 1 is pinned to the
-    identity ranking, which is sound for worst-case and distributional work
-    because every quantity of interest is invariant under candidate
-    relabelling.
+    This is the one place that order is decoded: lexicographic over the free
+    voters' ranking ids, first free voter most significant and the last voter
+    least, so consecutive indices run the last voter over consecutive
+    ranking ids. With ``fix_first`` voter 1 is pinned to the identity (id 0),
+    which is sound for worst-case and distributional work because every
+    quantity of interest is invariant under candidate relabelling.
     """
     total = enumeration_size(n, m, fix_first)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside 0..{total - 1}")
-    perms, _ = permutation_table(m)
-    free = n - 1 if fix_first else n
-    ranks = ([0] if fix_first else []) + index_digits(index, perms.shape[0], free)
-    return PreferenceProfile.from_rankings([perms[r].tolist() for r in ranks])
+    ids = [0] * n
+    for v in range(n - 1, 0 if fix_first else -1, -1):
+        index, ids[v] = divmod(index, factorial(m))
+    return ids
+
+
+def profile_at_index(n: int, m: int, index: int, fix_first: bool = True) -> PreferenceProfile:
+    """Profile at a given rank of the enumeration order; see :func:`ranking_ids`."""
+    ids = ranking_ids(n, m, index, fix_first)
+    pos = permutation_table(m)
+    return PreferenceProfile.from_rankings([pos[r].argsort().tolist() for r in ids])
 
 
 def enumerate_profiles(n: int, m: int, fix_first: bool = True, budget: int | None = None):

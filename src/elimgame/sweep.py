@@ -29,9 +29,9 @@ from .core import EliminationSequence, PreferenceProfile
 from .cultures import (
     CultureSpec,
     enumeration_size,
-    index_digits,
     permutation_table,
     profile_at_index,
+    ranking_ids,
     resolve_budget,
     sample_positions_batch,
     sample_rankings_batch,
@@ -39,7 +39,10 @@ from .cultures import (
 from .errors import BudgetExceeded, ZeroWelfare
 from .play import play_batch_winners, table_batch_winners, worst_alive_table
 
-#: outer-voter assignments per exhaustive chunk (each costs m! evaluations)
+#: batches per exhaustive chunk. A batch fixes every voter but the last and
+#: runs the last voter over up to min(m!, max(1, MC_CHUNK // n)) consecutive
+#: ranking ids, so a chunk is a range of at most EXHAUSTIVE_OUTER_CHUNK
+#: batches' worth of consecutive profile indices
 EXHAUSTIVE_OUTER_CHUNK = 64
 #: largest m whose exhaustive sweeps play through a worst-alive table
 #: (m! * 2**m int8 per process: 0.62 MiB at m=7, 9.8 MiB at m=8)
@@ -196,34 +199,32 @@ def _evaluate(winners, scores, turns, rev_turns, mode):
 
 @lru_cache(maxsize=2)
 def _worst_table(m: int) -> np.ndarray:
-    return worst_alive_table(permutation_table(m)[1])
+    return worst_alive_table(permutation_table(m))
 
 
 def _exhaustive_chunk(args) -> _Summary:
-    turns, rev_turns, n, m, mode, fix_first, outer_start, outer_len = args
-    perms, pos = permutation_table(m)
-    fact = perms.shape[0]
-    contrib = (m - 1 - pos).astype(np.int32)
-    free = n - (1 if fix_first else 0)
-    summary = _Summary(n * (m - 1))
-    # Voters are ranking ids into the permutation table: the pinned voter 0
-    # and the middle voters hold one id per outer index, the last voter runs
-    # over every ranking. A single pinned voter (no free voter) is that last
-    # voter with the identity as its only ranking.
-    pinned = [0] if fix_first and free else []
-    middle = n - 1 - len(pinned)
-    last = np.arange(fact if free else 1)
+    turns, rev_turns, n, m, mode, fix_first, start, count, batch = args
+    pos = permutation_table(m)
+    fact = pos.shape[0]
     table = _worst_table(m) if m <= WORST_TABLE_MAX_M else None
-    for outer in range(outer_start, outer_start + outer_len):
-        ids = pinned + index_digits(outer, fact, middle)
-        scores = contrib[ids].sum(axis=0, dtype=np.int32) + contrib[:last.shape[0]]
-        ids.append(last)
+    summary = _Summary(n * (m - 1))
+    index, end = start, start + count
+    while index < end:
+        # Every voter but the last keeps one ranking id; the last voter's ids
+        # low..high-1 are the profiles index..index+high-low-1.
+        ids = ranking_ids(n, m, index, fix_first)
+        low = ids.pop()
+        high = min(fact, low + batch, low + end - index)
+        # Borda scores n(m-1) - slot sums
+        fixed = n * (m - 1) - pos[ids].sum(axis=0, dtype=np.int32)
+        scores = np.subtract(fixed, pos[low:high], dtype=np.int32)
         if table is None:
-            winners = partial(play_batch_winners, [pos[np.atleast_1d(i)] for i in ids])
+            winners = partial(play_batch_winners, [pos[i:i + 1] for i in ids] + [pos[low:high]])
         else:
-            winners = partial(table_batch_winners, table, ids)
+            winners = partial(table_batch_winners, table, ids + [np.arange(low, high)])
         num, den = _evaluate(winners, scores, turns, rev_turns, mode)
-        summary.absorb_batch(num, den, outer * fact)
+        summary.absorb_batch(num, den, index)
+        index += high - low
     return summary
 
 
@@ -308,16 +309,15 @@ def run_exhaustive(
             f"exhaustive sweep needs {total} profiles, over the budget of {limit}; "
             "raise ELIMGAME_BUDGET or pass --force"
         )
-    free = n - (1 if fix_first else 0)
-    outer_total = factorial(m) ** max(free - 1, 0)
+    batch = min(factorial(m), max(1, MC_CHUNK // n))
+    chunk = EXHAUSTIVE_OUTER_CHUNK * batch
     turns = seq.turns
     rev_turns = seq.reverse().turns
     args = (
-        (turns, rev_turns, n, m, mode, fix_first, start,
-         min(EXHAUSTIVE_OUTER_CHUNK, outer_total - start))
-        for start in range(0, outer_total, EXHAUSTIVE_OUTER_CHUNK)
+        (turns, rev_turns, n, m, mode, fix_first, start, min(chunk, total - start), batch)
+        for start in range(0, total, chunk)
     )
-    chunks = -(-outer_total // EXHAUSTIVE_OUTER_CHUNK)
+    chunks = -(-total // chunk)
     summary = _run_chunks(_exhaustive_chunk, args, chunks, workers)
     return _finish(summary, mode, edges)
 

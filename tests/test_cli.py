@@ -214,6 +214,15 @@ class TestExitCodes:
         assert f"error: argument {argv[-2]}: must be at least 1, got 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["exhaustive"], ["montecarlo", "--samples", "10"]])
+    def test_bins_above_cap_are_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bins", str(10**8), "--n", "2", "--m", "3", "--sequence", "1,2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --bins: must be at most 100000, got {10**8}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("workers,samples", [("1", "10"), ("2", "70000")])
     def test_more_than_127_candidates_is_3(self, capsys, workers, samples):
         m = 130

@@ -22,11 +22,11 @@ from elimgame.cultures import (
     _word_rows,
     enumerate_profiles,
     enumeration_size,
-    index_digits,
     kendall_tau,
     mallows_pmf,
     permutation_table,
     profile_at_index,
+    ranking_ids,
     resolve_budget,
     sample_positions_batch,
 )
@@ -421,26 +421,26 @@ class TestEnumeration:
             for p in enumerate_profiles(2, 3, fix_first=False)
         ]
         assert rows == list(itertools.product(itertools.permutations(range(3)), repeat=2))
-        assert index_digits(6 * 6 * 2 + 6 * 5 + 4, 6, 3) == [2, 5, 4]
-        assert index_digits(7, 24, 0) == []
+        assert ranking_ids(3, 3, 6 * 6 * 2 + 6 * 5 + 4, fix_first=False) == [2, 5, 4]
+        assert ranking_ids(3, 3, 6 * 5 + 4) == [0, 5, 4]
+        assert ranking_ids(1, 4, 0) == [0]
 
     def test_permutation_table(self):
-        perms, pos = permutation_table(4)
-        assert perms.shape == (24, 4) and pos.shape == (24, 4)
-        assert perms[0].tolist() == [0, 1, 2, 3]
-        assert perms[-1].tolist() == [3, 2, 1, 0]
-        # pos inverts perms row by row
-        rows = np.arange(24)[:, None]
-        assert np.array_equal(perms[rows, pos[rows, np.arange(4)]],
-                              np.broadcast_to(np.arange(4), (24, 4)))
+        pos = permutation_table(4)
+        assert pos.shape == (24, 4)
+        assert pos[0].tolist() == [0, 1, 2, 3]
+        assert pos[-1].tolist() == [3, 2, 1, 0]
+        # every row holds each slot once
+        assert np.array_equal(np.sort(pos, axis=1), np.broadcast_to(np.arange(4), (24, 4)))
 
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_permutation_table_matches_itertools(self, m):
-        perms, pos = permutation_table(m)
-        assert perms.dtype == pos.dtype == np.int8
-        assert perms.tolist() == [list(p) for p in itertools.permutations(range(m))]
-        assert np.array_equal(pos, np.argsort(perms, axis=1))
+        pos = permutation_table(m)
+        assert pos.dtype == np.int8
+        assert np.argsort(pos, axis=1).tolist() == [
+            list(p) for p in itertools.permutations(range(m))
+        ]
 
 
 class TestBudget:

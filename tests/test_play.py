@@ -360,7 +360,7 @@ class TestInPlaceKernel:
 class TestWorstAliveTable:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_every_entry_is_the_lowest_alive(self, m):
-        _, pos = permutation_table(m)
+        pos = permutation_table(m)
         table = worst_alive_table(pos)
         assert table.shape == (pos.shape[0], 1 << m) and table.dtype == np.int8
         for r in range(pos.shape[0]):
@@ -371,7 +371,7 @@ class TestWorstAliveTable:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     def test_kernel_matches_position_kernel(self, m):
         rng = np.random.default_rng(70 + m)
-        _, pos = permutation_table(m)
+        pos = permutation_table(m)
         table = worst_alive_table(pos)
         fact = pos.shape[0]
         for _ in range(10):

@@ -1,5 +1,7 @@
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from elimgame import (
 )
 from elimgame import sweep
 from elimgame.core import EliminationSequence
-from elimgame.cultures import enumerate_profiles
+from elimgame.cultures import enumerate_profiles, permutation_table
 from elimgame.sweep import (
     SweepResult,
     _Summary,
@@ -25,6 +27,15 @@ from elimgame.sweep import (
     run_montecarlo,
 )
 from helpers import seq
+
+
+def assert_same_result(a, b):
+    for field in fields(SweepResult):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
 
 
 def naive_exhaustive(s, n, m, mode, fix_first=True):
@@ -172,12 +183,7 @@ class TestDeterminism:
             counts.clear()
             chunked = run_montecarlo(s, 3, 6, RatioMode.CB, samples=samples, **kw)
             assert counts == sizes
-            for field in fields(SweepResult):
-                a, b = getattr(whole[samples], field.name), getattr(chunked, field.name)
-                if isinstance(a, np.ndarray):
-                    assert np.array_equal(a, b), field.name
-                else:
-                    assert a == b, field.name
+            assert_same_result(whole[samples], chunked)
 
     def test_word_budget_sizes_chunks(self, monkeypatch):
         counts = []
@@ -195,11 +201,43 @@ class TestDeterminism:
             assert counts == [rows, 1]
 
     def test_exhaustive_chunk_size_is_invisible(self, monkeypatch):
-        s = seq(1, 2, 3)
-        whole = run_exhaustive(s, 3, 4, RatioMode.AB)
-        monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 7)
-        chunked = run_exhaustive(s, 3, 4, RatioMode.AB)
-        assert whole == chunked
+        edges = histogram_edges(Fraction(1, 2), Fraction(2), 12)
+        # (sequence, n, m, fix_first, batch rows); m = 8 plays on rank
+        # positions whatever the table limit
+        cases = [
+            (seq(1, 2, 3), 3, 4, True, 5),
+            (seq(1, 2, 1, 2), 2, 5, False, 50),
+            (seq(1, 1, 1), 1, 4, True, 5),
+            (seq(1, 1, 1), 1, 4, False, 5),
+            (seq(1, 2, 1, 2, 1, 2, 1), 2, 8, True, 1000),
+        ]
+        for s, n, m, fix_first, batch in cases:
+            kw = dict(fix_first=fix_first, edges=edges)
+            whole = run_exhaustive(s, n, m, RatioMode.CB, **kw)
+            # batches that do not divide m!, three batches a chunk
+            assert factorial(m) % batch
+            with monkeypatch.context() as patch:
+                patch.setattr("elimgame.sweep.MC_CHUNK", batch * n)
+                patch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 3)
+                for table_max_m in (sweep.WORST_TABLE_MAX_M, 0):
+                    patch.setattr("elimgame.sweep.WORST_TABLE_MAX_M", table_max_m)
+                    for workers in (1, 2) if n == 2 else (1,):
+                        chunked = run_exhaustive(s, n, m, RatioMode.CB, workers=workers, **kw)
+                        assert_same_result(whole, chunked)
+
+    def test_exhaustive_memory_does_not_scale_with_m_factorial(self):
+        # the position table is m! * m bytes per process by design; a sweep's
+        # own arrays are bounded by its batch of MC_CHUNK // n rows
+        permutation_table(9)
+        s = seq(1, 2, 1, 2, 1, 2, 1, 2)
+        tracemalloc.start()
+        try:
+            res = run_exhaustive(s, 2, 9, RatioMode.CB)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert ratio_cb(exhaustive_witness(2, 9, res.max_index), s) == res.max_ratio
 
 
 class _RecordingPool:
@@ -254,7 +292,7 @@ class TestPool:
     def test_pool_never_outnumbers_chunks(self, monkeypatch, pools):
         s = seq(1, 2, 3)
         serial = run_exhaustive(s, 3, 4, RatioMode.AB)
-        # 24 outer rankings in 12-ranking chunks
+        # 576 profiles in batches of 24: two chunks of 12 batches, then one chunk
         monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 12)
         assert run_exhaustive(s, 3, 4, RatioMode.AB, workers=64) == serial
         monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 24)
