@@ -219,7 +219,6 @@ def parse_profile(text: str) -> PreferenceProfile:
     Candidate ids follow the label order of the first voter line.
     """
     index: dict[str, int] = {}
-    labels: list[str] = []
     rows: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -227,13 +226,9 @@ def parse_profile(text: str) -> PreferenceProfile:
             continue
         tokens = line.split()
         if not rows:
+            # a label listed twice fails the row check below, on this line
             for tok in tokens:
-                if tok in index:
-                    raise ParseError(
-                        f"line {lineno}: candidate {tok!r} listed twice", line=lineno
-                    )
-                index[tok] = len(labels)
-                labels.append(tok)
+                index.setdefault(tok, len(index))
         row = []
         seen = set()
         for tok in tokens:
@@ -247,15 +242,15 @@ def parse_profile(text: str) -> PreferenceProfile:
                 )
             seen.add(tok)
             row.append(index[tok])
-        if len(row) != len(labels):
+        if len(row) != len(index):
             raise ParseError(
-                f"line {lineno}: expected {len(labels)} candidates, got {len(row)}",
+                f"line {lineno}: expected {len(index)} candidates, got {len(row)}",
                 line=lineno,
             )
         rows.append(row)
     if not rows:
         raise ParseError("no voter lines found")
-    return PreferenceProfile.from_rankings(rows, labels=labels)
+    return PreferenceProfile.from_rankings(rows, labels=list(index))
 
 
 def format_profile(profile: PreferenceProfile) -> str:

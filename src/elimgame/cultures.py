@@ -102,38 +102,38 @@ class CultureSpec:
     """A vote distribution: impartial culture or a Mallows model.
 
     ``phi`` is the Mallows dispersion in (0, 1]; 1 coincides with impartial
-    culture. The reference ranking defaults to the identity; with
-    ``random_reference`` a fresh uniform reference is drawn per profile
-    (per sample, not per vote).
+    culture. The Mallows reference ranking is the identity, or with
+    ``random_reference`` a fresh uniform one per profile (per sample, not
+    per vote). Every ratio is invariant under candidate relabelling, so no
+    other fixed reference could change a statistic.
     """
 
     kind: CultureKind
     phi: float = 1.0
-    reference: Vote | None = None
     random_reference: bool = False
 
     def __post_init__(self):
         if self.kind is CultureKind.MALLOWS and not 0.0 < self.phi <= 1.0:
             raise PhiOutOfRange(f"phi must lie in (0, 1], got {self.phi}")
-        if self.reference is not None and self.random_reference:
-            raise ValueError("fixed reference and random_reference are exclusive")
 
     @classmethod
     def impartial(cls) -> "CultureSpec":
         return cls(CultureKind.IMPARTIAL)
 
     @classmethod
-    def mallows(cls, phi: float, reference: Vote | None = None,
-                random_reference: bool = False) -> "CultureSpec":
-        return cls(CultureKind.MALLOWS, phi, reference, random_reference)
+    def mallows(cls, phi: float, random_reference: bool = False) -> "CultureSpec":
+        return cls(CultureKind.MALLOWS, phi, random_reference)
 
     @classmethod
     def parse(cls, text: str, phi: float | None = None) -> "CultureSpec":
         """Parse command-line culture strings: ``ic`` or ``mallows:phi=0.6``.
 
-        A bare ``mallows`` takes its dispersion from the ``phi`` argument.
+        A bare ``mallows`` takes its dispersion from the ``phi`` argument,
+        which no other culture string accepts.
         """
         text = text.strip()
+        if phi is not None and text != "mallows":
+            raise ParseError(f"phi applies only to a bare mallows culture, not {text!r}")
         if text == "ic":
             return cls.impartial()
         if text == "mallows" or text.startswith("mallows:"):
@@ -273,10 +273,6 @@ def sample_positions_batch(
     if spec.kind is CultureKind.MALLOWS and spec.random_reference:
         ref_pos = _fisher_yates(_word_rows(keys, n * (m - 1), 1, m - 1, reverse=True), m, count)
         cols = np.take_along_axis(cols, ref_pos[:, None, :], axis=0)
-    elif spec.kind is CultureKind.MALLOWS and spec.reference is not None:
-        if spec.reference.m != m:
-            raise LengthMismatch(f"reference ranks {spec.reference.m} of {m} candidates")
-        cols = cols[list(spec.reference.positions)]
     return cols.transpose(2, 1, 0)
 
 

@@ -138,17 +138,12 @@ def histogram_rows(result: ExperimentResult) -> list[tuple[float, float, int]]:
     the spike row. Counts sum to the population size.
     """
     edges = result.sweep.hist_edges
-    counts = result.sweep.hist_counts
-    rows = []
-    spike_placed = False
-    for i in range(counts.shape[0]):
-        left, right = float(edges[i]), float(edges[i + 1])
-        if not spike_placed and left >= 1.0:
-            rows.append((1.0, 1.0, result.sweep.spike_count))
-            spike_placed = True
-        rows.append((left, right, int(counts[i])))
-    if not spike_placed:
-        rows.append((1.0, 1.0, result.sweep.spike_count))
+    rows = [
+        (float(edges[i]), float(edges[i + 1]), int(c))
+        for i, c in enumerate(result.sweep.hist_counts)
+    ]
+    # the spike goes before the first bin whose left edge is at least 1.0
+    rows.insert(int(np.searchsorted(edges[:-1], 1.0)), (1.0, 1.0, result.sweep.spike_count))
     return rows
 
 

@@ -50,38 +50,34 @@ class BehaviorAssignment:
         return cls(frozenset(voters))
 
 
-def _validate(profile: PreferenceProfile, seq: EliminationSequence) -> None:
+def _reduced_play(profile, seq, mode, sincere, semantics) -> GameTrace:
+    """Sincere play of the reduced form that covers every behaviour.
+
+    The ``sincere`` voters' turns run in their original order, then the
+    other voters' turns reversed, every move sincere. With every voter
+    sincere this is the game itself; with none, the strategic outcome
+    (sincere play on the reversed sequence); otherwise mixed behaviour.
+    """
     seq.validate(profile.n, profile.m)
-
-
-def _sincere_steps(profile, turns, alive=None):
-    """Run sincere eliminations for ``turns`` over the alive set, in place."""
-    if alive is None:
-        alive = set(range(profile.m))
+    strategic = [t for t in seq.turns if t not in sincere]
+    alive = set(range(profile.m))
     steps = []
-    for voter in turns:
+    for voter in [t for t in seq.turns if t in sincere] + strategic[::-1]:
         worst = profile.votes[voter].worst_among(alive)
         alive.remove(worst)
         steps.append((voter, worst))
-    return steps, alive
+    (winner,) = alive
+    return GameTrace(mode, tuple(steps), winner, semantics)
 
 
 def sincere_play(profile: PreferenceProfile, seq: EliminationSequence) -> GameTrace:
     """Every voter eliminates her least preferred remaining candidate."""
-    _validate(profile, seq)
-    steps, alive = _sincere_steps(profile, seq.turns)
-    (winner,) = alive
-    return GameTrace("sincere", tuple(steps), winner)
+    return _reduced_play(profile, seq, "sincere", range(profile.n), "elimination-path")
 
 
 def spne_outcome(profile: PreferenceProfile, seq: EliminationSequence) -> GameTrace:
     """Winner under optimal play: sincere execution of the reversed sequence."""
-    _validate(profile, seq)
-    steps, alive = _sincere_steps(profile, seq.reverse().turns)
-    (winner,) = alive
-    return GameTrace(
-        "strategic", tuple(steps), winner, semantics="sincere-on-reversed-sequence"
-    )
+    return _reduced_play(profile, seq, "strategic", (), "sincere-on-reversed-sequence")
 
 
 def mixed_play(
@@ -96,20 +92,12 @@ def mixed_play(
     moves sincere. The outcome does not depend on how the two subsequences
     interleave in ``seq``, only on their contents.
     """
-    _validate(profile, seq)
     for v in behavior.sincere:
         if not 0 <= v < profile.n:
             raise InvalidVoter(f"voter {v + 1} outside 1..{profile.n}")
-    sincere_turns = [t for t in seq.turns if t in behavior.sincere]
-    strategic_turns = [t for t in seq.turns if t not in behavior.sincere]
-    steps, alive = _sincere_steps(profile, sincere_turns)
-    more, alive = _sincere_steps(profile, reversed(strategic_turns), alive)
-    (winner,) = alive
-    return GameTrace(
-        "mixed",
-        tuple(steps + more),
-        winner,
-        semantics="sincere-subsequence-then-reversed-strategic",
+    return _reduced_play(
+        profile, seq, "mixed", behavior.sincere,
+        "sincere-subsequence-then-reversed-strategic",
     )
 
 
@@ -127,7 +115,7 @@ def backward_induction(
     given). The winner is invariant to ``tie_break``; the step path is one
     equilibrium path and is not.
     """
-    _validate(profile, seq)
+    seq.validate(profile.n, profile.m)
     m = profile.m
     if m > max_candidates:
         raise TreeTooLarge(

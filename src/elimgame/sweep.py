@@ -203,7 +203,7 @@ def _worst_table(m: int) -> np.ndarray:
 
 
 def _exhaustive_chunk(args) -> _Summary:
-    turns, rev_turns, n, m, mode, fix_first, start, count, batch = args
+    turns, rev_turns, n, m, mode, fix_first, batch, start, count = args
     pos = permutation_table(m)
     fact = pos.shape[0]
     table = _worst_table(m) if m <= WORST_TABLE_MAX_M else None
@@ -260,21 +260,24 @@ def _in_order(pool, fn, args, depth: int):
         yield pending.popleft().result()
 
 
-def _run_chunks(fn, args, chunks: int, workers: int) -> _Summary:
-    """Merge ``fn`` over the ``chunks`` lazily built ``args`` in chunk order.
+def _run_chunks(fn, static, total: int, chunk: int, workers: int) -> _Summary:
+    """Merge ``fn`` over the chunks of ``range(total)`` in chunk order.
 
-    The pool has at most one process per usable CPU and keeps at most two
-    chunks per process in flight, so memory does not grow with the chunk
-    count.
+    This is the one place chunk ranges are built: chunk ``k`` is called with
+    ``(*static, start, count)`` for ``start = k * chunk`` and ``count`` up to
+    ``chunk``. The arguments are built lazily; the pool has at most one
+    process per usable CPU and keeps at most two chunks per process in
+    flight, so memory does not grow with the chunk count.
     """
-    workers = min(workers, chunks, _usable_cpus())
+    args = ((*static, start, min(chunk, total - start)) for start in range(0, total, chunk))
+    workers = min(workers, -(-total // chunk), _usable_cpus())
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
         summaries = _in_order(pool, fn, args, 2 * workers) if pool else map(fn, args)
-        total = next(summaries)
+        merged = next(summaries)
         for s in summaries:
-            total.merge(s)
-    return total
+            merged.merge(s)
+    return merged
 
 
 def histogram_edges(low: Fraction, high: Fraction, bins: int) -> np.ndarray:
@@ -310,15 +313,10 @@ def run_exhaustive(
             "raise ELIMGAME_BUDGET or pass --force"
         )
     batch = min(factorial(m), max(1, MC_CHUNK // n))
-    chunk = EXHAUSTIVE_OUTER_CHUNK * batch
-    turns = seq.turns
-    rev_turns = seq.reverse().turns
-    args = (
-        (turns, rev_turns, n, m, mode, fix_first, start, min(chunk, total - start), batch)
-        for start in range(0, total, chunk)
+    static = (seq.turns, seq.reverse().turns, n, m, mode, fix_first, batch)
+    summary = _run_chunks(
+        _exhaustive_chunk, static, total, EXHAUSTIVE_OUTER_CHUNK * batch, workers
     )
-    chunks = -(-total // chunk)
-    summary = _run_chunks(_exhaustive_chunk, args, chunks, workers)
     return _finish(summary, mode, edges)
 
 
@@ -343,14 +341,8 @@ def run_montecarlo(
         raise ValueError("need at least one sample")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in 0..2**64-1, got {seed}")
-    turns = seq.turns
-    rev_turns = seq.reverse().turns
-    chunk = max(1, MC_CHUNK // n)
-    args = (
-        (turns, rev_turns, n, m, mode, culture, seed, start, min(chunk, samples - start))
-        for start in range(0, samples, chunk)
-    )
-    summary = _run_chunks(_montecarlo_chunk, args, -(-samples // chunk), workers)
+    static = (seq.turns, seq.reverse().turns, n, m, mode, culture, seed)
+    summary = _run_chunks(_montecarlo_chunk, static, samples, max(1, MC_CHUNK // n), workers)
     return _finish(summary, mode, edges)
 
 

@@ -189,6 +189,14 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_phi_needs_bare_mallows(self, capsys):
+        code, _, err = run_main(
+            capsys, "montecarlo", "--n", "2", "--m", "3", "--sequence", "1,2",
+            "--culture", "mallows:phi=0.5", "--phi", "0.2", "--samples", "10",
+        )
+        assert code == 2
+        assert "phi" in err and "Traceback" not in err
+
     def test_random_reference_requires_mallows(self, capsys):
         code, _, err = run_main(
             capsys, "montecarlo", "--n", "2", "--m", "3", "--sequence", "1,2",

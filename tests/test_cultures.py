@@ -116,7 +116,7 @@ def _oracle_mallows_identity(words, phi):
 def oracle_rankings(n, m, spec, seed, start, count):
     """The row-major sampler that built full rankings before the position
     sampler: one (count, (n+1)(m-1)) word block, rankings by Fisher-Yates or
-    by repeated insertion over the prefix order, then the reference."""
+    by repeated insertion over the prefix order, then the random reference."""
     if count == 0 or m == 1:
         return np.zeros((count, n, m), dtype=np.int8)
     golden = np.uint64(0x9E3779B97F4A7C15)
@@ -135,8 +135,6 @@ def oracle_rankings(n, m, spec, seed, start, count):
             np.broadcast_to(refs[:, None, :], rankings.shape),
             rankings.astype(np.int64), axis=2,
         ).astype(np.int8)
-    elif spec.reference is not None:
-        rankings = np.asarray(spec.reference.ranking, dtype=np.int8)[rankings]
     return rankings
 
 
@@ -179,11 +177,6 @@ class TestPositionSampler:
         assert got.dtype == np.int8 and got.shape == (257, n, m)
         assert np.array_equal(got, want)
 
-    def test_fixed_reference(self):
-        spec = CultureSpec.mallows(0.4, reference=Vote((2, 0, 4, 3, 1)))
-        want = np.argsort(oracle_rankings(3, 5, spec, 77, 0, 300), axis=2)
-        assert np.array_equal(sample_positions_batch(3, 5, spec, 77, 0, 300), want)
-
     @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
     def test_rankings_are_the_inverse(self, culture):
         pos = sample_positions_batch(3, 6, culture, 4, 0, 200)
@@ -213,10 +206,7 @@ class TestPositionSampler:
         ])
         assert np.array_equal(whole, parts)
 
-    @pytest.mark.parametrize(
-        "culture",
-        SAMPLER_CULTURES + [CultureSpec.mallows(0.4, reference=Vote((2, 0, 4, 3, 1, 5)))],
-    )
+    @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
     def test_candidate_major_layout(self, culture):
         # play_batch_winners reduces each voter's (m, count) transpose over its
         # m rows; that is fast only while those rows are contiguous
@@ -228,8 +218,7 @@ class TestPositionSampler:
 
     @pytest.mark.parametrize(
         "culture",
-        [IC, CultureSpec.mallows(0.6), CultureSpec.mallows(0.4, reference=Vote((3, 1, 4, 0, 2))),
-         CultureSpec.mallows(0.6, random_reference=True)],
+        [IC, CultureSpec.mallows(0.6), CultureSpec.mallows(0.6, random_reference=True)],
     )
     def test_sweep_chunks_concatenate_to_whole(self, culture):
         # sweeps draw MC_CHUNK // n samples per call
@@ -278,10 +267,6 @@ class TestCultureSpec:
         CultureSpec.mallows(1.0)
         CultureSpec.mallows(1e-9)
 
-    def test_exclusive_reference_options(self):
-        with pytest.raises(ValueError):
-            CultureSpec.mallows(0.5, reference=Vote((0, 1)), random_reference=True)
-
     def test_parse(self):
         assert CultureSpec.parse("ic").kind is CultureKind.IMPARTIAL
         spec = CultureSpec.parse("mallows:phi=0.6")
@@ -289,12 +274,17 @@ class TestCultureSpec:
         assert CultureSpec.parse("mallows", phi=0.3).phi == 0.3
         assert CultureSpec.parse(" ic ").kind is CultureKind.IMPARTIAL
 
+    REJECTED = [("mallows", None), ("mallows:phi=", None), ("mallows:theta=2", None),
+                ("urn", None), ("mallows:phi=x", None),
+                # phi applies only to a bare mallows
+                ("ic", 0.5), ("mallows:phi=0.5", 0.2)]
+
     @pytest.mark.parametrize(
-        "text", ["mallows", "mallows:phi=", "mallows:theta=2", "urn", "mallows:phi=x"]
+        "text,phi", REJECTED, ids=[t if p is None else f"{t}-{p}" for t, p in REJECTED]
     )
-    def test_parse_rejects(self, text):
+    def test_parse_rejects(self, text, phi):
         with pytest.raises(ParseError):
-            CultureSpec.parse(text)
+            CultureSpec.parse(text, phi)
 
     def test_describe(self):
         assert CultureSpec.impartial().describe() == "ic"
@@ -342,18 +332,6 @@ class TestMallowsDistribution:
         batch = sample_rankings_batch(2, 5, CultureSpec.mallows(1e-6), 1, 0, 100)
         ident = np.arange(5, dtype=np.int8)
         assert np.array_equal(batch, np.broadcast_to(ident, batch.shape))
-
-    def test_fixed_reference_relabels_identity_output(self):
-        ref = Vote((2, 0, 3, 1))
-        spec = CultureSpec.mallows(0.4, reference=ref)
-        ident = sample_rankings_batch(3, 4, CultureSpec.mallows(0.4), 77, 0, 50)
-        relabeled = sample_rankings_batch(3, 4, spec, 77, 0, 50)
-        assert np.array_equal(relabeled, np.asarray(ref.ranking, dtype=np.int8)[ident])
-
-    def test_fixed_reference_length_checked(self):
-        spec = CultureSpec.mallows(0.4, reference=Vote((1, 0)))
-        with pytest.raises(LengthMismatch):
-            sample_rankings_batch(2, 4, spec, 0, 0, 1)
 
     def test_random_reference_preserves_vote_dispersion(self):
         # drawing a fresh reference per profile relabels candidates, which

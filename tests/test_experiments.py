@@ -113,14 +113,16 @@ class TestCsv:
 
 
 class TestHistogram:
-    def test_rows_cover_population_with_spike(self):
-        result = run_experiment(exhaustive_config(histogram_bins=12))
+    # at 7 bins 1.0 is exactly an edge of the ratio range [3/4, 4/3]
+    @pytest.mark.parametrize("bins", [1, 7, 12])
+    def test_rows_cover_population_with_spike(self, bins):
+        result = run_experiment(exhaustive_config(histogram_bins=bins))
         rows = histogram_rows(result)
         spike_rows = [r for r in rows if r[0] == r[1] == 1.0]
         assert len(spike_rows) == 1
         assert spike_rows[0][2] == result.sweep.spike_count
         assert sum(r[2] for r in rows) == result.sweep.count
-        assert len(rows) == 13
+        assert len(rows) == bins + 1
         lefts = [r[0] for r in rows]
         assert lefts == sorted(lefts)
         # the spike sits exactly where 1.0 belongs in the edge ordering

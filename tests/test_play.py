@@ -145,14 +145,16 @@ class TestMixed:
             rng = random.Random(7100 + trial)
             p, s = random_instance(rng)
             t = mixed_play(p, s, BehaviorAssignment())
-            assert t.winner == spne_outcome(p, s).winner
+            want = spne_outcome(p, s)
+            assert (t.steps, t.winner) == (want.steps, want.winner)
 
     def test_all_sincere_set_is_sincere(self):
         for trial in range(20):
             rng = random.Random(7200 + trial)
             p, s = random_instance(rng)
             t = mixed_play(p, s, BehaviorAssignment(frozenset(range(p.n))))
-            assert t.winner == sincere_play(p, s).winner
+            want = sincere_play(p, s)
+            assert (t.steps, t.winner) == (want.steps, want.winner)
 
     def test_interleaving_invariance(self):
         # every interleaving of fixed sincere/strategic contents ties
