@@ -218,7 +218,8 @@ class TestPositionSampler:
 
     @pytest.mark.parametrize(
         "culture",
-        [IC, CultureSpec.mallows(0.6), CultureSpec.mallows(0.6, random_reference=True)],
+        [IC, CultureSpec.mallows(0.6), CultureSpec.mallows(0.4),
+         CultureSpec.mallows(0.6, random_reference=True)],
     )
     def test_sweep_chunks_concatenate_to_whole(self, culture):
         # sweeps draw MC_CHUNK // n samples per call
