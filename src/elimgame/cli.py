@@ -14,14 +14,7 @@ import sys
 
 from .core import EliminationSequence, format_profile, parse_profile
 from .cultures import CultureSpec
-from .errors import (
-    BudgetExceeded,
-    ElimGameError,
-    InvalidVoter,
-    OutOfDomain,
-    ParseError,
-    Unsatisfiable,
-)
+from .errors import BudgetExceeded, ElimGameError, OutOfDomain, ParseError, Unsatisfiable
 from .experiments import (
     ExperimentConfig,
     render_report,
@@ -45,6 +38,13 @@ EXIT_PARSE = 2
 EXIT_SHAPE = 3
 EXIT_INFEASIBLE = 4
 EXIT_BUDGET = 5
+#: exit status of each error class, subclasses before their bases
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (BudgetExceeded, EXIT_BUDGET),
+    (Unsatisfiable, EXIT_INFEASIBLE),
+    (ElimGameError, EXIT_SHAPE),
+)
 
 #: most histogram bins; each costs about 140 bytes of peak memory
 MAX_BINS = 10**5
@@ -144,7 +144,7 @@ def _read_profile(path: str):
         return parse_profile(fh.read())
 
 
-def _parse_voter_set(text: str, n: int) -> BehaviorAssignment:
+def _parse_voter_set(text: str) -> BehaviorAssignment:
     if not text.strip():
         return BehaviorAssignment(frozenset())
     voters = []
@@ -152,8 +152,6 @@ def _parse_voter_set(text: str, n: int) -> BehaviorAssignment:
         part = part.strip()
         if not part.isdigit() or int(part) < 1:
             raise ParseError(f"bad voter index {part!r} in sincere set")
-        if int(part) > n:
-            raise InvalidVoter(f"voter {part} outside 1..{n}")
         voters.append(int(part) - 1)
     return BehaviorAssignment(frozenset(voters))
 
@@ -168,7 +166,7 @@ def cmd_solve(args) -> int:
     elif args.behavior == "oracle":
         trace = backward_induction(profile, seq)
     else:
-        behavior = _parse_voter_set(args.sincere_set, profile.n)
+        behavior = _parse_voter_set(args.sincere_set)
         trace = mixed_play(profile, seq, behavior)
     print(json.dumps(trace_report(trace, profile), indent=2))
     return EXIT_OK
@@ -256,18 +254,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetExceeded as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except Unsatisfiable as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except ElimGameError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

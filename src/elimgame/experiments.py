@@ -23,7 +23,6 @@ from .sweep import (
     RatioMode,
     SweepResult,
     exhaustive_witness,
-    histogram_edges,
     montecarlo_witness,
     run_exhaustive,
     run_montecarlo,
@@ -96,24 +95,21 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    low, high = ratio_range(config)
-    edges = histogram_edges(low, high, config.histogram_bins)
     if config.culture is None:
         res = run_exhaustive(
             config.sequence, config.n, config.m, config.mode,
-            fix_first=config.fix_first, budget=config.budget,
-            workers=config.workers, edges=edges,
+            fix_first=config.fix_first, budget=config.budget, workers=config.workers,
         )
         witness = exhaustive_witness(config.n, config.m, res.max_index, config.fix_first)
     else:
         res = run_montecarlo(
             config.sequence, config.n, config.m, config.mode, config.culture,
-            config.samples, config.seed, workers=config.workers, edges=edges,
+            config.samples, config.seed, workers=config.workers,
         )
         witness = montecarlo_witness(
             config.n, config.m, config.culture, config.seed, res.max_index
         )
-    return ExperimentResult(config, res, high, witness)
+    return ExperimentResult(config, res, ratio_range(config)[1], witness)
 
 
 def csv_row(result: ExperimentResult) -> str:
@@ -134,14 +130,21 @@ def csv_row(result: ExperimentResult) -> str:
 def histogram_rows(result: ExperimentResult) -> list[tuple[float, float, int]]:
     """(left, right, count) rows, left-ascending, zero-width spike at 1.0.
 
-    Regular bins hold only ratios different from 1; every exact 1 lands in
-    the spike row. Counts sum to the population size.
+    The sweep's exact pair table is binned here and only here: the configured
+    number of equal-width float bins over :func:`ratio_range`, each pair's
+    float ratio going to the bin whose left edge it reaches (values past
+    either end go to the end bins). Regular bins hold only ratios different
+    from 1; every exact 1 lands in the spike row. Counts sum to the
+    population size.
     """
-    edges = result.sweep.hist_edges
-    rows = [
-        (float(edges[i]), float(edges[i + 1]), int(c))
-        for i, c in enumerate(result.sweep.hist_counts)
-    ]
+    low, high = ratio_range(result.config)
+    edges = np.linspace(float(low), float(high), result.config.histogram_bins + 1)
+    num, den, counts = result.sweep.pairs.T
+    off = num != den
+    idx = np.searchsorted(edges, num[off] / den[off], side="right") - 1
+    hist = np.zeros(edges.shape[0] - 1, dtype=np.int64)
+    np.add.at(hist, np.clip(idx, 0, hist.shape[0] - 1), counts[off])
+    rows = [(float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(hist)]
     # the spike goes before the first bin whose left edge is at least 1.0
     rows.insert(int(np.searchsorted(edges[:-1], 1.0)), (1.0, 1.0, result.sweep.spike_count))
     return rows

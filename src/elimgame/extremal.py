@@ -1,12 +1,15 @@
 """Constructions of profiles attaining the worst-case welfare bounds.
 
-Both generators follow the same skeleton. Pick the voter x with the most
-turns (O_max of them). Give every other voter i a private block of o_i
-throwaway candidates at the bottom of her ranking, just below the designated
-strategic winner b; sincere play then makes each voter spend her turns
-eliminating exactly her own block, and the placement of b and the top
-candidates does the rest. The throwaway blocks are pairwise disjoint, which
-is possible because turn counts sum to m - 1.
+Both generators follow the same skeleton. Pick a voter x with the most
+turns (O_max of them): the anarchy construction takes the lowest id, the
+sincerity construction the lowest id that admits its structure. Give every
+other voter i a private block of o_i throwaway candidates at the bottom of
+her ranking, just below the designated strategic winner b; sincere play then
+makes each voter spend her turns eliminating exactly her own block, and the
+placement of b and the top candidates does the rest. Each generator only
+pins those few cells; one routine lays out every block. The throwaway blocks
+are pairwise disjoint, except for the candidate the sincerity construction
+shares, which is possible because turn counts sum to m - 1.
 
 For the anarchy bound the profile makes a near-unanimous favourite a lose
 to b, whose score is pinned at m - 1 + O_max over m - 1 normalised; the
@@ -64,44 +67,47 @@ class ExtremalSpec:
     k: int | None = None
 
 
-def _common_checks(seq: EliminationSequence, n: int, m: int):
+def _common_checks(seq: EliminationSequence, n: int, m: int) -> list[int]:
     if n < 2:
         raise Unsatisfiable("worst-case constructions need at least two voters")
     if m < 2:
         raise Unsatisfiable("worst-case constructions need at least two candidates")
     seq.validate(n, m)
-    occ = seq.occurrences(n)
-    return occ.argmax(), list(occ.counts)
+    return list(seq.occurrences(n).counts)
 
 
-def _fill_rows(slots: list[dict[int, int]], below: list[list[int]],
-               counts: list[int], m: int, reserved: int) -> PreferenceProfile:
+def _helper_pins(counts: list[int], x: int, m: int, top: int, b: int) -> list[dict[int, int]]:
+    """Pins ``{0: top, m - c_i - 1: b}`` of every voter i, b right above her
+    block; the caller replaces x's."""
+    if any(m - c - 1 <= 0 for i, c in enumerate(counts) if i != x):
+        raise Unsatisfiable("a helper voter has too many turns")
+    return [{0: top, m - c - 1: b} for c in counts]
+
+
+def _fill_rows(pins: list[dict[int, int]], counts: list[int], m: int,
+               reserved: int) -> PreferenceProfile:
     """Complete partially pinned rankings into a full profile.
 
-    ``slots[i]`` maps slot -> candidate for voter i's pinned cells;
-    ``below[i]`` lists her still-empty throwaway slots. Free candidates
-    (ids >= reserved) go one each into the below slots, voters in
-    descending-turn-count order, then whatever remains pads the rows top
-    down in id order.
+    ``pins[i]`` maps slot -> candidate for voter i's pinned cells. Her
+    throwaway block is her ``counts[i]`` bottom slots: free candidates
+    (ids >= reserved) go one each into the block slots she has not pinned,
+    voters in descending turn count, then id. Whatever each row still lacks
+    pads it top down in id order.
     """
-    n = len(slots)
     free = list(range(reserved, m))
-    order = sorted(range(n), key=lambda i: (-counts[i], i))
-    for i in order:
-        for slot in below[i]:
-            if not free:
-                raise Unsatisfiable("ran out of throwaway candidates")
-            slots[i][slot] = free.pop(0)
+    for i in sorted(range(len(pins)), key=lambda i: (-counts[i], i)):
+        for slot in range(m - counts[i], m):
+            if slot not in pins[i]:
+                if not free:
+                    raise Unsatisfiable("ran out of throwaway candidates")
+                pins[i][slot] = free.pop(0)
     if free:
         raise Unsatisfiable("unplaced throwaway candidates remain")
     rows = []
-    for i in range(n):
-        used = set(slots[i].values())
-        rest = [c for c in range(m) if c not in used]
-        row = [slots[i].get(s) for s in range(m)]
-        it = iter(rest)
-        row = [c if c is not None else next(it) for c in row]
-        rows.append(row)
+    for row in pins:
+        used = set(row.values())
+        rest = iter([c for c in range(m) if c not in used])
+        rows.append([row[s] if s in row else next(rest) for s in range(m)])
     return PreferenceProfile.from_rankings(rows)
 
 
@@ -115,50 +121,42 @@ def gen_poa_tight(
     voter sincerely burns her own throwaway block, and x, acting last among
     live options, removes a just before the end.
     """
-    x, counts = _common_checks(seq, n, m)
-    o_max = counts[x]
+    counts = _common_checks(seq, n, m)
+    o_max = max(counts)
+    x = counts.index(o_max)
     a, b = 0, 1
-    slots: list[dict[int, int]] = [dict() for _ in range(n)]
-    below: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        if i == x:
-            if m - o_max - 1 < 0:
-                raise Unsatisfiable("too many turns for one voter")
-            slots[i][m - o_max - 1] = b
-            slots[i][m - o_max] = a
-            below[i] = list(range(m - o_max + 1, m))
-        else:
-            if m - counts[i] - 1 <= 0:
-                raise Unsatisfiable("a helper voter has too many turns")
-            slots[i][0] = a
-            slots[i][m - counts[i] - 1] = b
-            below[i] = list(range(m - counts[i], m))
-    profile = _fill_rows(slots, below, counts, m, reserved=2)
+    if m - o_max - 1 < 0:
+        raise Unsatisfiable("too many turns for one voter")
+    pins = _helper_pins(counts, x, m, top=a, b=b)
+    pins[x] = {m - o_max - 1: b, m - o_max: a}
+    profile = _fill_rows(pins, counts, m, reserved=2)
     spec = ExtremalSpec(ExtremalMode.POA, n, m, seq, x=x, b=b, a=a)
     return profile, spec
 
 
-def _structure_search(turns_of: list[list[int]], x: int, length: int):
-    """Find (y, r, k): x takes e before y sincerely, y before x reversed.
+def _structure_search(turns_of: list[list[int]], length: int):
+    """Find (x, y, r, k): x takes e before y sincerely, y before x reversed.
 
-    e will be x's r-th worst and y's k-th worst candidate. Sincere play
-    reaches it at x's r-th turn, reversed play at y's k-th reversed turn,
-    so feasibility is a pure turn-ordering question. Candidates for y are
-    scanned by latest final turn first, which reproduces the block layout
-    (heaviest voters first, helper last) whenever that layout works.
+    x is a voter with the most turns, tried in id order; e will be x's r-th
+    worst and y's k-th worst candidate. Sincere play reaches it at x's r-th
+    turn, reversed play at y's k-th reversed turn, so feasibility is a pure
+    turn-ordering question. Candidates for y are scanned by latest final
+    turn first, which reproduces the block layout (heaviest voters first,
+    helper last) whenever that layout works.
     """
-    o_max = len(turns_of[x])
-    ys = [i for i in range(len(turns_of)) if i != x and turns_of[i]]
-    ys.sort(key=lambda i: (-turns_of[i][-1], i))
-    for y in ys:
-        o_y = len(turns_of[y])
-        for r in range(1, o_max + 1):
-            for k in range(1, o_y + 1):
-                sincere_ok = turns_of[x][r - 1] < turns_of[y][k - 1]
-                ry = length - 1 - turns_of[y][o_y - k]
-                rx = length - 1 - turns_of[x][o_max - r]
-                if sincere_ok and ry < rx:
-                    return y, r, k
+    o_max = max(map(len, turns_of))
+    for x in (i for i, turns in enumerate(turns_of) if len(turns) == o_max):
+        ys = [i for i in range(len(turns_of)) if i != x and turns_of[i]]
+        ys.sort(key=lambda i: (-turns_of[i][-1], i))
+        for y in ys:
+            o_y = len(turns_of[y])
+            for r in range(1, o_max + 1):
+                for k in range(1, o_y + 1):
+                    sincere_ok = turns_of[x][r - 1] < turns_of[y][k - 1]
+                    ry = length - 1 - turns_of[y][o_y - k]
+                    rx = length - 1 - turns_of[x][o_max - r]
+                    if sincere_ok and ry < rx:
+                        return x, y, r, k
     return None
 
 
@@ -172,42 +170,28 @@ def gen_sr_tight(
     the helper y runs out of throwaways and spends her last turn on b;
     under reversed play y removes e first, so x's final turn lands on c
     instead. Raises StructureUnsatisfiable when no voter pair can be
-    ordered that way (palindromic sequences in particular).
+    ordered that way, whichever busiest voter plays x (palindromic
+    sequences in particular).
     """
-    x, counts = _common_checks(seq, n, m)
-    o_max = counts[x]
+    counts = _common_checks(seq, n, m)
+    o_max = max(counts)
     if o_max > m - 2:
         raise StructureUnsatisfiable(
             "the busiest voter's block leaves no room above b and c"
         )
     turns_of = [[t for t, v in enumerate(seq.turns) if v == i] for i in range(n)]
-    found = _structure_search(turns_of, x, len(seq.turns))
+    found = _structure_search(turns_of, len(seq.turns))
     if found is None:
         raise StructureUnsatisfiable(
             f"sequence {seq.compact()} admits no bound-attaining profile: "
             "no helper voter can trade the shared candidate across orderings"
         )
-    y, r, k = found
+    x, y, r, k = found
     c, b, e = 0, 1, 2
-    slots: list[dict[int, int]] = [dict() for _ in range(n)]
-    below: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        if i == x:
-            slots[i][m - o_max - 2] = b
-            slots[i][m - o_max - 1] = c
-            slots[i][m - r] = e
-            below[i] = [s for s in range(m - o_max, m) if s != m - r]
-        else:
-            if m - counts[i] - 1 <= 0:
-                raise Unsatisfiable("a helper voter has too many turns")
-            slots[i][0] = c
-            slots[i][m - counts[i] - 1] = b
-            if i == y:
-                slots[i][m - k] = e
-                below[i] = [s for s in range(m - counts[i], m) if s != m - k]
-            else:
-                below[i] = list(range(m - counts[i], m))
-    profile = _fill_rows(slots, below, counts, m, reserved=3)
+    pins = _helper_pins(counts, x, m, top=c, b=b)
+    pins[x] = {m - o_max - 2: b, m - o_max - 1: c, m - r: e}
+    pins[y][m - k] = e
+    profile = _fill_rows(pins, counts, m, reserved=3)
     spec = ExtremalSpec(
         ExtremalMode.SR, n, m, seq, x=x, b=b, c=c, e=e, y=y, r=r, k=k
     )

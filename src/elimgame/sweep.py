@@ -6,9 +6,9 @@ Each welfare ratio is a quotient of two integer Borda scores in
 enumeration or sample index that produced it. Chunks build such tables,
 which merge exactly in any order, so results are bit-identical for every
 worker count and chunk size. The count, the exact mean and variance, the
-spike at exactly 1, the extremes with their indices (equal ratios such as
-2/4 and 3/6 going to the lowest index) and the histogram are all read off
-the final table.
+spike at exactly 1 and the extremes with their indices (equal ratios such
+as 2/4 and 3/6 going to the lowest index) are read off the final table,
+which the result also carries for reports to bin.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -117,7 +117,10 @@ class SweepResult:
 
     ``max_index``/``min_index`` identify the first profile attaining each
     extreme: an enumeration rank for exhaustive sweeps, a sample index for
-    Monte-Carlo ones.
+    Monte-Carlo ones. ``pairs`` is the whole population as a ``(k, 3)``
+    int64 array of ``(num, den, count)`` rows, one per distinct Borda-score
+    pair, in ``(den, num)`` order; every field but the two indices is read
+    off it.
     """
 
     mode: RatioMode
@@ -129,15 +132,14 @@ class SweepResult:
     min_ratio: Fraction
     min_index: int
     spike_count: int
-    hist_edges: np.ndarray | None = None
-    hist_counts: np.ndarray | None = None
+    pairs: np.ndarray = field(compare=False, repr=False)
 
     @property
     def std(self) -> float:
         return sqrt(float(self.variance))
 
 
-def _finish(summary: _Summary, mode: RatioMode, edges) -> SweepResult:
+def _finish(summary: _Summary, mode: RatioMode) -> SweepResult:
     keys, counts, tags = summary.table()
     den, num = np.divmod(keys, summary.base)
     # Keys ascend by (den, num), so each denominator's rows form one run
@@ -160,12 +162,6 @@ def _finish(summary: _Summary, mode: RatioMode, edges) -> SweepResult:
         return [(Fraction(int(num[i]), int(den[i])), int(tags[i])) for i in rows]
     max_ratio, max_index = min(candidates(tails), key=lambda p: (-p[0], p[1]))
     min_ratio, min_index = min(candidates(heads))
-    hist = None
-    if edges is not None:
-        off = num != den
-        idx = np.searchsorted(edges, num[off] / den[off], side="right") - 1
-        hist = np.zeros(len(edges) - 1, dtype=np.int64)
-        np.add.at(hist, np.clip(idx, 0, hist.shape[0] - 1), counts[off])
     return SweepResult(
         mode=mode,
         count=n_total,
@@ -176,8 +172,7 @@ def _finish(summary: _Summary, mode: RatioMode, edges) -> SweepResult:
         min_ratio=min_ratio,
         min_index=min_index,
         spike_count=int(counts[num == den].sum()),
-        hist_edges=edges,
-        hist_counts=hist,
+        pairs=np.column_stack((num, den, counts)),
     )
 
 
@@ -280,13 +275,6 @@ def _run_chunks(fn, static, total: int, chunk: int, workers: int) -> _Summary:
     return merged
 
 
-def histogram_edges(low: Fraction, high: Fraction, bins: int) -> np.ndarray:
-    """Equal-width bin edges over [low, high]."""
-    if bins < 1:
-        raise ValueError("need at least one bin")
-    return np.linspace(float(low), float(high), bins + 1)
-
-
 def run_exhaustive(
     seq: EliminationSequence,
     n: int,
@@ -295,14 +283,12 @@ def run_exhaustive(
     fix_first: bool = True,
     budget: int | None = None,
     workers: int = 1,
-    edges: np.ndarray | None = None,
 ) -> SweepResult:
     """Evaluate the ratio on every profile of the enumeration.
 
     With ``fix_first`` (the default) voter 1 is pinned to the identity
     ranking; ratios are relabelling-invariant, so the reduced space carries
-    the same distribution at 1/m! the cost. ``edges`` (ascending) adds a
-    histogram of the ratios other than exactly 1.
+    the same distribution at 1/m! the cost.
     """
     seq.validate(n, m)
     total = enumeration_size(n, m, fix_first)
@@ -317,7 +303,7 @@ def run_exhaustive(
     summary = _run_chunks(
         _exhaustive_chunk, static, total, EXHAUSTIVE_OUTER_CHUNK * batch, workers
     )
-    return _finish(summary, mode, edges)
+    return _finish(summary, mode)
 
 
 def run_montecarlo(
@@ -329,12 +315,11 @@ def run_montecarlo(
     samples: int,
     seed: int,
     workers: int = 1,
-    edges: np.ndarray | None = None,
 ) -> SweepResult:
     """Evaluate the ratio on ``samples`` profiles drawn from ``culture``.
 
     Sample ``i`` is a pure function of ``(seed, i)``; chunking and worker
-    count never change any output bit. ``edges`` as in :func:`run_exhaustive`.
+    count never change any output bit.
     """
     seq.validate(n, m)
     if samples < 1:
@@ -343,7 +328,7 @@ def run_montecarlo(
         raise ValueError(f"seed must lie in 0..2**64-1, got {seed}")
     static = (seq.turns, seq.reverse().turns, n, m, mode, culture, seed)
     summary = _run_chunks(_montecarlo_chunk, static, samples, max(1, MC_CHUNK // n), workers)
-    return _finish(summary, mode, edges)
+    return _finish(summary, mode)
 
 
 def exhaustive_witness(n: int, m: int, index: int, fix_first: bool = True) -> PreferenceProfile:

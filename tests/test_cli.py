@@ -122,6 +122,7 @@ class TestExitCodes:
             "--behavior", "mixed", "--sincere-set", "9",
         )
         assert code == 3
+        assert err == "error [INVALID_VOTER]: voter 9 outside 1..3\n"
 
     def test_bad_sincere_set_text_is_2(self, tmp_path, capsys):
         path = write(tmp_path, EXAMPLE2)
@@ -326,6 +327,17 @@ class TestExtremalAndBounds:
         report = json.loads(out.strip().splitlines()[-1])
         assert report["achieved"]["num"] == 16 and report["achieved"]["den"] == 7
         assert report["attained"] is True
+
+    def test_extremal_sr_tied_busiest_voters(self, capsys):
+        # voters 1 and 2 both have two turns; only voter 2 admits a helper
+        code, out, _ = run_main(
+            capsys, "extremal", "--n", "2", "--m", "5",
+            "--sequence", "2,1,2,1", "--mode", "sr",
+        )
+        assert code == 0
+        report = json.loads(out.strip().splitlines()[-1])
+        assert report["attained"] is True and report["x"] == 2
+        assert report["achieved"]["num"] == 6 and report["achieved"]["den"] == 5
 
     def test_bounds(self, capsys):
         code, out, _ = run_main(

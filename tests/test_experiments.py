@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from elimgame import (
@@ -21,6 +22,7 @@ from elimgame.experiments import (
     render_report,
     write_histogram_csv,
 )
+from elimgame.cultures import enumerate_profiles
 from elimgame.sweep import run_exhaustive
 from helpers import seq, seq_from
 
@@ -131,6 +133,24 @@ class TestHistogram:
             assert rows[i - 1][0] < 1.0
         if i + 1 < len(rows):
             assert rows[i + 1][0] >= 1.0
+
+    def test_counts_cover_offspike_mass(self):
+        # rebuild the bins from the naive value list: float ratios against
+        # equal-width edges over the provable range, the ends clipped
+        cfg = exhaustive_config(n=3, sequence=seq(1, 2, 3), mode=RatioMode.CB,
+                                histogram_bins=10)
+        rows = histogram_rows(run_experiment(cfg))
+        low, high = ratio_range(cfg)
+        edges = np.linspace(float(low), float(high), 11)
+        expect = [0] * 10
+        for p in enumerate_profiles(3, 4):
+            v = ratio_cb(p, cfg.sequence)
+            if v != 1:
+                idx = int(np.searchsorted(edges, float(v), side="right")) - 1
+                expect[min(max(idx, 0), 9)] += 1
+        bins = [r for r in rows if r[0] != r[1]]
+        assert [r[2] for r in bins] == expect
+        assert [r[0] for r in bins] + [bins[-1][1]] == edges.tolist()
 
     def test_csv_file(self, tmp_path):
         result = run_experiment(exhaustive_config(histogram_bins=5))

@@ -159,8 +159,9 @@ class TestSincerityTight:
             gen_sr_tight(seq(1, 1, 1), 2, 4)
 
     def test_refusals_are_honest(self):
-        # where the generator refuses, no profile attains the bound either;
-        # where it builds one, nothing in the full space beats it
+        # at (2, 4): where the generator refuses, no profile attains the
+        # bound either; where it builds one, nothing in the full space beats
+        # it (TestBoundAudit checks the same over larger spaces)
         for turns in itertools.product([1, 2], repeat=3):
             s = seq(*turns)
             bound = sr_bound_for_sequence(s, 2, 4)
@@ -175,6 +176,29 @@ class TestSincerityTight:
     def test_rejects_single_voter(self):
         with pytest.raises(Unsatisfiable):
             gen_sr_tight(seq(1, 1, 1), 1, 4)
+
+
+class TestBoundAudit:
+    """Both bounds against exhaustive sweeps of every sequence at small sizes.
+
+    The anarchy bound is always reached. The sincerity bound is never
+    exceeded, and it is reached exactly where gen_sr_tight builds a profile,
+    which then attains it; tied busiest voters each get a turn as x.
+    """
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5)])
+    def test_every_sequence(self, n, m):
+        for turns in itertools.product(range(1, n + 1), repeat=m - 1):
+            s = seq(*turns)
+            assert run_exhaustive(s, n, m, RatioMode.AB).max_ratio == poa_for_sequence(s, n, m), s
+            bound = sr_bound_for_sequence(s, n, m)
+            true_max = run_exhaustive(s, n, m, RatioMode.CB).max_ratio
+            try:
+                p, _ = gen_sr_tight(s, n, m)
+            except StructureUnsatisfiable:
+                assert true_max < bound, s
+            else:
+                assert ratio_cb(p, s) == bound == true_max, s
 
 
 class TestVerifyAndDispatch:

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from math import factorial
@@ -13,6 +14,8 @@ from elimgame import (
     ZeroWelfare,
     ratio_ab,
     ratio_cb,
+    sincere_play,
+    spne_outcome,
 )
 from elimgame import sweep
 from elimgame.core import EliminationSequence
@@ -21,7 +24,6 @@ from elimgame.sweep import (
     SweepResult,
     _Summary,
     exhaustive_witness,
-    histogram_edges,
     montecarlo_witness,
     run_exhaustive,
     run_montecarlo,
@@ -124,6 +126,27 @@ class TestExhaustiveExactness:
         assert_matches(run_exhaustive(s, 2, 4, RatioMode.CB, fix_first=False), want)
         assert want["count"] == 576
 
+    @pytest.mark.parametrize("mode", [RatioMode.AB, RatioMode.CB])
+    def test_pairs_are_the_population(self, mode):
+        # the published table, rebuilt from every profile's two Borda scores
+        s = seq(1, 2, 3)
+        res = run_exhaustive(s, 3, 4, mode)
+        want = Counter()
+        for p in enumerate_profiles(3, 4):
+            den = p.borda_score(spne_outcome(p, s).winner)
+            if mode is RatioMode.CB:
+                num = p.borda_score(sincere_play(p, s).winner)
+            else:
+                num = max(p.borda_score(c) for c in range(p.m))
+            want[den, num] += 1
+        assert res.pairs.dtype == np.int64
+        assert res.pairs.tolist() == [[num, den, want[den, num]] for den, num in sorted(want)]
+        num, den, count = res.pairs.T
+        assert count.sum() == res.count
+        assert count[num == den].sum() == res.spike_count
+        weighted = sum(Fraction(c * a, b) for a, b, c in res.pairs.tolist())
+        assert weighted / res.count == res.mean
+
     def test_single_profile_space(self):
         # one voter pinned to the identity: the population is a single profile
         res = run_exhaustive(seq(1, 1), 1, 3, RatioMode.AB, fix_first=True)
@@ -141,21 +164,16 @@ class TestExhaustiveExactness:
 class TestDeterminism:
     def test_worker_count_is_invisible_exhaustive(self):
         s = seq(1, 2, 3)
-        edges = histogram_edges(Fraction(1, 2), Fraction(2), 8)
-        a = run_exhaustive(s, 3, 4, RatioMode.CB, workers=1, edges=edges)
-        b = run_exhaustive(s, 3, 4, RatioMode.CB, workers=4, edges=edges)
-        assert a.mean == b.mean and a.variance == b.variance
-        assert (a.max_ratio, a.max_index) == (b.max_ratio, b.max_index)
-        assert (a.min_ratio, a.min_index) == (b.min_ratio, b.min_index)
-        assert a.spike_count == b.spike_count
-        assert np.array_equal(a.hist_counts, b.hist_counts)
+        a = run_exhaustive(s, 3, 4, RatioMode.CB, workers=1)
+        b = run_exhaustive(s, 3, 4, RatioMode.CB, workers=4)
+        assert_same_result(a, b)
 
     def test_worker_count_is_invisible_montecarlo(self):
         s = seq(1, 2, 2, 1, 3)
         kw = dict(culture=CultureSpec.mallows(0.7), samples=3000, seed=11)
         a = run_montecarlo(s, 3, 6, RatioMode.AB, workers=1, **kw)
         b = run_montecarlo(s, 3, 6, RatioMode.AB, workers=3, **kw)
-        assert a == b
+        assert_same_result(a, b)
 
     def test_chunk_size_is_invisible_montecarlo(self, monkeypatch):
         s = seq(1, 2, 1)
@@ -163,12 +181,11 @@ class TestDeterminism:
         whole = run_montecarlo(s, 2, 4, RatioMode.CB, **kw)
         monkeypatch.setattr("elimgame.sweep.MC_CHUNK", 64)
         chunked = run_montecarlo(s, 2, 4, RatioMode.CB, **kw)
-        assert whole == chunked
+        assert_same_result(whole, chunked)
 
     def test_word_budget_chunks_are_invisible(self, monkeypatch):
         s = seq(1, 2, 3, 1, 2)
-        edges = histogram_edges(Fraction(1, 2), Fraction(2), 12)
-        kw = dict(culture=CultureSpec.mallows(0.6), seed=9, edges=edges)
+        kw = dict(culture=CultureSpec.mallows(0.6), seed=9)
         whole = {k: run_montecarlo(s, 3, 6, RatioMode.CB, samples=k, **kw) for k in (40, 2000)}
         counts = []
         chunk = sweep._montecarlo_chunk
@@ -201,7 +218,6 @@ class TestDeterminism:
             assert counts == [rows, 1]
 
     def test_exhaustive_chunk_size_is_invisible(self, monkeypatch):
-        edges = histogram_edges(Fraction(1, 2), Fraction(2), 12)
         # (sequence, n, m, fix_first, batch rows); m = 8 plays on rank
         # positions whatever the table limit
         cases = [
@@ -212,7 +228,7 @@ class TestDeterminism:
             (seq(1, 2, 1, 2, 1, 2, 1), 2, 8, True, 1000),
         ]
         for s, n, m, fix_first, batch in cases:
-            kw = dict(fix_first=fix_first, edges=edges)
+            kw = dict(fix_first=fix_first)
             whole = run_exhaustive(s, n, m, RatioMode.CB, **kw)
             # batches that do not divide m!, three batches a chunk
             assert factorial(m) % batch
@@ -354,44 +370,10 @@ class TestWorstTablePath:
         ],
     )
     def test_same_result_as_position_kernel(self, monkeypatch, s, n, m, mode, fix_first):
-        edges = histogram_edges(Fraction(1, 2), Fraction(2), 9)
-        kw = dict(fix_first=fix_first, edges=edges)
-        table = run_exhaustive(s, n, m, mode, **kw)
+        table = run_exhaustive(s, n, m, mode, fix_first=fix_first)
         monkeypatch.setattr("elimgame.sweep.WORST_TABLE_MAX_M", 0)
-        plain = run_exhaustive(s, n, m, mode, **kw)
-        for field in fields(SweepResult):
-            a, b = getattr(table, field.name), getattr(plain, field.name)
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b), field.name
-            else:
-                assert a == b, field.name
-
-
-class TestHistogram:
-    def test_counts_cover_offspike_mass(self):
-        s = seq(1, 2, 3)
-        edges = histogram_edges(Fraction(1, 2), Fraction(2), 10)
-        res = run_exhaustive(s, 3, 4, RatioMode.CB, edges=edges)
-        assert res.hist_counts.sum() == res.count - res.spike_count
-        assert len(res.hist_edges) == 11
-        # rebuild the histogram from the naive value list
-        fn = ratio_cb
-        vals = [fn(p, s) for p in enumerate_profiles(3, 4)]
-        expect = np.zeros(10, dtype=np.int64)
-        for v in vals:
-            if v == 1:
-                continue
-            idx = int(np.searchsorted(edges, float(v), side="right")) - 1
-            expect[min(max(idx, 0), 9)] += 1
-        assert np.array_equal(res.hist_counts, expect)
-
-    def test_edges_validation(self):
-        with pytest.raises(ValueError):
-            histogram_edges(Fraction(1), Fraction(2), 0)
-
-    def test_no_histogram_by_default(self):
-        res = run_exhaustive(seq(1, 2, 1), 2, 4, RatioMode.AB)
-        assert res.hist_counts is None and res.hist_edges is None
+        plain = run_exhaustive(s, n, m, mode, fix_first=fix_first)
+        assert_same_result(table, plain)
 
 
 class TestSummary:
@@ -409,13 +391,13 @@ class TestSummary:
         # 1/2, 2/4, 3/6 and 3/2, 6/4, 9/6 are two ratios under six keys
         a = [(10, [(2, 4), (6, 4), (5, 5)]), (20, [(1, 2), (3, 2)])]
         b = [(3, [(5, 5), (3, 6), (9, 6)]), (30, [(1, 2)])]
-        alone = sweep._finish(self.build(9, a), RatioMode.CB, None)
+        alone = sweep._finish(self.build(9, a), RatioMode.CB)
         assert (alone.min_ratio, alone.min_index) == (Fraction(1, 2), 10)
         assert (alone.max_ratio, alone.max_index) == (Fraction(3, 2), 11)
         for first, second in [(a, b), (b, a)]:
             merged = self.build(9, first)
             merged.merge(self.build(9, second))
-            res = sweep._finish(merged, RatioMode.CB, None)
+            res = sweep._finish(merged, RatioMode.CB)
             assert (res.min_ratio, res.min_index) == (Fraction(1, 2), 4)
             assert (res.max_ratio, res.max_index) == (Fraction(3, 2), 5)
             assert res.count == 9 and res.spike_count == 2
@@ -427,8 +409,7 @@ class TestSummary:
         # sums stop being exact
         d = 1 << 27
         pairs = [(d, d - 1), (d - 1, d), (d - 3, d - 5), (d, d), (d - 1, d), (7, d)]
-        res = sweep._finish(self.build(d, [(0, pairs[:3]), (3, pairs[3:])]),
-                            RatioMode.AB, None)
+        res = sweep._finish(self.build(d, [(0, pairs[:3]), (3, pairs[3:])]), RatioMode.AB)
         vals = [Fraction(num, den) for num, den in pairs]
         mean = sum(vals, Fraction(0)) / len(vals)
         assert res.count == len(vals)
