@@ -76,11 +76,10 @@ def _common_checks(seq: EliminationSequence, n: int, m: int) -> list[int]:
     return list(seq.occurrences(n).counts)
 
 
-def _helper_pins(counts: list[int], x: int, m: int, top: int, b: int) -> list[dict[int, int]]:
+def _helper_pins(counts: list[int], m: int, top: int, b: int) -> list[dict[int, int]]:
     """Pins ``{0: top, m - c_i - 1: b}`` of every voter i, b right above her
-    block; the caller replaces x's."""
-    if any(m - c - 1 <= 0 for i, c in enumerate(counts) if i != x):
-        raise Unsatisfiable("a helper voter has too many turns")
+    block; the caller replaces x's. A voter other than x has at most
+    (m - 1) / 2 turns, so her b slot always lies below her top slot."""
     return [{0: top, m - c - 1: b} for c in counts]
 
 
@@ -98,11 +97,9 @@ def _fill_rows(pins: list[dict[int, int]], counts: list[int], m: int,
     for i in sorted(range(len(pins)), key=lambda i: (-counts[i], i)):
         for slot in range(m - counts[i], m):
             if slot not in pins[i]:
-                if not free:
-                    raise Unsatisfiable("ran out of throwaway candidates")
+                assert free, "ran out of throwaway candidates"
                 pins[i][slot] = free.pop(0)
-    if free:
-        raise Unsatisfiable("unplaced throwaway candidates remain")
+    assert not free, "unplaced throwaway candidates remain"
     rows = []
     for row in pins:
         used = set(row.values())
@@ -125,9 +122,7 @@ def gen_poa_tight(
     o_max = max(counts)
     x = counts.index(o_max)
     a, b = 0, 1
-    if m - o_max - 1 < 0:
-        raise Unsatisfiable("too many turns for one voter")
-    pins = _helper_pins(counts, x, m, top=a, b=b)
+    pins = _helper_pins(counts, m, top=a, b=b)
     pins[x] = {m - o_max - 1: b, m - o_max: a}
     profile = _fill_rows(pins, counts, m, reserved=2)
     spec = ExtremalSpec(ExtremalMode.POA, n, m, seq, x=x, b=b, a=a)
@@ -188,7 +183,7 @@ def gen_sr_tight(
         )
     x, y, r, k = found
     c, b, e = 0, 1, 2
-    pins = _helper_pins(counts, x, m, top=c, b=b)
+    pins = _helper_pins(counts, m, top=c, b=b)
     pins[x] = {m - o_max - 2: b, m - o_max - 1: c, m - r: e}
     pins[y][m - k] = e
     profile = _fill_rows(pins, counts, m, reserved=3)

@@ -11,6 +11,7 @@ game tree instead and exists to validate that shortcut, not to be fast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -192,8 +193,9 @@ def play_batch_winners(positions, turns) -> np.ndarray:
     ``(1, m)`` int array of 0-based rank slots (broadcast across the batch).
     Returns the ``(B,)`` winners. This is the hot kernel behind the
     Monte-Carlo sweeps and the exhaustive sweeps too large for
-    :func:`table_batch_winners`; the scalar functions above stay the
-    readable reference implementation.
+    :func:`table_batch_winners`, which plays ranking ids through a table of
+    next alive masks instead; the scalar functions above stay the readable
+    reference implementation.
 
     Each turn works slot-major on the voters' ``(m, B)`` transposes: it
     multiplies the acting voter's slots by an ``(m, B)`` alive mask, reduces
@@ -214,44 +216,72 @@ def play_batch_winners(positions, turns) -> np.ndarray:
     return alive.argmax(axis=0)
 
 
-def worst_alive_table(pos: np.ndarray) -> np.ndarray:
-    """``W[r, mask]``: the candidate in ``mask`` that ranking ``r`` puts lowest.
+def next_mask_table(pos: np.ndarray) -> np.ndarray:
+    """``N[r, mask]``: ``mask`` without the candidate ranking ``r`` puts lowest.
 
     ``pos`` is an ``(R, m)`` position table (``pos[r, c]`` is the slot of
-    candidate ``c`` in ranking ``r``); the result is ``(R, 2**m)`` int8, with
-    ``W[r, 0]`` unused. Masks are filled in increasing order from the mask
-    without their lowest candidate ``c``: the worst of ``mask`` is ``c`` when
-    ``c`` sits below the worst of the rest, else the worst of the rest.
+    candidate ``c`` in ranking ``r``) with ``m <= 8``; the result is
+    ``(R, 2**m)`` uint8, with ``N[r, 0]`` unused. Masks are filled in
+    increasing order from the mask without their lowest candidate ``c``:
+    when ``c`` sits below the rest's lowest slot ``c`` leaves, else the
+    rest's lowest leaves and ``c`` stays. Every array is one byte per entry,
+    so building the table peaks at about twice its size.
     """
     rows, m = pos.shape
     cols = np.ascontiguousarray(pos.T)
-    worst = np.zeros((rows, 1 << m), dtype=np.int8)
-    # slot[mask]: the slot of worst[:, mask]; -1 below every slot for mask 0
+    table = np.zeros((rows, 1 << m), dtype=np.uint8)
+    # slot[mask]: the lowest slot among mask's candidates; -1 for mask 0
     slot = np.full((1 << m, rows), -1, dtype=np.int8)
     for mask in range(1, 1 << m):
         c = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << c)
-        worst[:, mask] = np.where(cols[c] > slot[rest], c, worst[:, rest])
+        table[:, mask] = np.where(cols[c] > slot[rest], rest, table[:, rest] | (1 << c))
         np.maximum(slot[rest], cols[c], out=slot[mask])
-    return worst
+    return table
 
 
 def table_batch_winners(table: np.ndarray, ids, turns) -> np.ndarray:
     """Vectorised sincere play over a batch of profiles given as ranking ids.
 
-    ``table`` is a :func:`worst_alive_table`; ``ids`` is indexed by voter id
-    and entry ``v`` is a ranking id (a row of the position table the table
-    was built from) or a ``(B,)`` int array of them. Each turn is one gather:
-    the acting voter's worst alive candidate leaves the alive bitmask.
-    Returns the ``(B,)`` winners, equal to :func:`play_batch_winners` on the
-    matching position rows.
+    ``table`` is a :func:`next_mask_table`; ``ids`` is indexed by voter id
+    and entry ``v`` is one ranking id (a row of the position table the
+    table was built from) for the whole batch, or a ``(B,)`` int array of
+    them. Returns the ``(B,)`` winners, equal to :func:`play_batch_winners`
+    on the matching position rows.
+
+    Only the array voters' turns touch rows. Until the first of them the
+    alive mask is one Python int. After it, each run of scalar turns
+    composes into one ``2**m``-entry map of masks, and each array turn is
+    one gather from the flat table at ``(id << m) + mask``, with each array
+    voter's ids shifted once per call. The winner is read through a
+    mask-to-candidate map composed after the trailing run; a batch whose
+    array voters never act gets one winner for every row.
     """
     size = table.shape[1]
     m = size.bit_length() - 1
-    off = [np.asarray(i, dtype=np.intp) << m for i in ids]
-    bit = np.left_shift(1, np.arange(m, dtype=np.intp))
-    alive = np.full(max(o.size for o in off), size - 1, dtype=np.intp)
+    flat = table.reshape(-1)
+    # an array voter's row offsets in the flat table; scalar voters stay ids
+    rows = [i << m if isinstance(i, np.ndarray) else i for i in ids]
+    alive, run = size - 1, None
     for voter in turns:
-        alive -= bit.take(table.take(off[voter] + alive))
-    # row 0 of the table names the single candidate of a one-bit mask
-    return table.take(alive)
+        i = rows[voter]
+        if isinstance(i, np.ndarray):
+            if run is not None:
+                alive, run = run.take(alive), None
+            alive = flat.take(i + alive)
+        elif isinstance(alive, int):
+            alive = int(table[i, alive])
+        else:
+            run = table[i] if run is None else table[i].take(run)
+    lone = _lone_candidate(m)
+    if isinstance(alive, int):
+        return np.full(max(np.size(i) for i in ids), lone[alive])
+    return (lone if run is None else lone.take(run)).take(alive)
+
+
+@lru_cache(maxsize=8)
+def _lone_candidate(m: int) -> np.ndarray:
+    """The candidate of each one-bit mask of ``m`` candidates (0 elsewhere)."""
+    lone = np.zeros(1 << m, dtype=np.intp)
+    lone[1 << np.arange(m)] = np.arange(m)
+    return lone

@@ -37,15 +37,16 @@ from .cultures import (
     sample_rankings_batch,
 )
 from .errors import BudgetExceeded, ZeroWelfare
-from .play import play_batch_winners, table_batch_winners, worst_alive_table
+from .play import next_mask_table, play_batch_winners, table_batch_winners
 
 #: batches per exhaustive chunk. A batch fixes every voter but the last and
 #: runs the last voter over up to min(m!, max(1, MC_CHUNK // n)) consecutive
 #: ranking ids, so a chunk is a range of at most EXHAUSTIVE_OUTER_CHUNK
 #: batches' worth of consecutive profile indices
 EXHAUSTIVE_OUTER_CHUNK = 64
-#: largest m whose exhaustive sweeps play through a worst-alive table
-#: (m! * 2**m int8 per process: 0.62 MiB at m=7, 9.8 MiB at m=8)
+#: largest m whose exhaustive sweeps play ranking ids through a next-mask
+#: table (m! * 2**m uint8 per process: 0.62 MiB at m=7, 9.8 MiB at m=8; a
+#: uint8 mask holds at most 8 candidates)
 WORST_TABLE_MAX_M = 7
 #: voter rows per Monte-Carlo chunk: a chunk holds max(1, MC_CHUNK // n)
 #: samples, so one 8-byte sampling-word row is 512 KiB and every array the
@@ -176,33 +177,31 @@ def _finish(summary: _Summary, mode: RatioMode) -> SweepResult:
     )
 
 
-def _evaluate(winners, scores, turns, rev_turns, mode):
-    """(numerator, denominator) arrays for one batch.
+def _evaluate(winners, score, best, turns, rev_turns, mode):
+    """(numerator, denominator) int64 arrays for one batch.
 
     ``winners(turns)`` plays the batch sincerely on ``turns``; the strategic
-    winner is sincere play on the reversed sequence.
+    winner is sincere play on the reversed sequence. ``score(w)`` is each
+    row's Borda score of its candidate in ``w`` and ``best()`` each row's
+    highest Borda score.
     """
-    spne = winners(rev_turns)
-    rows = np.arange(spne.shape[0])
-    den = scores[rows, spne].astype(np.int64)
-    if mode is RatioMode.CB:
-        num = scores[rows, winners(turns)].astype(np.int64)
-    else:
-        num = scores.max(axis=1).astype(np.int64)
+    den = score(winners(rev_turns))
+    num = score(winners(turns)) if mode is RatioMode.CB else best()
     return num, den
 
 
 @lru_cache(maxsize=2)
-def _worst_table(m: int) -> np.ndarray:
-    return worst_alive_table(permutation_table(m))
+def _next_mask_table(m: int) -> np.ndarray:
+    return next_mask_table(permutation_table(m))
 
 
 def _exhaustive_chunk(args) -> _Summary:
     turns, rev_turns, n, m, mode, fix_first, batch, start, count = args
     pos = permutation_table(m)
     fact = pos.shape[0]
-    table = _worst_table(m) if m <= WORST_TABLE_MAX_M else None
+    table = _next_mask_table(m) if m <= WORST_TABLE_MAX_M else None
     summary = _Summary(n * (m - 1))
+    span = None
     index, end = start, start + count
     while index < end:
         # Every voter but the last keeps one ranking id; the last voter's ids
@@ -210,14 +209,24 @@ def _exhaustive_chunk(args) -> _Summary:
         ids = ranking_ids(n, m, index, fix_first)
         low = ids.pop()
         high = min(fact, low + batch, low + end - index)
-        # Borda scores n(m-1) - slot sums
-        fixed = n * (m - 1) - pos[ids].sum(axis=0, dtype=np.int32)
-        scores = np.subtract(fixed, pos[low:high], dtype=np.int32)
+        if span != (low, high):
+            # most batches of a chunk share one range: E1's are all 0..5039
+            span, last = (low, high), np.arange(low, high)
+            cells = last * m
+        # Borda scores n(m-1) - slot sums: a row's score of candidate w is
+        # fixed[w] - pos[last, w], two flat gathers
+        fixed = n * (m - 1) - pos[ids].sum(axis=0, dtype=np.int64)
+        last_pos = pos[low:high]
         if table is None:
-            winners = partial(play_batch_winners, [pos[i:i + 1] for i in ids] + [pos[low:high]])
+            winners = partial(play_batch_winners, [pos[i:i + 1] for i in ids] + [last_pos])
         else:
-            winners = partial(table_batch_winners, table, ids + [np.arange(low, high)])
-        num, den = _evaluate(winners, scores, turns, rev_turns, mode)
+            winners = partial(table_batch_winners, table, ids + [last])
+        num, den = _evaluate(
+            winners,
+            lambda w: fixed.take(w) - pos.take(cells + w),
+            lambda: np.subtract(fixed, last_pos, dtype=np.int32).max(axis=1).astype(np.int64),
+            turns, rev_turns, mode,
+        )
         summary.absorb_batch(num, den, index)
         index += high - low
     return summary
@@ -230,8 +239,12 @@ def _montecarlo_chunk(args) -> _Summary:
     scores = pos.sum(axis=1, dtype=np.int32)
     np.subtract(n * (m - 1), scores, out=scores)
     summary = _Summary(n * (m - 1))
+    rows = np.arange(scores.shape[0])
     num, den = _evaluate(
-        partial(play_batch_winners, pos.swapaxes(0, 1)), scores, turns, rev_turns, mode
+        partial(play_batch_winners, pos.swapaxes(0, 1)),
+        lambda w: scores[rows, w].astype(np.int64),
+        lambda: scores.max(axis=1).astype(np.int64),
+        turns, rev_turns, mode,
     )
     summary.absorb_batch(num, den, start)
     return summary

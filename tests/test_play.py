@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from elimgame import (
 from elimgame.cultures import permutation_table
 from elimgame.play import (
     GameTrace,
+    next_mask_table,
     play_batch_winners,
     table_batch_winners,
     trace_report,
-    worst_alive_table,
 )
 from helpers import profile, random_instance, random_sequence, seq
 
@@ -360,33 +361,47 @@ class TestInPlaceKernel:
 
 
 class TestWorstAliveTable:
+    """The next-mask table and the kernel that plays ranking ids through it."""
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_every_entry_is_the_lowest_alive(self, m):
+        # every entry is the mask minus its lowest-ranked alive candidate
         pos = permutation_table(m)
-        table = worst_alive_table(pos)
-        assert table.shape == (pos.shape[0], 1 << m) and table.dtype == np.int8
+        table = next_mask_table(pos)
+        assert table.shape == (pos.shape[0], 1 << m) and table.dtype == np.uint8
         for r in range(pos.shape[0]):
             for mask in range(1, 1 << m):
                 alive = [c for c in range(m) if mask >> c & 1]
-                assert table[r, mask] == max(alive, key=lambda c: pos[r, c])
+                assert table[r, mask] == mask ^ 1 << max(alive, key=lambda c: pos[r, c])
+
+    def test_building_the_largest_table_stays_in_bytes(self):
+        # the m = 7 table is 0.62 MiB; one intp temporary of its shape is 4.9 MiB
+        pos = permutation_table(7)
+        tracemalloc.start()
+        try:
+            next_mask_table(pos)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     def test_kernel_matches_position_kernel(self, m):
         rng = np.random.default_rng(70 + m)
         pos = permutation_table(m)
-        table = worst_alive_table(pos)
+        table = next_mask_table(pos)
         fact = pos.shape[0]
         for _ in range(10):
             n = int(rng.integers(1, 5))
             B = int(rng.integers(1, 50))
-            # each voter is one scalar id for the whole batch or one id per row
+            # each voter is one scalar id for the whole batch or one id per
+            # row; one to all n voters get arrays
+            arrays = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
             ids = [
-                int(rng.integers(fact)) if rng.random() < 0.5
-                else rng.integers(fact, size=B)
-                for _ in range(n)
+                rng.integers(fact, size=B) if v in arrays else int(rng.integers(fact))
+                for v in range(n)
             ]
-            ids[int(rng.integers(n))] = rng.integers(fact, size=B)
             turns = tuple(int(t) for t in rng.integers(n, size=m - 1))
             got = table_batch_winners(table, ids, turns)
             want = play_batch_winners([pos[np.atleast_1d(i)] for i in ids], turns)
-            assert got.tolist() == want.tolist()
+            assert got.shape == (B,) and got.tolist() == want.tolist()

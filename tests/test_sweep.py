@@ -356,7 +356,7 @@ class TestMonteCarlo:
 
 
 class TestWorstTablePath:
-    """Exhaustive sweeps play through the worst-alive table for small m; the
+    """Exhaustive sweeps play through the next-mask table for small m; the
     position kernel that larger m uses must give the same result."""
 
     @pytest.mark.parametrize(
