@@ -3,12 +3,14 @@
 Each welfare ratio is a quotient of two integer Borda scores in
 ``0..n(m-1)``, so a sweep's whole result is one exact table: every distinct
 (numerator, denominator) pair, how often it occurs and the lowest
-enumeration or sample index that produced it. Chunks build such tables,
-which merge exactly in any order, so results are bit-identical for every
-worker count and chunk size. The count, the exact mean and variance, the
-spike at exactly 1 and the extremes with their indices (equal ratios such
-as 2/4 and 3/6 going to the lowest index) are read off the final table,
-which the result also carries for reports to bin.
+enumeration or sample index that produced it. A small key space (at most
+``DENSE_KEYS`` pairs) is counted in a dense grid per chunk; a larger one is
+sorted batch by batch. Chunks build such tables, which merge exactly in any
+order, so results are bit-identical for every worker count and chunk size.
+The count, the exact mean and variance, the spike at exactly 1 and the
+extremes with their indices (equal ratios such as 2/4 and 3/6 going to the
+lowest index) are read off the final table, which the result also carries
+for reports to bin.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ WORST_TABLE_MAX_M = 7
 #: samples, so one 8-byte sampling-word row is 512 KiB and every array the
 #: chunk builds stays about a core's L2 in size
 MC_CHUNK = 1 << 16
+#: largest key space (base**2 keys, base = n(m-1) + 1) a summary counts in a
+#: dense grid of counts and lowest tags, 64 KiB at most; larger ones are sorted
+DENSE_KEYS = 1 << 12
+#: a grid's tag for a key no batch has produced yet
+_NO_TAG = np.iinfo(np.int64).max
 
 
 class RatioMode(Enum):
@@ -75,41 +82,89 @@ class _Summary:
 
     A pair ``(num, den)`` is keyed ``den * base + num`` with
     ``base = den_limit + 1``; a row holds a key, its count and the lowest
-    tag (enumeration or sample index) that produced it. Each batch adds its
-    own table, and :meth:`table` folds them into one, the same in any order.
+    tag (enumeration or sample index) that produced it. A key space of at
+    most ``DENSE_KEYS`` keys is counted in a grid of ``base**2`` counts and
+    lowest tags; a larger one keeps each batch's sorted table and
+    :meth:`table` folds them into one. Either way the table is the same in
+    any absorption order, and a summary is pickled as its table rows.
     """
 
-    __slots__ = ("base", "parts")
+    __slots__ = ("base", "parts", "counts", "tags")
 
     def __init__(self, den_limit: int):
         self.base = den_limit + 1
-        empty = np.zeros(0, dtype=np.int64)
-        self.parts = [(empty, empty, empty)]
+        size = self.base * self.base
+        if size <= DENSE_KEYS:
+            self.parts = None
+            self.counts = np.zeros(size, dtype=np.int64)
+            self.tags = np.full(size, _NO_TAG, dtype=np.int64)
+        else:
+            empty = np.zeros(0, dtype=np.int64)
+            self.parts = [(empty, empty, empty)]
+            self.counts = self.tags = None
 
     def absorb_batch(self, num, den, tag_offset):
-        """Add one evaluated batch; tags are tag_offset + row index."""
-        if den.min(initial=1) <= 0:
+        """Add one evaluated batch of at least one row; tags are tag_offset +
+        row index. A zero denominator raises before any state changes."""
+        keys = den * self.base + num
+        if self.parts is None:
+            batch = np.bincount(keys, minlength=self.counts.shape[0])
+            if batch[:self.base].any():
+                raise ZeroWelfare("strategic winner has zero Borda score")
+            self.counts += batch
+            # Only a key whose stored tag lies above tag_offset can take a
+            # lower one from this batch: in chunk order, a key new to the
+            # chunk. Just the rows holding such keys are sorted.
+            rows = (self.tags > tag_offset).take(keys).nonzero()[0]
+            if rows.size:
+                keys, first = np.unique(self._narrow(keys[rows]), return_index=True)
+                self.tags[keys] = np.minimum(self.tags[keys], rows[first] + tag_offset)
+            return
+        keys, first, counts = np.unique(
+            self._narrow(keys), return_index=True, return_counts=True
+        )
+        if keys[0] < self.base:
             raise ZeroWelfare("strategic winner has zero Borda score")
+        self.parts.append((keys.astype(np.int64), counts, first + tag_offset))
+
+    def _narrow(self, keys):
         # Keys go to the narrowest unsigned type that holds them because
         # np.unique sorts stably when asked for first indices, and numpy's
         # stable sort is a radix sort for 8- and 16-bit integers, faster than
         # the timsort wider keys get; keys fit 16 bits while n(m-1) <= 255.
-        keys = (den * self.base + num).astype(np.min_scalar_type(self.base * self.base - 1))
-        keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        self.parts.append((keys.astype(np.int64), counts, first + tag_offset))
+        return keys.astype(np.min_scalar_type(self.base * self.base - 1))
 
     def merge(self, other: "_Summary"):
         """Fold another chunk's summary into this one."""
+        if self.parts is None:
+            self.counts += other.counts
+            np.minimum(self.tags, other.tags, out=self.tags)
+            return
         self.parts += other.parts
         self.parts = [self.table()]
 
     def table(self):
         """(keys, counts, tags), one row per distinct key, keys ascending."""
+        if self.parts is None:
+            keys = np.flatnonzero(self.counts)
+            return keys, self.counts[keys], self.tags[keys]
         keys, counts, tags = (np.concatenate(col) for col in zip(*self.parts))
         order = np.lexsort((tags, keys))
         keys = keys[order]
         heads = np.flatnonzero(np.diff(keys, prepend=-1))
         return keys[heads], np.add.reduceat(counts[order], heads), tags[order][heads]
+
+    def __getstate__(self):
+        return self.base, self.table()
+
+    def __setstate__(self, state):
+        base, (keys, counts, tags) = state
+        self.__init__(base - 1)
+        if self.parts is None:
+            self.counts[keys] = counts
+            self.tags[keys] = tags
+        else:
+            self.parts = [(keys, counts, tags)]
 
 
 @dataclass(frozen=True)
@@ -213,18 +268,20 @@ def _exhaustive_chunk(args) -> _Summary:
             # most batches of a chunk share one range: E1's are all 0..5039
             span, last = (low, high), np.arange(low, high)
             cells = last * m
+            # AB's row max reduces over a slot-major copy: numpy's max over a
+            # short inner axis costs about 5x more
+            cols = pos[low:high].T.copy() if mode is RatioMode.AB else None
         # Borda scores n(m-1) - slot sums: a row's score of candidate w is
         # fixed[w] - pos[last, w], two flat gathers
         fixed = n * (m - 1) - pos[ids].sum(axis=0, dtype=np.int64)
-        last_pos = pos[low:high]
         if table is None:
-            winners = partial(play_batch_winners, [pos[i:i + 1] for i in ids] + [last_pos])
+            winners = partial(play_batch_winners, [pos[i:i + 1] for i in ids] + [pos[low:high]])
         else:
             winners = partial(table_batch_winners, table, ids + [last])
         num, den = _evaluate(
             winners,
             lambda w: fixed.take(w) - pos.take(cells + w),
-            lambda: np.subtract(fixed, last_pos, dtype=np.int32).max(axis=1).astype(np.int64),
+            lambda: (fixed[:, None] - cols).max(axis=0),
             turns, rev_turns, mode,
         )
         summary.absorb_batch(num, den, index)

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
@@ -376,6 +377,15 @@ class TestWorstTablePath:
         assert_same_result(table, plain)
 
 
+def each_summary_path(monkeypatch):
+    """Yield once with the default key-space limit, so small key spaces are
+    counted in a grid, and once with every key space sorted."""
+    for dense_keys in (sweep.DENSE_KEYS, 0):
+        with monkeypatch.context() as patch:
+            patch.setattr("elimgame.sweep.DENSE_KEYS", dense_keys)
+            yield
+
+
 class TestSummary:
     """The exact pair table every sweep reduces to, fed by hand."""
 
@@ -387,34 +397,72 @@ class TestSummary:
             summary.absorb_batch(num, den, tag_offset)
         return summary
 
-    def test_equal_ratios_go_to_the_lowest_tag(self):
+    def test_equal_ratios_go_to_the_lowest_tag(self, monkeypatch):
         # 1/2, 2/4, 3/6 and 3/2, 6/4, 9/6 are two ratios under six keys
         a = [(10, [(2, 4), (6, 4), (5, 5)]), (20, [(1, 2), (3, 2)])]
         b = [(3, [(5, 5), (3, 6), (9, 6)]), (30, [(1, 2)])]
-        alone = sweep._finish(self.build(9, a), RatioMode.CB)
-        assert (alone.min_ratio, alone.min_index) == (Fraction(1, 2), 10)
-        assert (alone.max_ratio, alone.max_index) == (Fraction(3, 2), 11)
-        for first, second in [(a, b), (b, a)]:
-            merged = self.build(9, first)
-            merged.merge(self.build(9, second))
-            res = sweep._finish(merged, RatioMode.CB)
-            assert (res.min_ratio, res.min_index) == (Fraction(1, 2), 4)
-            assert (res.max_ratio, res.max_index) == (Fraction(3, 2), 5)
-            assert res.count == 9 and res.spike_count == 2
-        for got, want in zip(merged.table(), self.build(9, a + b).table()):
-            assert np.array_equal(got, want)
+        for _ in each_summary_path(monkeypatch):
+            alone = sweep._finish(self.build(9, a), RatioMode.CB)
+            assert (alone.min_ratio, alone.min_index) == (Fraction(1, 2), 10)
+            assert (alone.max_ratio, alone.max_index) == (Fraction(3, 2), 11)
+            for first, second in [(a, b), (b, a)]:
+                merged = self.build(9, first)
+                merged.merge(self.build(9, second))
+                res = sweep._finish(merged, RatioMode.CB)
+                assert (res.min_ratio, res.min_index) == (Fraction(1, 2), 4)
+                assert (res.max_ratio, res.max_index) == (Fraction(3, 2), 5)
+                assert res.count == 9 and res.spike_count == 2
+            for got, want in zip(merged.table(), self.build(9, a + b).table()):
+                assert np.array_equal(got, want)
 
-    def test_wide_moments_are_exact(self):
+    def test_wide_moments_are_exact(self, monkeypatch):
         # base = 2**27 + 1: the squared numerators pass 2**53, where float
-        # sums stop being exact
+        # sums stop being exact; a key space this wide is always sorted
         d = 1 << 27
         pairs = [(d, d - 1), (d - 1, d), (d - 3, d - 5), (d, d), (d - 1, d), (7, d)]
-        res = sweep._finish(self.build(d, [(0, pairs[:3]), (3, pairs[3:])]), RatioMode.AB)
         vals = [Fraction(num, den) for num, den in pairs]
         mean = sum(vals, Fraction(0)) / len(vals)
-        assert res.count == len(vals)
-        assert res.mean == mean
-        assert res.variance == sum((v - mean) ** 2 for v in vals) / len(vals)
+        for _ in each_summary_path(monkeypatch):
+            summary = self.build(d, [(0, pairs[:3]), (3, pairs[3:])])
+            assert summary.parts is not None
+            res = sweep._finish(summary, RatioMode.AB)
+            assert res.count == len(vals)
+            assert res.mean == mean
+            assert res.variance == sum((v - mean) ** 2 for v in vals) / len(vals)
+
+    def test_grid_pickles_as_its_table(self):
+        # a 64**2-key grid holds 64 KiB of counts and tags; its pickle holds
+        # only the table's rows
+        sizes = []
+        for distinct in (3, 300):
+            keys = np.arange(distinct)
+            summary = self.build(63, [(5, list(zip(1 + keys % 63, 1 + keys // 63)))])
+            assert summary.parts is None
+            data = pickle.dumps(summary)
+            back = pickle.loads(data)
+            assert back.parts is None
+            for got, want in zip(back.table(), summary.table()):
+                assert np.array_equal(got, want)
+            back.merge(summary)
+            assert np.array_equal(back.table()[1], 2 * summary.table()[1])
+            sizes.append(len(data))
+        assert sizes[0] < 1024
+        assert sizes[1] - sizes[0] < 297 * 3 * 8 + 64
+
+    def test_sweeps_agree_on_both_paths(self, monkeypatch):
+        s = seq(1, 2, 3, 1, 2)
+        mc = dict(culture=CultureSpec.impartial(), samples=3000, seed=3)
+        # 1,000-sample chunks, so the pool pickles summaries on both paths
+        monkeypatch.setattr("elimgame.sweep.MC_CHUNK", 3000)
+        results = []
+        for _ in each_summary_path(monkeypatch):
+            results.append([
+                run_exhaustive(seq(1, 2, 3), 3, 4, RatioMode.CB),
+                run_exhaustive(seq(1, 2, 3), 3, 4, RatioMode.AB),
+                run_montecarlo(s, 3, 6, RatioMode.AB, workers=2, **mc),
+            ])
+        for grid, sorted_ in zip(*results):
+            assert_same_result(grid, sorted_)
 
 
 class TestGuards:
@@ -424,14 +472,16 @@ class TestGuards:
                            fix_first=False, budget=1000)
         run_exhaustive(seq(1, 2, 1, 2), 2, 5, RatioMode.AB, budget=1000)
 
-    def test_zero_denominator_guard(self):
-        s = _Summary(den_limit=4)
-        with pytest.raises(ZeroWelfare):
-            s.absorb_batch(
-                np.array([1, 2], dtype=np.int64),
-                np.array([2, 0], dtype=np.int64),
-                0,
-            )
+    def test_zero_denominator_guard(self, monkeypatch):
+        for _ in each_summary_path(monkeypatch):
+            s = _Summary(den_limit=4)
+            with pytest.raises(ZeroWelfare):
+                s.absorb_batch(
+                    np.array([1, 2], dtype=np.int64),
+                    np.array([2, 0], dtype=np.int64),
+                    0,
+                )
+            assert s.table()[0].size == 0
 
     def test_mode_parse(self):
         assert RatioMode.parse("ab") is RatioMode.AB
