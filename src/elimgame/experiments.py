@@ -95,6 +95,9 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    # the bound first: a configuration outside the closed forms' domain is
+    # refused before any profile is swept
+    bound = ratio_range(config)[1]
     if config.culture is None:
         res = run_exhaustive(
             config.sequence, config.n, config.m, config.mode,
@@ -109,7 +112,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         witness = montecarlo_witness(
             config.n, config.m, config.culture, config.seed, res.max_index
         )
-    return ExperimentResult(config, res, ratio_range(config)[1], witness)
+    return ExperimentResult(config, res, bound, witness)
 
 
 def csv_row(result: ExperimentResult) -> str:

@@ -3,14 +3,14 @@
 Each welfare ratio is a quotient of two integer Borda scores in
 ``0..n(m-1)``, so a sweep's whole result is one exact table: every distinct
 (numerator, denominator) pair, how often it occurs and the lowest
-enumeration or sample index that produced it. A small key space (at most
-``DENSE_KEYS`` pairs) is counted in a dense grid per chunk; a larger one is
-sorted batch by batch. Chunks build such tables, which merge exactly in any
-order, so results are bit-identical for every worker count and chunk size.
-The count, the exact mean and variance, the spike at exactly 1 and the
-extremes with their indices (equal ratios such as 2/4 and 3/6 going to the
-lowest index) are read off the final table, which the result also carries
-for reports to bin.
+enumeration or sample index that produced it. Every chunk returns such a
+table: a Monte-Carlo chunk sorts its one batch, and an exhaustive chunk
+counts its batches into a grid of every possible pair. The tables are folded
+in chunk order, and a fold is exact in any order, so results are
+bit-identical for every worker count and chunk size. The count, the exact
+mean and variance, the spike at exactly 1 and the extremes with their
+indices (equal ratios such as 2/4 and 3/6 going to the lowest index) are
+read off the final table, which the result also carries for reports to bin.
 """
 
 from __future__ import annotations
@@ -54,11 +54,6 @@ WORST_TABLE_MAX_M = 7
 #: samples, so one 8-byte sampling-word row is 512 KiB and every array the
 #: chunk builds stays about a core's L2 in size
 MC_CHUNK = 1 << 16
-#: largest key space (base**2 keys, base = n(m-1) + 1) a summary counts in a
-#: dense grid of counts and lowest tags, 64 KiB at most; larger ones are sorted
-DENSE_KEYS = 1 << 12
-#: a grid's tag for a key no batch has produced yet
-_NO_TAG = np.iinfo(np.int64).max
 
 
 class RatioMode(Enum):
@@ -77,94 +72,36 @@ class RatioMode(Enum):
         return cls(text.lower())
 
 
-class _Summary:
-    """Exact table of a ratio population: one row per distinct pair.
+def _narrow(keys, base: int):
+    # Keys go to the narrowest unsigned type that holds them because
+    # np.unique sorts stably when asked for first indices, and numpy's
+    # stable sort is a radix sort for 8- and 16-bit integers, faster than
+    # the timsort wider keys get; keys fit 16 bits while n(m-1) <= 255.
+    return keys.astype(np.min_scalar_type(base * base - 1))
 
-    A pair ``(num, den)`` is keyed ``den * base + num`` with
-    ``base = den_limit + 1``; a row holds a key, its count and the lowest
-    tag (enumeration or sample index) that produced it. A key space of at
-    most ``DENSE_KEYS`` keys is counted in a grid of ``base**2`` counts and
-    lowest tags; a larger one keeps each batch's sorted table and
-    :meth:`table` folds them into one. Either way the table is the same in
-    any absorption order, and a summary is pickled as its table rows.
-    """
 
-    __slots__ = ("base", "parts", "counts", "tags")
+def _batch_table(num, den, base: int, tag_offset: int):
+    """Exact table of one batch of pairs: (keys, counts, tags), one row per
+    distinct key ``den * base + num``, keys ascending, each tag the lowest
+    ``tag_offset + row index`` holding its key."""
+    keys, first, counts = np.unique(
+        _narrow(den * base + num, base), return_index=True, return_counts=True
+    )
+    return keys.astype(np.int64), counts, first + tag_offset
 
-    def __init__(self, den_limit: int):
-        self.base = den_limit + 1
-        size = self.base * self.base
-        if size <= DENSE_KEYS:
-            self.parts = None
-            self.counts = np.zeros(size, dtype=np.int64)
-            self.tags = np.full(size, _NO_TAG, dtype=np.int64)
-        else:
-            empty = np.zeros(0, dtype=np.int64)
-            self.parts = [(empty, empty, empty)]
-            self.counts = self.tags = None
 
-    def absorb_batch(self, num, den, tag_offset):
-        """Add one evaluated batch of at least one row; tags are tag_offset +
-        row index. A zero denominator raises before any state changes."""
-        keys = den * self.base + num
-        if self.parts is None:
-            batch = np.bincount(keys, minlength=self.counts.shape[0])
-            if batch[:self.base].any():
-                raise ZeroWelfare("strategic winner has zero Borda score")
-            self.counts += batch
-            # Only a key whose stored tag lies above tag_offset can take a
-            # lower one from this batch: in chunk order, a key new to the
-            # chunk. Just the rows holding such keys are sorted.
-            rows = (self.tags > tag_offset).take(keys).nonzero()[0]
-            if rows.size:
-                keys, first = np.unique(self._narrow(keys[rows]), return_index=True)
-                self.tags[keys] = np.minimum(self.tags[keys], rows[first] + tag_offset)
-            return
-        keys, first, counts = np.unique(
-            self._narrow(keys), return_index=True, return_counts=True
-        )
-        if keys[0] < self.base:
-            raise ZeroWelfare("strategic winner has zero Borda score")
-        self.parts.append((keys.astype(np.int64), counts, first + tag_offset))
-
-    def _narrow(self, keys):
-        # Keys go to the narrowest unsigned type that holds them because
-        # np.unique sorts stably when asked for first indices, and numpy's
-        # stable sort is a radix sort for 8- and 16-bit integers, faster than
-        # the timsort wider keys get; keys fit 16 bits while n(m-1) <= 255.
-        return keys.astype(np.min_scalar_type(self.base * self.base - 1))
-
-    def merge(self, other: "_Summary"):
-        """Fold another chunk's summary into this one."""
-        if self.parts is None:
-            self.counts += other.counts
-            np.minimum(self.tags, other.tags, out=self.tags)
-            return
-        self.parts += other.parts
-        self.parts = [self.table()]
-
-    def table(self):
-        """(keys, counts, tags), one row per distinct key, keys ascending."""
-        if self.parts is None:
-            keys = np.flatnonzero(self.counts)
-            return keys, self.counts[keys], self.tags[keys]
-        keys, counts, tags = (np.concatenate(col) for col in zip(*self.parts))
-        order = np.lexsort((tags, keys))
-        keys = keys[order]
-        heads = np.flatnonzero(np.diff(keys, prepend=-1))
-        return keys[heads], np.add.reduceat(counts[order], heads), tags[order][heads]
-
-    def __getstate__(self):
-        return self.base, self.table()
-
-    def __setstate__(self, state):
-        base, (keys, counts, tags) = state
-        self.__init__(base - 1)
-        if self.parts is None:
-            self.counts[keys] = counts
-            self.tags[keys] = tags
-        else:
-            self.parts = [(keys, counts, tags)]
+def _fold(tables):
+    """One table from several: counts add and tags take the lowest, so the
+    result is the same in any order."""
+    keys, counts, tags = (np.concatenate(col) for col in zip(*tables))
+    order = np.argsort(keys)
+    keys = keys[order]
+    heads = np.flatnonzero(np.diff(keys, prepend=-1))
+    return (
+        keys[heads],
+        np.add.reduceat(counts[order], heads),
+        np.minimum.reduceat(tags[order], heads),
+    )
 
 
 @dataclass(frozen=True)
@@ -195,9 +132,12 @@ class SweepResult:
         return sqrt(float(self.variance))
 
 
-def _finish(summary: _Summary, mode: RatioMode) -> SweepResult:
-    keys, counts, tags = summary.table()
-    den, num = np.divmod(keys, summary.base)
+def _finish(table, base: int, mode: RatioMode) -> SweepResult:
+    keys, counts, tags = table
+    # keys ascend, so the lowest holds the lowest denominator
+    if keys[0] < base:
+        raise ZeroWelfare("strategic winner has zero Borda score")
+    den, num = np.divmod(keys, base)
     # Keys ascend by (den, num), so each denominator's rows form one run
     # that starts at its smallest ratio and ends at its largest.
     heads = np.flatnonzero(np.diff(den, prepend=-1))
@@ -250,12 +190,16 @@ def _next_mask_table(m: int) -> np.ndarray:
     return next_mask_table(permutation_table(m))
 
 
-def _exhaustive_chunk(args) -> _Summary:
+def _exhaustive_chunk(args):
     turns, rev_turns, n, m, mode, fix_first, batch, start, count = args
     pos = permutation_table(m)
     fact = pos.shape[0]
     table = _next_mask_table(m) if m <= WORST_TABLE_MAX_M else None
-    summary = _Summary(n * (m - 1))
+    base = n * (m - 1) + 1
+    # every pair's count and lowest index; an enumeration with n(m-1) > 63
+    # is past --force's budget of 2**62, so the grid holds at most 4,096 keys
+    counts = np.zeros(base * base, dtype=np.int64)
+    tags = np.zeros(base * base, dtype=np.int64)
     span = None
     index, end = start, start + count
     while index < end:
@@ -284,18 +228,26 @@ def _exhaustive_chunk(args) -> _Summary:
             lambda: (fixed[:, None] - cols).max(axis=0),
             turns, rev_turns, mode,
         )
-        summary.absorb_batch(num, den, index)
+        keys = den * base + num
+        # Batches run in index order, so a key is new to the chunk exactly
+        # when its count is still 0; only the rows holding such keys are
+        # sorted for their first index.
+        rows = (counts == 0).take(keys).nonzero()[0]
+        if rows.size:
+            new, first = np.unique(_narrow(keys[rows], base), return_index=True)
+            tags[new] = rows[first] + index
+        counts += np.bincount(keys, minlength=counts.shape[0])
         index += high - low
-    return summary
+    keys = np.flatnonzero(counts)
+    return keys, counts[keys], tags[keys]
 
 
-def _montecarlo_chunk(args) -> _Summary:
+def _montecarlo_chunk(args):
     turns, rev_turns, n, m, mode, culture, seed, start, count = args
     pos = sample_positions_batch(n, m, culture, seed, start, count)
     # Borda scores n(m-1) - slot sums, in place: a copy cost ~1 MiB RSS at (5, 10)
     scores = pos.sum(axis=1, dtype=np.int32)
     np.subtract(n * (m - 1), scores, out=scores)
-    summary = _Summary(n * (m - 1))
     rows = np.arange(scores.shape[0])
     num, den = _evaluate(
         partial(play_batch_winners, pos.swapaxes(0, 1)),
@@ -303,8 +255,7 @@ def _montecarlo_chunk(args) -> _Summary:
         lambda: scores.max(axis=1).astype(np.int64),
         turns, rev_turns, mode,
     )
-    summary.absorb_batch(num, den, start)
-    return summary
+    return _batch_table(num, den, n * (m - 1) + 1, start)
 
 
 def _usable_cpus() -> int:
@@ -325,8 +276,9 @@ def _in_order(pool, fn, args, depth: int):
         yield pending.popleft().result()
 
 
-def _run_chunks(fn, static, total: int, chunk: int, workers: int) -> _Summary:
-    """Merge ``fn`` over the chunks of ``range(total)`` in chunk order.
+def _run_chunks(fn, static, total: int, chunk: int, workers: int):
+    """Fold the tables ``fn`` returns for the chunks of ``range(total)`` in
+    chunk order.
 
     This is the one place chunk ranges are built: chunk ``k`` is called with
     ``(*static, start, count)`` for ``start = k * chunk`` and ``count`` up to
@@ -338,11 +290,11 @@ def _run_chunks(fn, static, total: int, chunk: int, workers: int) -> _Summary:
     workers = min(workers, -(-total // chunk), _usable_cpus())
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
-        summaries = _in_order(pool, fn, args, 2 * workers) if pool else map(fn, args)
-        merged = next(summaries)
-        for s in summaries:
-            merged.merge(s)
-    return merged
+        tables = _in_order(pool, fn, args, 2 * workers) if pool else map(fn, args)
+        folded = next(tables)
+        for table in tables:
+            folded = _fold((folded, table))
+    return folded
 
 
 def run_exhaustive(
@@ -370,10 +322,10 @@ def run_exhaustive(
         )
     batch = min(factorial(m), max(1, MC_CHUNK // n))
     static = (seq.turns, seq.reverse().turns, n, m, mode, fix_first, batch)
-    summary = _run_chunks(
+    table = _run_chunks(
         _exhaustive_chunk, static, total, EXHAUSTIVE_OUTER_CHUNK * batch, workers
     )
-    return _finish(summary, mode)
+    return _finish(table, n * (m - 1) + 1, mode)
 
 
 def run_montecarlo(
@@ -397,8 +349,8 @@ def run_montecarlo(
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in 0..2**64-1, got {seed}")
     static = (seq.turns, seq.reverse().turns, n, m, mode, culture, seed)
-    summary = _run_chunks(_montecarlo_chunk, static, samples, max(1, MC_CHUNK // n), workers)
-    return _finish(summary, mode)
+    table = _run_chunks(_montecarlo_chunk, static, samples, max(1, MC_CHUNK // n), workers)
+    return _finish(table, n * (m - 1) + 1, mode)
 
 
 def exhaustive_witness(n: int, m: int, index: int, fix_first: bool = True) -> PreferenceProfile:

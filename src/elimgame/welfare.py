@@ -31,8 +31,7 @@ def ratio_json(r: Fraction) -> dict:
     return {"num": r.numerator, "den": r.denominator, "float": float(r)}
 
 
-def _score_ratio(profile: PreferenceProfile, top: int, bottom: int) -> Fraction:
-    scores = profile.borda_scores()
+def _score_ratio(scores: tuple[int, ...], top: int, bottom: int) -> Fraction:
     if scores[bottom] == 0:
         # unreachable for n >= 2: the max-occurrence voter keeps the
         # strategic winner above her last place, forcing a positive score
@@ -44,13 +43,15 @@ def ratio_ab(profile: PreferenceProfile, seq: EliminationSequence) -> Fraction:
     """Best Borda score over the strategic winner's score (>= 1)."""
     scores = profile.borda_scores()
     best = scores.index(max(scores))
-    return _score_ratio(profile, best, spne_outcome(profile, seq).winner)
+    return _score_ratio(scores, best, spne_outcome(profile, seq).winner)
 
 
 def ratio_cb(profile: PreferenceProfile, seq: EliminationSequence) -> Fraction:
     """Sincere winner's Borda score over the strategic winner's."""
     return _score_ratio(
-        profile, sincere_play(profile, seq).winner, spne_outcome(profile, seq).winner
+        profile.borda_scores(),
+        sincere_play(profile, seq).winner,
+        spne_outcome(profile, seq).winner,
     )
 
 

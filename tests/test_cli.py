@@ -152,6 +152,17 @@ class TestExitCodes:
         code, out, _ = run_main(capsys, *(args + ["--force"]))
         assert code == 0
 
+    def test_single_voter_over_budget_is_3(self, capsys, monkeypatch):
+        # the closed forms' domain is checked before the budget
+        monkeypatch.setenv("ELIMGAME_BUDGET", "10")
+        code, out, err = run_main(
+            capsys, "exhaustive", "--n", "1", "--m", "4", "--sequence", "1,1,1",
+            "--no-fix-first",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error [OUT_OF_DOMAIN]: closed-form bounds assume at least two voters\n"
+
     def test_malformed_budget_is_2(self, capsys, monkeypatch):
         monkeypatch.setenv("ELIMGAME_BUDGET", "lots")
         code, out, err = run_main(

@@ -7,6 +7,7 @@ import pytest
 from elimgame import (
     CultureSpec,
     ExperimentConfig,
+    OutOfDomain,
     RatioMode,
     ratio_ab,
     ratio_cb,
@@ -82,6 +83,19 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.sweep.count == 400
         assert ratio_cb(result.witness, cfg.sequence) == result.sweep.max_ratio
+
+    def test_single_voter_is_refused_before_sweeping(self, monkeypatch):
+        def sweep(*args, **kw):
+            raise AssertionError("swept a configuration the closed forms refuse")
+
+        monkeypatch.setattr("elimgame.experiments.run_exhaustive", sweep)
+        monkeypatch.setattr("elimgame.experiments.run_montecarlo", sweep)
+        for cfg in (
+            exhaustive_config(n=1, m=10, sequence=seq(*[1] * 9), fix_first=False),
+            montecarlo_config(n=1, sequence=seq(1, 1, 1), samples=2_000_000),
+        ):
+            with pytest.raises(OutOfDomain, match="at least two voters"):
+                run_experiment(cfg)
 
     def test_mean_std_properties(self):
         result = run_experiment(exhaustive_config())

@@ -1,4 +1,3 @@
-import pickle
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
@@ -20,10 +19,9 @@ from elimgame import (
 )
 from elimgame import sweep
 from elimgame.core import EliminationSequence
-from elimgame.cultures import enumerate_profiles, permutation_table
+from elimgame.cultures import enumerate_profiles, enumeration_size, permutation_table
 from elimgame.sweep import (
     SweepResult,
-    _Summary,
     exhaustive_witness,
     montecarlo_witness,
     run_exhaustive,
@@ -207,7 +205,7 @@ class TestDeterminism:
         counts = []
         monkeypatch.setattr(
             "elimgame.sweep._montecarlo_chunk",
-            lambda args: counts.append(args[8]) or _Summary(1),
+            lambda args: counts.append(args[8]) or (np.array([3]), np.array([1]), np.array([0])),
         )
         monkeypatch.setattr("elimgame.sweep._finish", lambda *args: None)
         # MC_CHUNK voter rows per chunk: 65,536 // n samples, at least one
@@ -377,92 +375,64 @@ class TestWorstTablePath:
         assert_same_result(table, plain)
 
 
-def each_summary_path(monkeypatch):
-    """Yield once with the default key-space limit, so small key spaces are
-    counted in a grid, and once with every key space sorted."""
-    for dense_keys in (sweep.DENSE_KEYS, 0):
-        with monkeypatch.context() as patch:
-            patch.setattr("elimgame.sweep.DENSE_KEYS", dense_keys)
-            yield
-
-
 class TestSummary:
     """The exact pair table every sweep reduces to, fed by hand."""
 
     @staticmethod
-    def build(den_limit, batches):
-        summary = _Summary(den_limit)
-        for tag_offset, pairs in batches:
-            num, den = (np.array(col, dtype=np.int64) for col in zip(*pairs))
-            summary.absorb_batch(num, den, tag_offset)
-        return summary
+    def build(base, batches):
+        """Fold the tables of (tag_offset, [(num, den), ...]) batches in order."""
+        return sweep._fold([
+            sweep._batch_table(
+                *(np.array(col, dtype=np.int64) for col in zip(*pairs)), base, tag_offset
+            )
+            for tag_offset, pairs in batches
+        ])
 
-    def test_equal_ratios_go_to_the_lowest_tag(self, monkeypatch):
+    def test_equal_ratios_go_to_the_lowest_tag(self):
         # 1/2, 2/4, 3/6 and 3/2, 6/4, 9/6 are two ratios under six keys
         a = [(10, [(2, 4), (6, 4), (5, 5)]), (20, [(1, 2), (3, 2)])]
         b = [(3, [(5, 5), (3, 6), (9, 6)]), (30, [(1, 2)])]
-        for _ in each_summary_path(monkeypatch):
-            alone = sweep._finish(self.build(9, a), RatioMode.CB)
-            assert (alone.min_ratio, alone.min_index) == (Fraction(1, 2), 10)
-            assert (alone.max_ratio, alone.max_index) == (Fraction(3, 2), 11)
-            for first, second in [(a, b), (b, a)]:
-                merged = self.build(9, first)
-                merged.merge(self.build(9, second))
-                res = sweep._finish(merged, RatioMode.CB)
-                assert (res.min_ratio, res.min_index) == (Fraction(1, 2), 4)
-                assert (res.max_ratio, res.max_index) == (Fraction(3, 2), 5)
-                assert res.count == 9 and res.spike_count == 2
-            for got, want in zip(merged.table(), self.build(9, a + b).table()):
+        alone = sweep._finish(self.build(10, a), 10, RatioMode.CB)
+        assert (alone.min_ratio, alone.min_index) == (Fraction(1, 2), 10)
+        assert (alone.max_ratio, alone.max_index) == (Fraction(3, 2), 11)
+        for first, second in [(a, b), (b, a)]:
+            folded = sweep._fold([self.build(10, first), self.build(10, second)])
+            res = sweep._finish(folded, 10, RatioMode.CB)
+            assert (res.min_ratio, res.min_index) == (Fraction(1, 2), 4)
+            assert (res.max_ratio, res.max_index) == (Fraction(3, 2), 5)
+            assert res.count == 9 and res.spike_count == 2
+            for got, want in zip(folded, self.build(10, a + b)):
                 assert np.array_equal(got, want)
 
-    def test_wide_moments_are_exact(self, monkeypatch):
+    def test_wide_moments_are_exact(self):
         # base = 2**27 + 1: the squared numerators pass 2**53, where float
-        # sums stop being exact; a key space this wide is always sorted
+        # sums stop being exact
         d = 1 << 27
         pairs = [(d, d - 1), (d - 1, d), (d - 3, d - 5), (d, d), (d - 1, d), (7, d)]
         vals = [Fraction(num, den) for num, den in pairs]
         mean = sum(vals, Fraction(0)) / len(vals)
-        for _ in each_summary_path(monkeypatch):
-            summary = self.build(d, [(0, pairs[:3]), (3, pairs[3:])])
-            assert summary.parts is not None
-            res = sweep._finish(summary, RatioMode.AB)
-            assert res.count == len(vals)
-            assert res.mean == mean
-            assert res.variance == sum((v - mean) ** 2 for v in vals) / len(vals)
+        table = self.build(d + 1, [(0, pairs[:3]), (3, pairs[3:])])
+        res = sweep._finish(table, d + 1, RatioMode.AB)
+        assert res.count == len(vals)
+        assert res.mean == mean
+        assert res.variance == sum((v - mean) ** 2 for v in vals) / len(vals)
 
-    def test_grid_pickles_as_its_table(self):
-        # a 64**2-key grid holds 64 KiB of counts and tags; its pickle holds
-        # only the table's rows
-        sizes = []
-        for distinct in (3, 300):
-            keys = np.arange(distinct)
-            summary = self.build(63, [(5, list(zip(1 + keys % 63, 1 + keys // 63)))])
-            assert summary.parts is None
-            data = pickle.dumps(summary)
-            back = pickle.loads(data)
-            assert back.parts is None
-            for got, want in zip(back.table(), summary.table()):
-                assert np.array_equal(got, want)
-            back.merge(summary)
-            assert np.array_equal(back.table()[1], 2 * summary.table()[1])
-            sizes.append(len(data))
-        assert sizes[0] < 1024
-        assert sizes[1] - sizes[0] < 297 * 3 * 8 + 64
-
-    def test_sweeps_agree_on_both_paths(self, monkeypatch):
-        s = seq(1, 2, 3, 1, 2)
-        mc = dict(culture=CultureSpec.impartial(), samples=3000, seed=3)
-        # 1,000-sample chunks, so the pool pickles summaries on both paths
-        monkeypatch.setattr("elimgame.sweep.MC_CHUNK", 3000)
-        results = []
-        for _ in each_summary_path(monkeypatch):
-            results.append([
-                run_exhaustive(seq(1, 2, 3), 3, 4, RatioMode.CB),
-                run_exhaustive(seq(1, 2, 3), 3, 4, RatioMode.AB),
-                run_montecarlo(s, 3, 6, RatioMode.AB, workers=2, **mc),
-            ])
-        for grid, sorted_ in zip(*results):
-            assert_same_result(grid, sorted_)
+    def test_exhaustive_chunk_matches_batch_table(self):
+        # the grid an exhaustive chunk counts into gives the sorted table of
+        # the scalar engine's (num, den) pairs in enumeration order
+        s, n, m = seq(1, 2, 3), 3, 4
+        profiles = list(enumerate_profiles(n, m))
+        for mode in RatioMode:
+            pairs = []
+            for p in profiles:
+                scores = p.borda_scores()
+                top = max(scores) if mode is RatioMode.AB else scores[sincere_play(p, s).winner]
+                pairs.append((top, scores[spne_outcome(p, s).winner]))
+            num, den = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+            want = sweep._batch_table(num, den, n * (m - 1) + 1, 0)
+            args = (s.turns, s.reverse().turns, n, m, mode, True, factorial(m), 0, len(profiles))
+            for got, col in zip(sweep._exhaustive_chunk(args), want):
+                assert np.array_equal(got, col), mode
 
 
 class TestGuards:
@@ -472,16 +442,21 @@ class TestGuards:
                            fix_first=False, budget=1000)
         run_exhaustive(seq(1, 2, 1, 2), 2, 5, RatioMode.AB, budget=1000)
 
-    def test_zero_denominator_guard(self, monkeypatch):
-        for _ in each_summary_path(monkeypatch):
-            s = _Summary(den_limit=4)
-            with pytest.raises(ZeroWelfare):
-                s.absorb_batch(
-                    np.array([1, 2], dtype=np.int64),
-                    np.array([2, 0], dtype=np.int64),
-                    0,
-                )
-            assert s.table()[0].size == 0
+    def test_zero_denominator_guard(self):
+        num, den = np.array([1, 2], dtype=np.int64), np.array([2, 0], dtype=np.int64)
+        table = sweep._batch_table(num, den, 5, 0)
+        with pytest.raises(ZeroWelfare):
+            sweep._finish(table, 5, RatioMode.CB)
+
+    def test_budget_bounds_the_grid(self):
+        # every exhaustive sweep a budget up to --force's 2**62 admits has
+        # n(m-1) <= 63, so an exhaustive chunk's grid holds at most 64**2 keys
+        for m in range(2, 21):
+            for fix_first in (True, False):
+                n = 1
+                while enumeration_size(n, m, fix_first) <= 2**62:
+                    assert n * (m - 1) <= 63, (n, m, fix_first)
+                    n += 1
 
     def test_mode_parse(self):
         assert RatioMode.parse("ab") is RatioMode.AB

@@ -90,7 +90,7 @@ class TestRatios:
         # single voter: her last-ranked candidate scores zero
         p = profile("ab")
         with pytest.raises(ZeroWelfare):
-            _score_ratio(p, 0, 1)
+            _score_ratio(p.borda_scores(), 0, 1)
 
     def test_sequence_validated(self):
         with pytest.raises(SequenceLengthMismatch):
