@@ -67,7 +67,7 @@ def _stream_keys(master_seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _word_rows(keys: np.ndarray, first: int, voters: int, width: int,
-               reverse: bool = False):
+               reverse: bool = False, scratch: np.ndarray | None = None):
     """Yield words ``first + v * width + k`` of every stream, ``k = 0..width-1``
     (``k = width-1..0`` with ``reverse``).
 
@@ -76,11 +76,14 @@ def _word_rows(keys: np.ndarray, first: int, voters: int, width: int,
     row is mixed in place in one buffer, which the generator yields and
     overwrites for the next row: a row is valid until the next one is asked
     for, and a consumer may change it in place. So no block of words is
-    resident and no row allocates.
+    resident and no row allocates. The buffer and the mixer's scratch are
+    ``scratch[0]`` and ``scratch[1]`` of a caller's ``(2, voters, len(keys))``
+    uint64 array, or fresh when ``scratch`` is None.
     """
     offsets = np.uint64(width) * np.arange(voters, dtype=np.uint64)
-    x = np.empty((voters, keys.shape[0]), dtype=np.uint64)
-    tmp = np.empty_like(x)
+    if scratch is None:
+        scratch = np.empty((2, voters, keys.shape[0]), dtype=np.uint64)
+    x, tmp = scratch
     for k in range(width - 1, -1, -1) if reverse else range(width):
         ks = (offsets + np.uint64(first + k + 1)) * _GOLDEN
         np.add(ks[:, None], keys, out=x)
@@ -179,53 +182,88 @@ def mallows_pmf(m: int, phi: float, reference: Vote) -> dict[tuple[int, ...], fl
     return out
 
 
-def _fisher_yates(words, m: int, rows_n: int) -> np.ndarray:
-    """Inverses of uniform permutations of ``rows_n`` rows, from ``m-1`` word
-    rows read last first.
+#: Fisher-Yates steps ``j`` below this run as compare-select, the rest as a
+#: gather and a scatter; see :func:`_fisher_yates`
+SELECT_STEPS = 16
 
-    Returns ``(m, R)`` int8: ``pos[c, r]`` is the slot of candidate ``c`` in
-    row ``r``. The ranking the same words draw runs step ``j`` from ``m-1``
-    down to 1, swapping slot ``j`` with a slot drawn from word row
-    ``m-1-j``; it is the product of those swaps. Each swap is its own
-    inverse, so the positions are the same swaps applied in the opposite
-    order: steps ``j = 1 .. m-1`` on the identity, reading the word rows
-    from the last (``_word_rows(..., reverse=True)``). Each word row is
-    bounded to ``[0, j]`` in place by a fixed-point multiply on its top 32
-    bits (bias < 2**-32, far below every tolerance used here); the result is
-    below 2**32, so the row read as int64 is the exact index.
+
+def _fisher_yates(words, pos: np.ndarray) -> np.ndarray:
+    """Fill ``pos`` with the inverses of uniform permutations of its columns,
+    from ``m-1`` word rows read last first; returns ``pos``.
+
+    ``pos`` is a caller's ``(m, R)`` int8 array: afterwards ``pos[c, r]`` is
+    the slot of candidate ``c`` in row ``r``. The ranking the same words
+    draw runs step ``j`` from ``m-1`` down to 1, swapping slot ``j`` with a
+    slot drawn from word row ``m-1-j``; it is the product of those swaps.
+    Each swap is its own inverse, so the positions are the same swaps applied
+    in the opposite order: steps ``j = 1 .. m-1`` on the identity, reading
+    the word rows from the last (``_word_rows(..., reverse=True)``). Each
+    word row is bounded to a draw ``k`` in ``[0, j]`` in place by a
+    fixed-point multiply on its top 32 bits (bias < 2**-32, far below every
+    tolerance used here).
+
+    Steps touch only rows up to ``j``, so row ``j`` still holds ``j`` when
+    step ``j`` begins, and the step is ``pos[j] = pos[k]; pos[k] = j``. Below
+    ``SELECT_STEPS`` it runs without an index, as compare-select over the
+    rows ``c < j`` that ``k`` can name: ``d = (pos[c] - j) * (k == c)``
+    moves into row ``j`` and out of row ``c``, five int8 ops per row ``c``.
+    Later steps gather row ``j`` through the flat index ``k * R + r`` and
+    scatter the scalar ``j`` back, at a cost that barely grows with ``j``.
+    On 2 CPUs (numpy 2.4.6, R = 65,535 and 65,529) a compare-select step
+    timed 15 + 24j µs against 360-600 µs for a gathered one, so the two
+    meet near j = 18. Over 90 runs per switch value, one chunk's whole
+    Fisher-Yates at (9, 24) took 8.6 ms (10th percentile) with every step
+    gathered, 6.8-7.2 ms with the switch at 12-18 and 7.5 ms with no step
+    gathered; at (3, 20) the best switch was 16-20 (5.5-6.1 ms against
+    7.8 ms). At (5, 10) every step is compare-select: 1.6 ms against
+    2.5 ms gathered.
     """
-    pos = np.empty((m, rows_n), dtype=np.int8)
+    m, rows_n = pos.shape
     pos[:] = np.arange(m, dtype=np.int8)[:, None]
     flat = pos.reshape(-1)
-    rows = np.arange(rows_n, dtype=np.int64)
+    hit = np.empty(rows_n, dtype=bool)
+    d = np.empty(rows_n, dtype=np.int8)
+    rows = None
     shift = np.uint64(32)
     for j, word in zip(range(1, m), words):
         word >>= shift
         word *= np.uint64(j + 1)
         word >>= shift
-        idx = word.view(np.int64)
-        idx *= rows_n
-        idx += rows
-        drawn = flat[idx]
-        flat[idx] = pos[j]
-        pos[j] = drawn
+        if j < SELECT_STEPS:
+            k = word.astype(np.int8)
+            for c in range(j):
+                np.equal(k, c, out=hit)
+                np.subtract(pos[c], j, out=d)
+                d *= hit.view(np.int8)
+                pos[j] += d
+                pos[c] -= d
+        else:
+            if rows is None:
+                rows = np.arange(rows_n, dtype=np.int64)
+            # the draw is below 2**32, so the row read as int64 is exact
+            idx = word.view(np.int64)
+            idx *= rows_n
+            idx += rows
+            pos[j] = flat[idx]
+            flat[idx] = j
     return pos
 
 
-def _mallows_slots(words, m: int, rows_n: int, phi: float) -> np.ndarray:
-    """Repeated insertion against the identity reference, in slot space.
+def _mallows_slots(words, pos: np.ndarray, phi: float) -> np.ndarray:
+    """Fill ``pos`` by repeated insertion against the identity reference, in
+    slot space; returns ``pos``.
 
-    Returns ``(m, R)`` int8: ``pos[c, r]`` is the slot of candidate ``c`` in
-    row ``r``. Step ``j`` reads the next word row and inserts candidate
-    ``j-1`` (0-based) at slot ``p`` among the ``j`` slots of candidates
-    ``0..j-1``; every earlier candidate at slot ``p`` or below moves one slot
-    down. Slots counted from the top carry weights ``phi**(j-p)``, so the
-    bottom slot has weight 1. ``p`` counts the cdf entries at or below the
-    scaled uniform, which is ``searchsorted(cdf, u, side="right")`` without
-    the binary search.
+    ``pos`` is a caller's ``(m, R)`` int8 array: afterwards ``pos[c, r]`` is
+    the slot of candidate ``c`` in row ``r``. Step ``j`` reads the next word
+    row and inserts candidate ``j-1`` (0-based) at slot ``p`` among the ``j``
+    slots of candidates ``0..j-1``; every earlier candidate at slot ``p`` or
+    below moves one slot down. Slots counted from the top carry weights
+    ``phi**(j-p)``, so the bottom slot has weight 1. ``p`` counts the cdf
+    entries at or below the scaled uniform, which is
+    ``searchsorted(cdf, u, side="right")`` without the binary search.
     """
-    pos = np.zeros((m, rows_n), dtype=np.int8)
-    for j, word in zip(range(2, m + 1), words):
+    pos[:] = 0
+    for j, word in zip(range(2, pos.shape[0] + 1), words):
         cdf = np.cumsum(phi ** np.arange(j - 1, -1, -1, dtype=np.float64))
         u = _uniforms(word) * cdf[-1]
         p = pos[j - 1]
@@ -234,6 +272,55 @@ def _mallows_slots(words, m: int, rows_n: int, phi: float) -> np.ndarray:
         head = pos[: j - 1]
         head += head >= p
     return pos
+
+
+def positions_block(n: int, m: int, count: int) -> np.ndarray:
+    """An uninitialised ``(m, n, count)`` int8 block for
+    :func:`fill_positions`, after refusing shapes the samplers cannot hold."""
+    if m < 1 or n < 1:
+        raise ValueError("need n >= 1 voters and m >= 1 candidates")
+    if m > 127:
+        # positions and rankings hold slots and candidate ids as int8
+        raise OutOfDomain(f"sampling supports at most 127 candidates, got {m}")
+    return np.empty((m, n, count), dtype=np.int8)
+
+
+def fill_positions(
+    block: np.ndarray,
+    scratch: np.ndarray,
+    spec: CultureSpec,
+    master_seed: int,
+    start_index: int,
+) -> np.ndarray:
+    """Fill ``block`` with the rank positions of profile samples
+    ``start_index .. start_index+count-1``; returns ``block``.
+
+    ``block`` is a caller's C-contiguous ``(m, n, count)`` int8 array, as
+    :func:`positions_block` makes: ``[c, v, s]`` becomes the slot of
+    candidate ``c`` in voter ``v``'s ranking of sample ``s``, 0 for the
+    best. ``scratch`` is a ``(2, n, count)`` uint64 array the stream words
+    are mixed in. The caller owns both, so a caller that drops what it
+    builds from them before the next fill can reuse them instead of
+    faulting in fresh memory for every batch; every byte written depends
+    only on the arguments, never on what the arrays held before.
+    """
+    m, n, count = block.shape
+    keys = _stream_keys(master_seed, start_index, count)
+    slots = block.reshape(m, n * count)
+    # fixed word layout per sample: (m-1) words per voter, then (m-1) words
+    # for an optional random reference; keeping the layout culture-independent
+    # keeps sample i stable across cultures.
+    if spec.kind is CultureKind.IMPARTIAL or spec.phi == 1.0:
+        _fisher_yates(_word_rows(keys, 0, n, m - 1, reverse=True, scratch=scratch), slots)
+    else:
+        _mallows_slots(_word_rows(keys, 0, n, m - 1, scratch=scratch), slots, spec.phi)
+    # the identity reference's candidate k is the reference's slot-k
+    # candidate, so candidate c takes the slots drawn for its reference slot
+    if spec.kind is CultureKind.MALLOWS and spec.random_reference:
+        words = _word_rows(keys, n * (m - 1), 1, m - 1, reverse=True, scratch=scratch[:, :1])
+        ref_pos = _fisher_yates(words, np.empty((m, count), dtype=np.int8))
+        block[:] = np.take_along_axis(block, ref_pos[:, None, :], axis=0)
+    return block
 
 
 def sample_positions_batch(
@@ -246,34 +333,18 @@ def sample_positions_batch(
 ) -> np.ndarray:
     """Rank positions for profile samples ``start_index .. start_index+count-1``.
 
-    Returns a ``(count, n, m)`` int8 array; ``[s, v, c]`` is the slot of
-    candidate ``c`` in voter ``v``'s ranking, 0 for the best. Pure function
-    of its arguments, so any chunking of the index range yields identical
-    rows. The array is the ``.transpose(2, 1, 0)`` view of C-contiguous
-    candidate-major ``(m, n, count)`` memory, the layout the samplers build,
-    so each voter's ``[:, v, :].T`` has contiguous rows.
+    Returns a fresh ``(count, n, m)`` int8 array, which the caller owns;
+    ``[s, v, c]`` is the slot of candidate ``c`` in voter ``v``'s ranking,
+    0 for the best. Pure function of its arguments, so any chunking of the
+    index range yields identical rows. The array is the
+    ``.transpose(2, 1, 0)`` view of C-contiguous candidate-major
+    ``(m, n, count)`` memory, the layout :func:`fill_positions` builds, so
+    each voter's ``[:, v, :].T`` has contiguous rows. Sweep chunks fill
+    blocks of their own instead.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need n >= 1 voters and m >= 1 candidates")
-    if m > 127:
-        # positions and rankings hold slots and candidate ids as int8
-        raise OutOfDomain(f"sampling supports at most 127 candidates, got {m}")
-    keys = _stream_keys(master_seed, start_index, count)
-    # fixed word layout per sample: (m-1) words per voter, then (m-1) words
-    # for an optional random reference; keeping the layout culture-independent
-    # keeps sample i stable across cultures.
-    if spec.kind is CultureKind.IMPARTIAL or spec.phi == 1.0:
-        words = _word_rows(keys, 0, n, m - 1, reverse=True)
-        cols = _fisher_yates(words, m, n * count).reshape(m, n, count)
-    else:
-        words = _word_rows(keys, 0, n, m - 1)
-        cols = _mallows_slots(words, m, n * count, spec.phi).reshape(m, n, count)
-    # the identity reference's candidate k is the reference's slot-k
-    # candidate, so candidate c takes the slots drawn for its reference slot
-    if spec.kind is CultureKind.MALLOWS and spec.random_reference:
-        ref_pos = _fisher_yates(_word_rows(keys, n * (m - 1), 1, m - 1, reverse=True), m, count)
-        cols = np.take_along_axis(cols, ref_pos[:, None, :], axis=0)
-    return cols.transpose(2, 1, 0)
+    block = positions_block(n, m, count)
+    scratch = np.empty((2, n, count), dtype=np.uint64)
+    return fill_positions(block, scratch, spec, master_seed, start_index).transpose(2, 1, 0)
 
 
 def sample_rankings_batch(

@@ -191,29 +191,41 @@ def play_batch_winners(positions, turns) -> np.ndarray:
 
     ``positions`` is indexed by voter id; entry ``v`` is an ``(B, m)`` or
     ``(1, m)`` int array of 0-based rank slots (broadcast across the batch).
-    Returns the ``(B,)`` winners. This is the hot kernel behind the
-    Monte-Carlo sweeps and the exhaustive sweeps too large for
-    :func:`table_batch_winners`, which plays ranking ids through a table of
-    next alive masks instead; the scalar functions above stay the readable
-    reference implementation.
+    Returns the ``(B,)`` winners as unsigned integers of the narrowest type
+    that holds ``m - 1`` (uint8 up to 256 candidates), valid ``take``
+    indices. This is the hot kernel behind the Monte-Carlo sweeps and the
+    exhaustive sweeps too large for :func:`table_batch_winners`, which plays
+    ranking ids through a table of next alive masks instead; the scalar
+    functions above stay the readable reference implementation.
 
     Each turn works slot-major on the voters' ``(m, B)`` transposes: it
     multiplies the acting voter's slots by an ``(m, B)`` alive mask, reduces
     the m rows to each profile's worst alive slot and clears the entry equal
     to it. That is exact: the two or more alive slots are distinct, so the
     worst is at least 1, above every zeroed dead entry, and no other entry
-    equals it. Transposed :func:`sample_positions_batch` voter slices have
+    equals it. At the end exactly one entry per column is alive, so the
+    winner is the column's largest ``alive * candidate`` product: a
+    reduction over rows, where ``argmax(axis=0)`` would walk the mask
+    strided (on 2 CPUs, 11 µs against 313 µs at m = 10, B = 13,107). The
+    mask is multiplied as int8 and every turn's compare lands in one
+    preallocated buffer, so no turn converts or allocates. Transposed
+    :func:`~elimgame.cultures.sample_positions_batch` voter slices have
     contiguous rows, the fast path.
     """
     cols = [p.T for p in positions]
     alive = np.ones(np.broadcast_shapes(*(c.shape for c in cols)), dtype=bool)
-    masked = np.empty(alive.shape, dtype=np.result_type(*cols))
+    mask = alive.view(np.int8)
+    masked = np.empty(alive.shape, dtype=np.result_type(np.int8, *cols))
     worst = np.empty(alive.shape[1], dtype=masked.dtype)
+    kept = np.empty(alive.shape, dtype=bool)
     for voter in turns:
-        np.multiply(cols[voter], alive, out=masked)
+        np.multiply(cols[voter], mask, out=masked)
         np.maximum.reduce(masked, axis=0, out=worst)
-        alive &= masked != worst
-    return alive.argmax(axis=0)
+        np.not_equal(masked, worst, out=kept)
+        alive &= kept
+    m = alive.shape[0]
+    ids = np.arange(m, dtype=np.min_scalar_type(m - 1))[:, None]
+    return np.maximum.reduce(alive.view(np.uint8) * ids, axis=0)
 
 
 def next_mask_table(pos: np.ndarray) -> np.ndarray:

@@ -31,11 +31,12 @@ from .core import EliminationSequence, PreferenceProfile
 from .cultures import (
     CultureSpec,
     enumeration_size,
+    fill_positions,
     permutation_table,
+    positions_block,
     profile_at_index,
     ranking_ids,
     resolve_budget,
-    sample_positions_batch,
     sample_rankings_batch,
 )
 from .errors import BudgetExceeded, ZeroWelfare
@@ -196,8 +197,8 @@ def _exhaustive_chunk(args):
     fact = pos.shape[0]
     table = _next_mask_table(m) if m <= WORST_TABLE_MAX_M else None
     base = n * (m - 1) + 1
-    # every pair's count and lowest index; an enumeration with n(m-1) > 63
-    # is past --force's budget of 2**62, so the grid holds at most 4,096 keys
+    # every pair's count and lowest index; run_exhaustive refuses n(m-1) > 63
+    # before any chunk runs, so the grid holds at most 4,096 keys
     counts = np.zeros(base * base, dtype=np.int64)
     tags = np.zeros(base * base, dtype=np.int64)
     span = None
@@ -242,17 +243,27 @@ def _exhaustive_chunk(args):
     return keys, counts[keys], tags[keys]
 
 
+@lru_cache(maxsize=1)
+def _chunk_buffers(n: int, m: int, count: int):
+    """This process's position block and word scratch for Monte-Carlo chunks
+    of one shape (see :func:`fill_positions`). Nothing a chunk builds in
+    them leaves the chunk, so each process's chunks fill the same memory
+    instead of faulting in about 1.7 MB of fresh pages each at (5, 10)."""
+    return positions_block(n, m, count), np.empty((2, n, count), dtype=np.uint64)
+
+
 def _montecarlo_chunk(args):
     turns, rev_turns, n, m, mode, culture, seed, start, count = args
-    pos = sample_positions_batch(n, m, culture, seed, start, count)
-    # Borda scores n(m-1) - slot sums, in place: a copy cost ~1 MiB RSS at (5, 10)
-    scores = pos.sum(axis=1, dtype=np.int32)
+    block = fill_positions(*_chunk_buffers(n, m, count), culture, seed, start)
+    # Borda scores n(m-1) - slot sums, (m, count) and in place: a copy cost
+    # ~1 MiB RSS at (5, 10); a row's score of w is the flat cell w*count + row
+    scores = block.sum(axis=1, dtype=np.int32)
     np.subtract(n * (m - 1), scores, out=scores)
-    rows = np.arange(scores.shape[0])
+    rows = np.arange(count)
     num, den = _evaluate(
-        partial(play_batch_winners, pos.swapaxes(0, 1)),
-        lambda w: scores[rows, w].astype(np.int64),
-        lambda: scores.max(axis=1).astype(np.int64),
+        partial(play_batch_winners, block.transpose(1, 2, 0)),
+        lambda w: scores.take(rows + w.astype(np.intp) * count).astype(np.int64),
+        lambda: scores.max(axis=0).astype(np.int64),
         turns, rev_turns, mode,
     )
     return _batch_table(num, den, n * (m - 1) + 1, start)
@@ -313,6 +324,15 @@ def run_exhaustive(
     the same distribution at 1/m! the cost.
     """
     seq.validate(n, m)
+    # The exact grid has (n(m-1) + 1)**2 cells. Past n(m-1) = 63 every
+    # enumeration but a lone voter's holds over 2**62 profiles, beyond any
+    # budget up to --force's, so no sweep there could finish; refusing them
+    # all keeps the grid at most 4,096 cells whatever the budget.
+    if n * (m - 1) > 63:
+        raise BudgetExceeded(
+            f"exhaustive sweeps need n(m-1) <= 63, got {n * (m - 1)}; "
+            "sample the space with montecarlo instead"
+        )
     total = enumeration_size(n, m, fix_first)
     limit = resolve_budget(budget)
     if total > limit:

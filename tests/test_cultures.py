@@ -16,6 +16,7 @@ from elimgame import (
     sample_rankings_batch,
 )
 from elimgame.cultures import (
+    SELECT_STEPS,
     CultureKind,
     _fisher_yates,
     _stream_keys,
@@ -25,6 +26,8 @@ from elimgame.cultures import (
     kendall_tau,
     mallows_pmf,
     permutation_table,
+    fill_positions,
+    positions_block,
     profile_at_index,
     ranking_ids,
     resolve_budget,
@@ -150,13 +153,26 @@ class TestSamplerStages:
             np.uint64(5) + np.uint64(width) * np.arange(voters, dtype=np.uint64))[:, None])
         assert np.array_equal(forward[0], words.reshape(-1))
 
-    @pytest.mark.parametrize("m", [2, 10, 24, 127])
+    # steps below SELECT_STEPS run as compare-select and the rest as a
+    # gather, so the m list covers the switch and both of its sides
+    @pytest.mark.parametrize("m", sorted({2, 10, 24, 127, *(
+        SELECT_STEPS + d for d in (-1, 0, 1, 2))}))
     def test_fisher_yates_positions_invert_oracle(self, m):
         keys = _stream_keys(3, 0, 300)
         words = np.stack([row.copy() for row in _word_rows(keys, 0, 1, m - 1)], axis=1)
         want = np.argsort(_oracle_fisher_yates(words), axis=1)
-        got = _fisher_yates(_word_rows(keys, 0, 1, m - 1, reverse=True), m, 300)
-        assert got.dtype == np.int8 and np.array_equal(got.T, want)
+        # the block starts as garbage: the sampler must overwrite all of it
+        block = np.full((m, 300), -7, dtype=np.int8)
+        got = _fisher_yates(_word_rows(keys, 0, 1, m - 1, reverse=True), block)
+        assert got is block and np.array_equal(got.T, want)
+
+    def test_word_rows_fill_a_given_scratch(self):
+        keys = _stream_keys(6, 100, 37)
+        scratch = np.zeros((2, 3, 37), dtype=np.uint64)
+        rows = _word_rows(keys, 4, 3, 5, scratch=scratch)
+        first = next(rows)
+        assert np.shares_memory(first, scratch[0])
+        assert np.array_equal(first, next(_word_rows(keys, 4, 3, 5)))
 
 
 SAMPLER_CULTURES = [
@@ -231,6 +247,50 @@ class TestPositionSampler:
             for lo in range(0, 2 * chunk + 33, chunk)
         ])
         assert np.array_equal(whole, parts)
+
+    @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
+    def test_back_to_back_batches_are_independent(self, culture):
+        # every call returns memory of its own: a second batch of the same
+        # shape must not overwrite the first
+        first = sample_positions_batch(3, 7, culture, 8, 0, 300)
+        kept = first.copy()
+        second = sample_positions_batch(3, 7, culture, 8, 300, 300)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
+    def test_refilled_blocks_match_fresh_batches(self, culture):
+        # a reused block and scratch carry nothing from one fill to the next
+        n, m, count = 3, 7, 200
+        block = positions_block(n, m, count)
+        scratch = np.empty((2, n, count), dtype=np.uint64)
+        for start in (0, 200, 5):
+            got = fill_positions(block, scratch, culture, 8, start)
+            assert got is block
+            want = sample_positions_batch(n, m, culture, 8, start, count)
+            assert np.array_equal(got.transpose(2, 1, 0), want)
+
+    @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
+    def test_back_to_back_batches_are_independent(self, culture):
+        # every call returns memory of its own: a second batch of the same
+        # shape must not overwrite the first
+        first = sample_positions_batch(3, 7, culture, 8, 0, 300)
+        kept = first.copy()
+        second = sample_positions_batch(3, 7, culture, 8, 300, 300)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
+    def test_refilled_blocks_match_fresh_batches(self, culture):
+        # a reused block and scratch carry nothing from one fill to the next
+        n, m, count = 3, 7, 200
+        block = positions_block(n, m, count)
+        scratch = np.empty((2, n, count), dtype=np.uint64)
+        for start in (0, 200, 5):
+            got = fill_positions(block, scratch, culture, 8, start)
+            assert got is block
+            want = sample_positions_batch(n, m, culture, 8, start, count)
+            assert np.array_equal(got.transpose(2, 1, 0), want)
 
     def test_candidate_ids_fit_int8(self):
         for culture in (IC, CultureSpec.mallows(0.9)):

@@ -359,6 +359,25 @@ class TestInPlaceKernel:
         assert play_batch_winners(rows, turns).tolist() == want
         assert play_batch_winners(cols, turns).tolist() == want
 
+    @pytest.mark.parametrize("m,dtype", [(127, np.int8), (127, np.int64), (300, np.int64)])
+    def test_winners_index_take(self, m, dtype):
+        # winners reduce over candidate ids of the narrowest unsigned type:
+        # the largest id must come back as a valid index at int8's limit of
+        # 127 candidates and past a byte's 256
+        rng = np.random.default_rng(m)
+        n, B = 2, 40
+        rows = [self.random_positions(rng, B, m, dtype) for _ in range(n)]
+        turns = tuple(int(t) for t in rng.integers(n, size=m - 1))
+        got = play_batch_winners(rows, turns)
+        want = self.scalar_winners(rows, turns)
+        assert got.tolist() == want
+        labels = np.arange(1000, 1000 + m)
+        assert labels.take(got).tolist() == [1000 + w for w in want]
+        # a batch whose winner is the last candidate everywhere
+        last = np.broadcast_to(np.arange(m, dtype=dtype)[::-1], (B, m))
+        top = play_batch_winners([last], (0,) * (m - 1))
+        assert top.tolist() == [m - 1] * B and labels.take(top).tolist() == [1000 + m - 1] * B
+
 
 class TestWorstAliveTable:
     """The next-mask table and the kernel that plays ranking ids through it."""

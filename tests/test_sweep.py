@@ -458,6 +458,21 @@ class TestGuards:
                     assert n * (m - 1) <= 63, (n, m, fix_first)
                     n += 1
 
+    @pytest.mark.parametrize("n,m", [(64, 2), (3000, 2), (22, 4)])
+    def test_grid_cap_refuses_before_any_chunk(self, monkeypatch, n, m):
+        # n(m-1) > 63 is refused whatever the budget, before a chunk could
+        # allocate its (n(m-1)+1)**2 grid
+        def no_chunks(*args, **kwargs):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(sweep, "_run_chunks", no_chunks)
+        monkeypatch.setenv("ELIMGAME_BUDGET", str(10**1000))
+        s = EliminationSequence(tuple(v % n for v in range(m - 1)))
+        with pytest.raises(BudgetExceeded, match="n\\(m-1\\) <= 63"):
+            run_exhaustive(s, n, m, RatioMode.CB)
+        with pytest.raises(BudgetExceeded):
+            run_exhaustive(s, n, m, RatioMode.AB, fix_first=False, budget=10**1000)
+
     def test_mode_parse(self):
         assert RatioMode.parse("ab") is RatioMode.AB
         assert RatioMode.parse("CB") is RatioMode.CB
