@@ -7,8 +7,11 @@ constructs worst-case profiles attaining the closed-form bounds, and runs
 exhaustive and Monte-Carlo ratio studies reproducibly across worker counts.
 
 The top level re-exports the entry points and the types they take; every
-other name lives in its submodule.
+other name lives in its submodule. Importing the package loads no numpy;
+the study names load it on first use.
 """
+
+from importlib import import_module
 
 from .core import (
     EliminationSequence,
@@ -17,7 +20,6 @@ from .core import (
     format_profile,
     parse_profile,
 )
-from .cultures import CultureSpec, sample_rankings_batch
 from .errors import (
     BudgetExceeded,
     CandidateUnknown,
@@ -33,7 +35,6 @@ from .errors import (
     Unsatisfiable,
     ZeroWelfare,
 )
-from .experiments import ExperimentConfig, run_experiment
 from .extremal import ExtremalMode, generate, verify_tight
 from .play import (
     BehaviorAssignment,
@@ -42,8 +43,8 @@ from .play import (
     sincere_play,
     spne_outcome,
 )
-from .sweep import RatioMode
 from .welfare import (
+    RatioMode,
     poa_for_sequence,
     poa_formula,
     ratio_ab,
@@ -52,6 +53,17 @@ from .welfare import (
 )
 
 __version__ = "0.1.0"
+
+#: the numpy-backed study names and their modules, imported on first use
+_STUDY_NAMES = {"CultureSpec": "cultures", "sample_rankings_batch": "cultures",
+                "ExperimentConfig": "experiments", "run_experiment": "experiments"}
+
+
+def __getattr__(name):
+    if name not in _STUDY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_STUDY_NAMES[name]}", __name__), name)
+
 
 __all__ = [
     "BehaviorAssignment",

@@ -13,14 +13,7 @@ import json
 import sys
 
 from .core import EliminationSequence, format_profile, parse_profile
-from .cultures import CultureSpec
 from .errors import BudgetExceeded, ElimGameError, OutOfDomain, ParseError, Unsatisfiable
-from .experiments import (
-    ExperimentConfig,
-    render_report,
-    run_experiment,
-    write_histogram_csv,
-)
 from .extremal import ExtremalMode, generate, verify_tight
 from .play import (
     BehaviorAssignment,
@@ -30,8 +23,7 @@ from .play import (
     spne_outcome,
     trace_report,
 )
-from .sweep import RatioMode
-from .welfare import poa_for_sequence, ratio_json, sr_bound_for_sequence
+from .welfare import RatioMode, poa_for_sequence, ratio_json, sr_bound_for_sequence
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -172,7 +164,8 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _exhaustive_config(args) -> ExperimentConfig:
+def _exhaustive_config(args):
+    from .experiments import ExperimentConfig
     return ExperimentConfig(
         n=args.n, m=args.m,
         sequence=EliminationSequence.parse(args.sequence),
@@ -183,7 +176,9 @@ def _exhaustive_config(args) -> ExperimentConfig:
     )
 
 
-def _montecarlo_config(args) -> ExperimentConfig:
+def _montecarlo_config(args):
+    from .cultures import CultureSpec
+    from .experiments import ExperimentConfig
     if not 0 <= args.seed < 1 << 64:
         raise ParseError(f"--seed must lie in 0..2**64-1, got {args.seed}")
     culture = CultureSpec.parse(args.culture, phi=args.phi)
@@ -201,6 +196,8 @@ def _montecarlo_config(args) -> ExperimentConfig:
 
 
 def cmd_study(args) -> int:
+    # the study modules load numpy, so only the study commands import them
+    from .experiments import render_report, run_experiment, write_histogram_csv
     result = run_experiment(args.config(args))
     sys.stdout.write(render_report(result))
     if args.out:

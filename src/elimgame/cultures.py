@@ -154,9 +154,6 @@ class CultureSpec:
             return cls.mallows(phi)
         raise ParseError(f"unknown culture {text!r} (expected ic or mallows:phi=X)")
 
-    def describe(self) -> str:
-        return "ic" if self.kind is CultureKind.IMPARTIAL else "mallows"
-
 
 def kendall_tau(v1: Vote, v2: Vote) -> int:
     """Number of candidate pairs the two votes order oppositely."""

@@ -20,14 +20,13 @@ import numpy as np
 from .core import EliminationSequence, PreferenceProfile, format_profile
 from .cultures import CultureSpec
 from .sweep import (
-    RatioMode,
     SweepResult,
     exhaustive_witness,
     montecarlo_witness,
     run_exhaustive,
     run_montecarlo,
 )
-from .welfare import poa_for_sequence, ratio_json, sr_bound_for_sequence
+from .welfare import RatioMode, poa_for_sequence, ratio_json, sr_bound_for_sequence
 
 CSV_HEADER = "sequence,n,m,mode,culture,phi,count,mean,std,max_num,max_den"
 HIST_HEADER = "bin_left,bin_right,count"
@@ -118,7 +117,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def csv_row(result: ExperimentResult) -> str:
     """One summary row under CSV_HEADER, reduced max as num/den fields."""
     cfg = result.config
-    culture = "exhaustive" if cfg.culture is None else cfg.culture.describe()
+    culture = "exhaustive" if cfg.culture is None else cfg.culture.kind.value
     phi = "" if cfg.culture is None or cfg.culture.kind.value == "ic" else str(cfg.culture.phi)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="")
@@ -168,7 +167,7 @@ def json_summary(result: ExperimentResult) -> dict:
         "n": cfg.n,
         "m": cfg.m,
         "mode": cfg.mode.value,
-        "culture": "exhaustive" if cfg.culture is None else cfg.culture.describe(),
+        "culture": "exhaustive" if cfg.culture is None else cfg.culture.kind.value,
         "count": sweep.count,
         "mean": float(sweep.mean),
         "std": sweep.std,

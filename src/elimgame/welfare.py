@@ -20,11 +20,28 @@ ratio.
 
 from __future__ import annotations
 
+from enum import Enum
 from fractions import Fraction
 
 from .core import EliminationSequence, PreferenceProfile
 from .errors import OutOfDomain, ZeroWelfare
 from .play import sincere_play, spne_outcome
+
+
+class RatioMode(Enum):
+    """Which welfare ratio a sweep evaluates.
+
+    AB: Borda-best score over the strategic winner's score (anarchy).
+    CB: sincere winner's score over the strategic winner's score (sincerity);
+    the only mode that can dip below 1.
+    """
+
+    AB = "ab"
+    CB = "cb"
+
+    @classmethod
+    def parse(cls, text: str) -> "RatioMode":
+        return cls(text.lower())
 
 
 def ratio_json(r: Fraction) -> dict:

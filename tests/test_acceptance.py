@@ -68,7 +68,7 @@ from elimgame import (
     verify_tight,
 )
 from elimgame.cultures import enumerate_profiles, mallows_pmf
-from elimgame.play import play_batch_winners
+from elimgame.sweep import play_batch_winners
 from elimgame.welfare import sr_bound_for_sequence
 from helpers import random_instance, seq, seq_from
 

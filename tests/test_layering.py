@@ -2,10 +2,19 @@
 
 Each module may import only modules on a strictly lower layer. The package
 ``__init__`` and ``__main__`` sit outside the order: they re-export and
-start the command line.
+start the command line. The reference engine and the closed forms import
+only the standard library, and the study modules, the only ones that load
+numpy, are imported by the command line and the package only when a study
+needs them. The last check keeps every test in ``tests/`` collectable: a
+second definition of a name silently replaces the first.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,18 +33,38 @@ LAYERS = [
 ]
 LAYER_OF = {name: i for i, layer in enumerate(LAYERS) for name in layer}
 PACKAGE = Path(elimgame.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 EXEMPT = {"__init__", "__main__"}
+#: the modules that import numpy; nothing else may load them at import time
+STUDY_MODULES = {"cultures", "sweep", "experiments"}
+STANDARD = set(sys.stdlib_module_names) | {"elimgame"}
 
 
-def relative_imports(path: Path) -> set[str]:
-    """Sibling modules named by the relative imports in one source file."""
+def parse(module: str) -> ast.Module:
+    path = PACKAGE / f"{module}.py"
+    return ast.parse(path.read_text(), str(path))
+
+
+def relative_imports(nodes) -> set[str]:
+    """Sibling modules named by the relative imports among ``nodes``."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module is None:
                 found.update(alias.name for alias in node.names)
             else:
                 found.add(node.module.split(".")[0])
+    return found
+
+
+def absolute_imports(nodes) -> set[str]:
+    """Top-level packages named by the absolute imports among ``nodes``."""
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
     return found
 
 
@@ -47,7 +76,77 @@ def test_every_module_has_a_layer():
 @pytest.mark.parametrize("module", sorted(LAYER_OF))
 def test_imports_point_to_lower_layers(module):
     upward = {
-        target for target in relative_imports(PACKAGE / f"{module}.py")
+        target for target in relative_imports(ast.walk(parse(module)))
         if LAYER_OF[target] >= LAYER_OF[module]
     }
     assert not upward, f"{module} imports {sorted(upward)} from its own or a higher layer"
+
+
+@pytest.mark.parametrize("module", ["errors", "core", "play", "welfare", "extremal"])
+def test_reference_modules_import_only_the_standard_library(module):
+    outside = absolute_imports(ast.walk(parse(module))) - STANDARD
+    assert not outside, f"{module} imports {sorted(outside)}"
+
+
+@pytest.mark.parametrize("module", ["cli", "__init__"])
+def test_entry_points_import_no_study_module_at_module_level(module):
+    body = parse(module).body
+    found = (relative_imports(body) & STUDY_MODULES) | (absolute_imports(body) - STANDARD)
+    assert not found, f"{module} imports {sorted(found)} at module level"
+
+
+def test_reference_commands_load_no_numpy(tmp_path):
+    profile = tmp_path / "profile.txt"
+    profile.write_text("a b c d e\ne d c b a\nd e b c a\n")
+    game = ["--sequence", "1,2,3,1"]
+    runs = [["bounds", "--n", "3", "--m", "5", *game],
+            ["extremal", "--n", "3", "--m", "5", "--oracle", *game]]
+    runs += [["solve", "--profile", str(profile), *game, "--behavior", behavior]
+             for behavior in ("sincere", "strategic", "oracle")]
+    runs.append(["solve", "--profile", str(profile), *game,
+                 "--behavior", "mixed", "--sincere-set", "1"])
+    script = (
+        "import json, sys\n"
+        "from elimgame.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "heavy = {'numpy', 'concurrent.futures.process'}\n"
+        "print(json.dumps([codes, sorted(heavy & set(sys.modules))]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert loaded == []
+
+
+def test_study_names_resolve_on_first_use():
+    from elimgame import cultures, experiments, sweep, welfare
+
+    for module, names in [(cultures, ["CultureSpec", "sample_rankings_batch"]),
+                          (experiments, ["ExperimentConfig", "run_experiment"]),
+                          (welfare, ["RatioMode"]), (sweep, ["RatioMode"])]:
+        for name in names:
+            assert getattr(elimgame, name) is getattr(module, name)
+    star = {}
+    exec("from elimgame import *", star)
+    assert set(elimgame.__all__) <= star.keys()
+    with pytest.raises(AttributeError):
+        elimgame.no_such_name
+
+
+def test_no_test_name_is_defined_twice_in_one_scope():
+    twice = []
+    for path in sorted(TESTS.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+            names = Counter(
+                node.name for node in scope.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("test_")
+            )
+            where = f"{path.name}::{getattr(scope, 'name', '<module>')}"
+            twice += [f"{where}::{name}" for name, k in names.items() if k > 1]
+    assert not twice, f"defined twice: {twice}"

@@ -17,13 +17,8 @@ from elimgame import (
     spne_outcome,
 )
 from elimgame.cultures import permutation_table
-from elimgame.play import (
-    GameTrace,
-    next_mask_table,
-    play_batch_winners,
-    table_batch_winners,
-    trace_report,
-)
+from elimgame.play import GameTrace, trace_report
+from elimgame.sweep import next_mask_table, play_batch_winners, table_batch_winners
 from helpers import profile, random_instance, random_sequence, seq
 
 
