@@ -107,8 +107,8 @@ class CultureSpec:
     ``phi`` is the Mallows dispersion in (0, 1]; 1 coincides with impartial
     culture. The Mallows reference ranking is the identity, or with
     ``random_reference`` a fresh uniform one per profile (per sample, not
-    per vote). Every ratio is invariant under candidate relabelling, so no
-    other fixed reference could change a statistic.
+    per vote), which relabels the candidates and so moves no ratio: sweeps
+    sample identity-reference profiles, and only returned rankings change.
     """
 
     kind: CultureKind
@@ -289,8 +289,8 @@ def fill_positions(
     master_seed: int,
     start_index: int,
 ) -> np.ndarray:
-    """Fill ``block`` with the rank positions of profile samples
-    ``start_index .. start_index+count-1``; returns ``block``.
+    """Fill ``block`` with the rank positions of identity-reference profile
+    samples ``start_index .. start_index+count-1``; returns ``block``.
 
     ``block`` is a caller's C-contiguous ``(m, n, count)`` int8 array, as
     :func:`positions_block` makes: ``[c, v, s]`` becomes the slot of
@@ -299,24 +299,16 @@ def fill_positions(
     are mixed in. The caller owns both, so a caller that drops what it
     builds from them before the next fill can reuse them instead of
     faulting in fresh memory for every batch; every byte written depends
-    only on the arguments, never on what the arrays held before.
+    only on the arguments, never on what the arrays held before. A random
+    reference is left to :func:`sample_positions_batch`.
     """
     m, n, count = block.shape
     keys = _stream_keys(master_seed, start_index, count)
     slots = block.reshape(m, n * count)
-    # fixed word layout per sample: (m-1) words per voter, then (m-1) words
-    # for an optional random reference; keeping the layout culture-independent
-    # keeps sample i stable across cultures.
     if spec.kind is CultureKind.IMPARTIAL or spec.phi == 1.0:
         _fisher_yates(_word_rows(keys, 0, n, m - 1, reverse=True, scratch=scratch), slots)
     else:
         _mallows_slots(_word_rows(keys, 0, n, m - 1, scratch=scratch), slots, spec.phi)
-    # the identity reference's candidate k is the reference's slot-k
-    # candidate, so candidate c takes the slots drawn for its reference slot
-    if spec.kind is CultureKind.MALLOWS and spec.random_reference:
-        words = _word_rows(keys, n * (m - 1), 1, m - 1, reverse=True, scratch=scratch[:, :1])
-        ref_pos = _fisher_yates(words, np.empty((m, count), dtype=np.int8))
-        block[:] = np.take_along_axis(block, ref_pos[:, None, :], axis=0)
     return block
 
 
@@ -337,11 +329,20 @@ def sample_positions_batch(
     ``.transpose(2, 1, 0)`` view of C-contiguous candidate-major
     ``(m, n, count)`` memory, the layout :func:`fill_positions` builds, so
     each voter's ``[:, v, :].T`` has contiguous rows. Sweep chunks fill
-    blocks of their own instead.
+    blocks of their own instead. A random Mallows reference is drawn here,
+    from the ``m-1`` words after each sample's ``n(m-1)`` voter words, a
+    layout every culture shares.
     """
-    block = positions_block(n, m, count)
     scratch = np.empty((2, n, count), dtype=np.uint64)
-    return fill_positions(block, scratch, spec, master_seed, start_index).transpose(2, 1, 0)
+    block = fill_positions(positions_block(n, m, count), scratch, spec, master_seed, start_index)
+    # the identity reference's candidate k is the reference's slot-k
+    # candidate, so candidate c takes the slots drawn for its reference slot
+    if spec.kind is CultureKind.MALLOWS and spec.random_reference:
+        keys = _stream_keys(master_seed, start_index, count)
+        words = _word_rows(keys, n * (m - 1), 1, m - 1, reverse=True, scratch=scratch[:, :1])
+        ref_pos = _fisher_yates(words, np.empty((m, count), dtype=np.int8))
+        block[:] = np.take_along_axis(block, ref_pos[:, None, :], axis=0)
+    return block.transpose(2, 1, 0)
 
 
 def sample_rankings_batch(
@@ -401,9 +402,7 @@ def ranking_ids(n: int, m: int, index: int, fix_first: bool = True) -> list[int]
     This is the one place that order is decoded: lexicographic over the free
     voters' ranking ids, first free voter most significant and the last voter
     least, so consecutive indices run the last voter over consecutive
-    ranking ids. With ``fix_first`` voter 1 is pinned to the identity (id 0),
-    which is sound for worst-case and distributional work because every
-    quantity of interest is invariant under candidate relabelling.
+    ranking ids. With ``fix_first`` voter 1 is pinned to the identity (id 0).
     """
     total = enumeration_size(n, m, fix_first)
     if not 0 <= index < total:

@@ -102,7 +102,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             config.sequence, config.n, config.m, config.mode,
             fix_first=config.fix_first, budget=config.budget, workers=config.workers,
         )
-        witness = exhaustive_witness(config.n, config.m, res.max_index, config.fix_first)
+        witness = exhaustive_witness(config.n, config.m, res.max_index)
     else:
         res = run_montecarlo(
             config.sequence, config.n, config.m, config.mode, config.culture,

@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from math import factorial, sqrt
 
 import numpy as np
@@ -217,7 +215,6 @@ class SweepResult:
     off it.
     """
 
-    mode: RatioMode
     count: int
     mean: Fraction
     variance: Fraction
@@ -233,7 +230,7 @@ class SweepResult:
         return sqrt(float(self.variance))
 
 
-def _finish(table, base: int, mode: RatioMode) -> SweepResult:
+def _finish(table, base: int) -> SweepResult:
     keys, counts, tags = table
     # keys ascend, so the lowest holds the lowest denominator
     if keys[0] < base:
@@ -260,7 +257,6 @@ def _finish(table, base: int, mode: RatioMode) -> SweepResult:
     max_ratio, max_index = min(candidates(tails), key=lambda p: (-p[0], p[1]))
     min_ratio, min_index = min(candidates(heads))
     return SweepResult(
-        mode=mode,
         count=n_total,
         mean=mean,
         variance=second - mean * mean,
@@ -292,7 +288,7 @@ def _next_mask_table(m: int) -> np.ndarray:
 
 
 def _exhaustive_chunk(args):
-    turns, rev_turns, n, m, mode, fix_first, batch, start, count = args
+    turns, rev_turns, n, m, mode, batch, start, count = args
     pos = permutation_table(m)
     fact = pos.shape[0]
     table = _next_mask_table(m) if m <= WORST_TABLE_MAX_M else None
@@ -306,7 +302,7 @@ def _exhaustive_chunk(args):
     while index < end:
         # Every voter but the last keeps one ranking id; the last voter's ids
         # low..high-1 are the profiles index..index+high-low-1.
-        ids = ranking_ids(n, m, index, fix_first)
+        ids = ranking_ids(n, m, index)
         low = ids.pop()
         high = min(fact, low + batch, low + end - index)
         if span != (low, high):
@@ -399,13 +395,12 @@ def _run_chunks(fn, static, total: int, chunk: int, workers: int):
     """
     args = ((*static, start, min(chunk, total - start)) for start in range(0, total, chunk))
     workers = min(workers, -(-total // chunk), _usable_cpus())
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    with pool or nullcontext():
-        tables = _in_order(pool, fn, args, 2 * workers) if pool else map(fn, args)
-        folded = next(tables)
-        for table in tables:
-            folded = _fold((folded, table))
-    return folded
+    fold = partial(reduce, lambda folded, table: _fold((folded, table)))
+    if workers < 2:  # a serial study never imports the process pool
+        return fold(map(fn, args))
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return fold(_in_order(pool, fn, args, 2 * workers))
 
 
 def run_exhaustive(
@@ -419,33 +414,45 @@ def run_exhaustive(
 ) -> SweepResult:
     """Evaluate the ratio on every profile of the enumeration.
 
-    With ``fix_first`` (the default) voter 1 is pinned to the identity
-    ranking; ratios are relabelling-invariant, so the reduced space carries
-    the same distribution at 1/m! the cost.
+    With ``fix_first`` the population is the pinned space, where voter 1
+    ranks in identity order; without it, the full space. The sweep plays
+    only the pinned space and scales the full space's counts by m!. That
+    is exact: no Borda score depends on what the candidates are called, so
+    each relabelling orbit holds m! profiles with one (num, den) pair and
+    exactly one of them pinned, and the pinned profiles are the full
+    order's first ``(m!)**(n-1)``, in the same order, so every first index
+    and the witness stay the same. The refusals read the population's size.
     """
     seq.validate(n, m)
-    # The exact grid has (n(m-1) + 1)**2 cells. Past n(m-1) = 63 every
+    # Refused whatever the budget, before any chunk or table is built. The
+    # exact grid has (n(m-1) + 1)**2 cells; past n(m-1) = 63 every
     # enumeration but a lone voter's holds over 2**62 profiles, beyond any
-    # budget up to --force's, so no sweep there could finish; refusing them
-    # all keeps the grid at most 4,096 cells whatever the budget.
+    # budget up to --force's, so refusing them keeps the grid at most 4,096
+    # cells. From m = 12 the m!*m-byte position table passes 1 GiB (5.4 GiB
+    # at m = 12), and from 2**63 profiles the int64 counts would wrap.
     if n * (m - 1) > 63:
         raise BudgetExceeded(
             f"exhaustive sweeps need n(m-1) <= 63, got {n * (m - 1)}; "
             "sample the space with montecarlo instead"
         )
     total = enumeration_size(n, m, fix_first)
+    if m >= 12 or total >= 1 << 63:
+        raise BudgetExceeded(
+            f"exhaustive sweeps need m <= 11 and under 2**63 profiles, got m = {m} "
+            f"and {total} profiles; sample the space with montecarlo instead"
+        )
     limit = resolve_budget(budget)
     if total > limit:
         raise BudgetExceeded(
             f"exhaustive sweep needs {total} profiles, over the budget of {limit}; "
             "raise ELIMGAME_BUDGET or pass --force"
         )
+    scale = total // enumeration_size(n, m)
     batch = min(factorial(m), max(1, MC_CHUNK // n))
-    static = (seq.turns, seq.reverse().turns, n, m, mode, fix_first, batch)
-    table = _run_chunks(
-        _exhaustive_chunk, static, total, EXHAUSTIVE_OUTER_CHUNK * batch, workers
-    )
-    return _finish(table, n * (m - 1) + 1, mode)
+    static = (seq.turns, seq.reverse().turns, n, m, mode, batch)
+    keys, counts, tags = _run_chunks(_exhaustive_chunk, static, total // scale,
+                                     EXHAUSTIVE_OUTER_CHUNK * batch, workers)
+    return _finish((keys, counts * scale, tags), n * (m - 1) + 1)
 
 
 def run_montecarlo(
@@ -470,12 +477,13 @@ def run_montecarlo(
         raise ValueError(f"seed must lie in 0..2**64-1, got {seed}")
     static = (seq.turns, seq.reverse().turns, n, m, mode, culture, seed)
     table = _run_chunks(_montecarlo_chunk, static, samples, max(1, MC_CHUNK // n), workers)
-    return _finish(table, n * (m - 1) + 1, mode)
+    return _finish(table, n * (m - 1) + 1)
 
 
-def exhaustive_witness(n: int, m: int, index: int, fix_first: bool = True) -> PreferenceProfile:
-    """Profile behind an exhaustive sweep's ``max_index``/``min_index``."""
-    return profile_at_index(n, m, index, fix_first)
+def exhaustive_witness(n: int, m: int, index: int) -> PreferenceProfile:
+    """Profile behind an exhaustive sweep's ``max_index``/``min_index``,
+    for either ``fix_first``: the pinned space is the full order's prefix."""
+    return profile_at_index(n, m, index)
 
 
 def montecarlo_witness(

@@ -152,6 +152,20 @@ class TestExitCodes:
         code, out, _ = run_main(capsys, *(args + ["--force"]))
         assert code == 0
 
+    def test_position_table_over_1_gib_is_5(self, capsys, monkeypatch):
+        # refused before the 5.4 GiB table of m = 12 is built, even with --force
+        def no_table(m):
+            raise AssertionError("the position table was built")
+
+        monkeypatch.setattr("elimgame.sweep.permutation_table", no_table)
+        code, out, err = run_main(
+            capsys, "exhaustive", "--n", "2", "--m", "12",
+            "--sequence", ",".join("12" * 5 + "1"), "--force",
+        )
+        assert code == 5
+        assert out == ""
+        assert err.count("\n") == 1 and "m <= 11" in err
+
     def test_single_voter_over_budget_is_3(self, capsys, monkeypatch):
         # the closed forms' domain is checked before the budget
         monkeypatch.setenv("ELIMGAME_BUDGET", "10")

@@ -5,8 +5,9 @@ Each module may import only modules on a strictly lower layer. The package
 start the command line. The reference engine and the closed forms import
 only the standard library, and the study modules, the only ones that load
 numpy, are imported by the command line and the package only when a study
-needs them. The last check keeps every test in ``tests/`` collectable: a
-second definition of a name silently replaces the first.
+needs them; a serial study loads no process pool either. The last check
+keeps every test in ``tests/`` collectable: a second definition of a name
+silently replaces the first.
 """
 
 import ast
@@ -105,21 +106,38 @@ def test_reference_commands_load_no_numpy(tmp_path):
              for behavior in ("sincere", "strategic", "oracle")]
     runs.append(["solve", "--profile", str(profile), *game,
                  "--behavior", "mixed", "--sincere-set", "1"])
+    assert modules_left_loaded(runs, {"numpy", "concurrent.futures.process"}) == []
+
+
+def test_serial_studies_load_no_process_pool():
+    game = ["--n", "3", "--m", "5", "--sequence", "1,2,3,1", "--workers", "1"]
+    runs = [["exhaustive", *game, "--mode", "cb"],
+            ["montecarlo", *game, "--mode", "ab", "--culture", "mallows:phi=0.6",
+             "--samples", "500", "--seed", "1"]]
+    heavy = {"concurrent.futures.process", "multiprocessing"}
+    assert modules_left_loaded(runs, heavy) == []
+
+
+def modules_left_loaded(runs, heavy) -> list[str]:
+    """The ``heavy`` modules in ``sys.modules`` after a fresh interpreter
+    runs ``cli.main`` on each of ``runs``, every one of which must exit 0."""
     script = (
-        "import json, sys\n"
+        "import contextlib, io, json, sys\n"
         "from elimgame.cli import main\n"
-        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "heavy = {'numpy', 'concurrent.futures.process'}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "heavy = set(json.loads(sys.argv[2]))\n"
         "print(json.dumps([codes, sorted(heavy & set(sys.modules))]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs), json.dumps(sorted(heavy))],
+        capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(runs)
-    assert loaded == []
+    return loaded
 
 
 def test_study_names_resolve_on_first_use():

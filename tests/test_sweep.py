@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
@@ -53,6 +54,14 @@ def naive_exhaustive(s, n, m, mode, fix_first=True):
         "min_index": vals.index(min(vals)),
         "spike_count": sum(1 for v in vals if v == 1),
     }
+
+
+#: every sequence at four small sizes, as (n, m, 1-based turns)
+FULL_SPACE_CASES = [
+    (n, m, turns)
+    for n, m in [(1, 3), (2, 3), (2, 4), (3, 3)]
+    for turns in itertools.product(range(1, n + 1), repeat=m - 1)
+]
 
 
 def assert_matches(res, want):
@@ -119,11 +128,17 @@ class TestExhaustiveExactness:
     def test_agrees_with_naive_enumeration(self, s, n, m, mode):
         assert_matches(run_exhaustive(s, n, m, mode), naive_exhaustive(s, n, m, mode))
 
-    def test_full_space_agrees_with_naive(self):
-        s = seq(2, 1, 2)
-        want = naive_exhaustive(s, 2, 4, RatioMode.CB, fix_first=False)
-        assert_matches(run_exhaustive(s, 2, 4, RatioMode.CB, fix_first=False), want)
-        assert want["count"] == 576
+    @pytest.mark.parametrize("n,m,turns", FULL_SPACE_CASES,
+                             ids=["{}x{}-{}".format(n, m, "".join(map(str, t)))
+                                  for n, m, t in FULL_SPACE_CASES])
+    @pytest.mark.parametrize("mode", [RatioMode.AB, RatioMode.CB])
+    def test_full_space_agrees_with_naive(self, n, m, turns, mode):
+        # the sweep plays the pinned space and scales its counts by m!; the
+        # oracle plays every profile of the full space
+        s = seq(*turns)
+        want = naive_exhaustive(s, n, m, mode, fix_first=False)
+        assert want["count"] == factorial(m) ** n
+        assert_matches(run_exhaustive(s, n, m, mode, fix_first=False), want)
 
     @pytest.mark.parametrize("mode", [RatioMode.AB, RatioMode.CB])
     def test_pairs_are_the_population(self, mode):
@@ -290,7 +305,8 @@ class TestPool:
     @pytest.fixture
     def pools(self, monkeypatch):
         _RecordingPool.made = []
-        monkeypatch.setattr("elimgame.sweep.ProcessPoolExecutor", _RecordingPool)
+        # sweep imports the pool class only when it starts a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr("elimgame.sweep.os.sched_getaffinity",
                             lambda pid: {0, 1, 2}, raising=False)
         return _RecordingPool.made
@@ -339,6 +355,22 @@ class TestMonteCarlo:
         res = run_montecarlo(s, 2, 5, RatioMode.CB, culture, 2000, seed=3)
         w = montecarlo_witness(2, 5, culture, 3, res.max_index)
         assert ratio_cb(w, s) == res.max_ratio
+
+    @pytest.mark.parametrize("phi", [0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("n,m", [(3, 6), (2, 24)])
+    @pytest.mark.parametrize("mode", [RatioMode.AB, RatioMode.CB])
+    def test_random_reference_is_a_relabelling(self, monkeypatch, phi, n, m, mode):
+        # a random reference relabels each profile's candidates, which moves
+        # no Borda score: the sweep equals the identity-reference one, and
+        # both witnesses attain its maximum
+        s = EliminationSequence(tuple(v % n for v in range(m - 1)))
+        monkeypatch.setattr("elimgame.sweep.MC_CHUNK", 150 * n)
+        fixed, relabelled = CultureSpec.mallows(phi), CultureSpec.mallows(phi, True)
+        res = run_montecarlo(s, n, m, mode, fixed, 400, seed=6)
+        assert_same_result(run_montecarlo(s, n, m, mode, relabelled, 400, seed=6), res)
+        fn = ratio_ab if mode is RatioMode.AB else ratio_cb
+        witnesses = [montecarlo_witness(n, m, c, 6, res.max_index) for c in (fixed, relabelled)]
+        assert [fn(w, s) for w in witnesses] == [res.max_ratio] * 2
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
@@ -392,12 +424,12 @@ class TestSummary:
         # 1/2, 2/4, 3/6 and 3/2, 6/4, 9/6 are two ratios under six keys
         a = [(10, [(2, 4), (6, 4), (5, 5)]), (20, [(1, 2), (3, 2)])]
         b = [(3, [(5, 5), (3, 6), (9, 6)]), (30, [(1, 2)])]
-        alone = sweep._finish(self.build(10, a), 10, RatioMode.CB)
+        alone = sweep._finish(self.build(10, a), 10)
         assert (alone.min_ratio, alone.min_index) == (Fraction(1, 2), 10)
         assert (alone.max_ratio, alone.max_index) == (Fraction(3, 2), 11)
         for first, second in [(a, b), (b, a)]:
             folded = sweep._fold([self.build(10, first), self.build(10, second)])
-            res = sweep._finish(folded, 10, RatioMode.CB)
+            res = sweep._finish(folded, 10)
             assert (res.min_ratio, res.min_index) == (Fraction(1, 2), 4)
             assert (res.max_ratio, res.max_index) == (Fraction(3, 2), 5)
             assert res.count == 9 and res.spike_count == 2
@@ -412,7 +444,7 @@ class TestSummary:
         vals = [Fraction(num, den) for num, den in pairs]
         mean = sum(vals, Fraction(0)) / len(vals)
         table = self.build(d + 1, [(0, pairs[:3]), (3, pairs[3:])])
-        res = sweep._finish(table, d + 1, RatioMode.AB)
+        res = sweep._finish(table, d + 1)
         assert res.count == len(vals)
         assert res.mean == mean
         assert res.variance == sum((v - mean) ** 2 for v in vals) / len(vals)
@@ -430,7 +462,7 @@ class TestSummary:
                 pairs.append((top, scores[spne_outcome(p, s).winner]))
             num, den = (np.array(col, dtype=np.int64) for col in zip(*pairs))
             want = sweep._batch_table(num, den, n * (m - 1) + 1, 0)
-            args = (s.turns, s.reverse().turns, n, m, mode, True, factorial(m), 0, len(profiles))
+            args = (s.turns, s.reverse().turns, n, m, mode, factorial(m), 0, len(profiles))
             for got, col in zip(sweep._exhaustive_chunk(args), want):
                 assert np.array_equal(got, col), mode
 
@@ -446,7 +478,7 @@ class TestGuards:
         num, den = np.array([1, 2], dtype=np.int64), np.array([2, 0], dtype=np.int64)
         table = sweep._batch_table(num, den, 5, 0)
         with pytest.raises(ZeroWelfare):
-            sweep._finish(table, 5, RatioMode.CB)
+            sweep._finish(table, 5)
 
     def test_budget_bounds_the_grid(self):
         # every exhaustive sweep a budget up to --force's 2**62 admits has
@@ -472,6 +504,36 @@ class TestGuards:
             run_exhaustive(s, n, m, RatioMode.CB)
         with pytest.raises(BudgetExceeded):
             run_exhaustive(s, n, m, RatioMode.AB, fix_first=False, budget=10**1000)
+
+    @pytest.mark.parametrize(
+        "n,m,fix_first",
+        [(n, m, fix_first) for n, m in [(2, 12), (2, 13), (1, 12)] for fix_first in (True, False)]
+        + [(25, 3, False)],
+    )
+    def test_table_and_int64_caps_refuse_before_any_table(self, monkeypatch, n, m, fix_first):
+        # from m = 12 the m!*m-byte position table passes 1 GiB (5.4 GiB at
+        # m = 12), and 6**25 profiles pass 2**63, where int64 counts wrap;
+        # both are refused whatever the budget
+        def no_work(*args, **kwargs):
+            raise AssertionError("a table or chunk was built")
+
+        monkeypatch.setattr(sweep, "_run_chunks", no_work)
+        monkeypatch.setattr(sweep, "permutation_table", no_work)
+        monkeypatch.setenv("ELIMGAME_BUDGET", str(10**1000))
+        s = EliminationSequence(tuple(v % n for v in range(m - 1)))
+        with pytest.raises(BudgetExceeded, match="m <= 11 and under 2\\*\\*63 profiles"):
+            run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first)
+
+    @pytest.mark.parametrize("n,m,fix_first", [(2, 11, False), (25, 3, True)])
+    def test_largest_admitted_sweeps_start(self, monkeypatch, n, m, fix_first):
+        # m = 11, and 6**24 pinned profiles, still reach the chunks
+        def started(*args, **kwargs):
+            raise AssertionError("started")
+
+        monkeypatch.setattr(sweep, "_run_chunks", started)
+        s = EliminationSequence(tuple(v % n for v in range(m - 1)))
+        with pytest.raises(AssertionError, match="started"):
+            run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first, budget=10**1000)
 
     def test_mode_parse(self):
         assert RatioMode.parse("ab") is RatioMode.AB
