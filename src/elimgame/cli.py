@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core import EliminationSequence, format_profile, parse_profile
@@ -195,10 +196,25 @@ def _montecarlo_config(args):
     )
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError now if ``path`` cannot be opened for writing, so a bad
+    ``--out`` fails before the study runs. A study refused later leaves no
+    new file behind and an existing file's bytes as they were."""
+    try:
+        open(path, "x").close()
+    except FileExistsError:
+        open(path, "a").close()
+    else:
+        os.remove(path)
+
+
 def cmd_study(args) -> int:
     # the study modules load numpy, so only the study commands import them
     from .experiments import render_report, run_experiment, write_histogram_csv
-    result = run_experiment(args.config(args))
+    config = args.config(args)
+    if args.out:
+        _check_writable(args.out)
+    result = run_experiment(config)
     sys.stdout.write(render_report(result))
     if args.out:
         write_histogram_csv(args.out, result)

@@ -40,9 +40,12 @@ def resolve_budget(budget: int | None = None) -> int:
     env = os.environ.get("ELIMGAME_BUDGET")
     if env is not None:
         try:
-            return int(env)
+            limit = int(env)
         except ValueError:
-            raise ParseError(f"ELIMGAME_BUDGET must be an integer, got {env!r}")
+            limit = None
+        if limit is None or limit < 0:
+            raise ParseError(f"ELIMGAME_BUDGET must be a non-negative integer, got {env!r}")
+        return limit
     return DEFAULT_BUDGET
 
 

@@ -13,7 +13,11 @@ indices (equal ratios such as 2/4 and 3/6 going to the lowest index) are
 read off the final table, which the result also carries for reports to bin.
 
 The batch play kernels live here, beside the chunks that call them; the
-scalar engine in :mod:`elimgame.play` is their test oracle.
+scalar engine in :mod:`elimgame.play` is their test oracle. Monte-Carlo
+chunks and exhaustive sweeps with m > 7 play rank positions through
+:func:`play_batch_winners`; smaller exhaustive sweeps play each batch's range
+of last-voter ranking ids through a :func:`next_mask_table` with
+:func:`range_batch_play`.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .welfare import RatioMode
 #: batches' worth of consecutive profile indices
 EXHAUSTIVE_OUTER_CHUNK = 64
 #: largest m whose exhaustive sweeps play ranking ids through a next-mask
-#: table (m! * 2**m uint8 per process: 0.62 MiB at m=7, 9.8 MiB at m=8; a
+#: table (2**m * m! uint8 per process: 0.62 MiB at m=7, 9.8 MiB at m=8; a
 #: uint8 mask holds at most 8 candidates)
 WORST_TABLE_MAX_M = 7
 #: voter rows per Monte-Carlo chunk: a chunk holds max(1, MC_CHUNK // n)
@@ -65,7 +69,7 @@ def play_batch_winners(positions, turns) -> np.ndarray:
     Returns the ``(B,)`` winners as unsigned integers of the narrowest type
     that holds ``m - 1`` (uint8 up to 256 candidates), valid ``take``
     indices. This is the hot kernel behind the Monte-Carlo sweeps and the
-    exhaustive sweeps too large for :func:`table_batch_winners`, which plays
+    exhaustive sweeps too large for :func:`range_batch_play`, which plays
     ranking ids through a table of next alive masks instead; the scalar
     functions in :mod:`elimgame.play` stay the readable reference.
 
@@ -101,66 +105,67 @@ def play_batch_winners(positions, turns) -> np.ndarray:
 
 
 def next_mask_table(pos: np.ndarray) -> np.ndarray:
-    """``N[r, mask]``: ``mask`` without the candidate ranking ``r`` puts lowest.
+    """``N[mask, r]``: ``mask`` without the candidate ranking ``r`` puts lowest.
 
     ``pos`` is an ``(R, m)`` position table (``pos[r, c]`` is the slot of
     candidate ``c`` in ranking ``r``) with ``m <= 8``; the result is
-    ``(R, 2**m)`` uint8, with ``N[r, 0]`` unused. Masks are filled in
-    increasing order from the mask without their lowest candidate ``c``:
-    when ``c`` sits below the rest's lowest slot ``c`` leaves, else the
-    rest's lowest leaves and ``c`` stays. Every array is one byte per entry,
-    so building the table peaks at about twice its size.
+    ``(2**m, R)`` uint8, mask-major so that one alive mask's entries for a
+    range of consecutive ranking ids are one contiguous slice, with row
+    ``N[0]`` unused. Masks are filled in increasing order from the mask
+    without their lowest candidate ``c``: when ``c`` sits below the rest's
+    lowest slot ``c`` leaves, else the rest's lowest leaves and ``c`` stays.
+    Every array is one byte per entry, so building the table peaks at about
+    twice its size.
     """
     rows, m = pos.shape
     cols = np.ascontiguousarray(pos.T)
-    table = np.zeros((rows, 1 << m), dtype=np.uint8)
+    table = np.zeros((1 << m, rows), dtype=np.uint8)
     # slot[mask]: the lowest slot among mask's candidates; -1 for mask 0
     slot = np.full((1 << m, rows), -1, dtype=np.int8)
     for mask in range(1, 1 << m):
         c = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << c)
-        table[:, mask] = np.where(cols[c] > slot[rest], rest, table[:, rest] | (1 << c))
+        table[mask] = np.where(cols[c] > slot[rest], rest, table[rest] | (1 << c))
         np.maximum(slot[rest], cols[c], out=slot[mask])
     return table
 
 
-def table_batch_winners(table: np.ndarray, ids, turns) -> np.ndarray:
+def range_batch_play(table: np.ndarray, ids, rows: np.ndarray, turns):
     """Vectorised sincere play over a batch of profiles given as ranking ids.
 
-    ``table`` is a :func:`next_mask_table`; ``ids`` is indexed by voter id
-    and entry ``v`` is one ranking id (a row of the position table the
-    table was built from) for the whole batch, or a ``(B,)`` int array of
-    them. Returns the ``(B,)`` winners, equal to :func:`play_batch_winners`
-    on the matching position rows.
+    ``table`` is a :func:`next_mask_table`. Voters ``0..len(ids)-1`` keep
+    the ranking ids ``ids`` (rows of the position table the table was built
+    from) for the whole batch, and the last voter, ``len(ids)``, runs over
+    ``rows``, the consecutive intp ranking ids ``low..high-1``, one a row.
+    Returns ``(alive, lone)``: the rows' final alive masks, a ``(B,)`` uint8
+    array or one int when the last voter never acts, and an intp map from
+    those masks to the winner, so ``lone.take(alive)`` equals
+    :func:`play_batch_winners` on the matching position rows.
 
-    Only the array voters' turns touch rows. Until the first of them the
-    alive mask is one Python int. After it, each run of scalar turns
-    composes into one ``2**m``-entry map of masks, and each array turn is
-    one gather from the flat table at ``(id << m) + mask``, with each array
-    voter's ids shifted once per call. The winner is read through a
-    mask-to-candidate map composed after the trailing run; a batch whose
-    array voters never act gets one winner for every row.
+    The alive mask is one Python int until the last voter's first turn, and
+    that turn is the slice ``table[alive, low:high]``. After it, each run of
+    the other voters' turns composes into one ``2**m``-entry map of masks,
+    and each later turn of the last voter is one gather from the flat table
+    at that map times ``R``, taken at the alive masks, plus the ids. The
+    trailing run is composed into ``lone``.
     """
-    size = table.shape[1]
-    m = size.bit_length() - 1
-    flat = table.reshape(-1)
-    # an array voter's row offsets in the flat table; scalar voters stay ids
-    rows = [i << m if isinstance(i, np.ndarray) else i for i in ids]
+    size, fact = table.shape
+    last = len(ids)
     alive, run = size - 1, None
     for voter in turns:
-        i = rows[voter]
-        if isinstance(i, np.ndarray):
-            if run is not None:
-                alive, run = run.take(alive), None
-            alive = flat.take(i + alive)
+        if voter < last:
+            if isinstance(alive, int):
+                alive = int(table[alive, ids[voter]])
+            else:
+                column = table[:, ids[voter]]
+                run = column if run is None else column.take(run)
         elif isinstance(alive, int):
-            alive = int(table[i, alive])
+            alive = table[alive, rows[0]:rows[-1] + 1]
         else:
-            run = table[i] if run is None else table[i].take(run)
-    lone = _lone_candidate(m)
-    if isinstance(alive, int):
-        return np.full(max(np.size(i) for i in ids), lone[alive])
-    return (lone if run is None else lone.take(run)).take(alive)
+            scaled = (np.arange(size) if run is None else run.astype(np.intp)) * fact
+            alive, run = table.reshape(-1).take(scaled.take(alive) + rows), None
+    lone = _lone_candidate(size.bit_length() - 1)
+    return alive, (lone if run is None else lone.take(run))
 
 
 @lru_cache(maxsize=8)
@@ -287,11 +292,23 @@ def _next_mask_table(m: int) -> np.ndarray:
     return next_mask_table(permutation_table(m))
 
 
+@lru_cache(maxsize=2)
+def _pair_slots(n: int, m: int) -> np.ndarray:
+    """``Q[id * m*m + w_r * m + w_f] = pos[id, w_r] * base + pos[id, w_f]``
+    for every ranking id and candidate pair, ``base = n(m-1) + 1``, flat and
+    in the narrowest unsigned type (uint8 at (3, 7): 247 KB): the last
+    voter's share of a CB key for each pair of winners."""
+    base = n * (m - 1) + 1
+    pos = permutation_table(m).astype(np.min_scalar_type((m - 1) * (base + 1)))
+    return (pos[:, :, None] * base + pos[:, None, :]).reshape(-1)
+
+
 def _exhaustive_chunk(args):
     turns, rev_turns, n, m, mode, batch, start, count = args
     pos = permutation_table(m)
     fact = pos.shape[0]
     table = _next_mask_table(m) if m <= WORST_TABLE_MAX_M else None
+    slots = _pair_slots(n, m) if table is not None and mode is RatioMode.CB else None
     base = n * (m - 1) + 1
     # every pair's count and lowest index; run_exhaustive refuses n(m-1) > 63
     # before any chunk runs, so the grid holds at most 4,096 keys
@@ -309,23 +326,35 @@ def _exhaustive_chunk(args):
             # most batches of a chunk share one range: E1's are all 0..5039
             span, last = (low, high), np.arange(low, high)
             cells = last * m
+            pair_cells = last * (m * m)
             # AB's row max reduces over a slot-major copy: numpy's max over a
             # short inner axis costs about 5x more
             cols = pos[low:high].T.copy() if mode is RatioMode.AB else None
         # Borda scores n(m-1) - slot sums: a row's score of candidate w is
         # fixed[w] - pos[last, w], two flat gathers
         fixed = n * (m - 1) - pos[ids].sum(axis=0, dtype=np.int64)
-        if table is None:
-            winners = partial(play_batch_winners, [pos[i:i + 1] for i in ids] + [pos[low:high]])
+        if slots is not None:
+            # The key den * base + num is the fixed voters' share, an m*m
+            # table of the (reversed, forward) winner pair built per batch,
+            # minus the last voter's pair slot: no winner or score is built.
+            rev, lone_rev = range_batch_play(table, ids, last, rev_turns)
+            fwd, lone_fwd = range_batch_play(table, ids, last, turns)
+            code = lone_fwd.take(fwd) + (lone_rev * m).take(rev)
+            keys = ((fixed * base)[:, None] + fixed).take(code) - slots.take(pair_cells + code)
         else:
-            winners = partial(table_batch_winners, table, ids + [last])
-        num, den = _evaluate(
-            winners,
-            lambda w: fixed.take(w) - pos.take(cells + w),
-            lambda: (fixed[:, None] - cols).max(axis=0),
-            turns, rev_turns, mode,
-        )
-        keys = den * base + num
+            if table is None:
+                winners = partial(play_batch_winners, [pos[i:i + 1] for i in ids] + [pos[low:high]])
+            else:
+                def winners(t):
+                    alive, lone = range_batch_play(table, ids, last, t)
+                    return lone.take(alive)
+            num, den = _evaluate(
+                winners,
+                lambda w: fixed.take(w) - pos.take(cells + w),
+                lambda: (fixed[:, None] - cols).max(axis=0),
+                turns, rev_turns, mode,
+            )
+            keys = den * base + num
         # Batches run in index order, so a key is new to the chunk exactly
         # when its count is still 0; only the rows holding such keys are
         # sorted for their first index.

@@ -186,6 +186,44 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and "ELIMGAME_BUDGET" in err
 
+    def test_negative_budget_is_2(self, capsys, monkeypatch):
+        # it used to refuse the study as "over the budget of -1" with exit 5
+        monkeypatch.setenv("ELIMGAME_BUDGET", "-1")
+        code, out, err = run_main(
+            capsys, "exhaustive", "--n", "2", "--m", "4", "--sequence", "1,2,1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "ELIMGAME_BUDGET" in err and "-1" in err
+
+    def test_unwritable_out_is_2_before_the_study(self, capsys, monkeypatch, tmp_path):
+        # the study used to run and print its report before the write failed
+        def no_study(config):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr("elimgame.experiments.run_experiment", no_study)
+        for command in (["exhaustive"], ["montecarlo", "--samples", "10"]):
+            code, out, err = run_main(
+                capsys, *command, "--n", "2", "--m", "3", "--sequence", "1,2",
+                "--out", str(tmp_path / "missing" / "hist.csv"),
+            )
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and "No such file or directory" in err
+
+    def test_refused_study_leaves_out_paths_alone(self, capsys, monkeypatch, tmp_path):
+        # checking --out before the study creates nothing and changes no byte
+        monkeypatch.setenv("ELIMGAME_BUDGET", "10")
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("kept\n")
+        for path in (old, new):
+            code, out, _ = run_main(
+                capsys, "exhaustive", "--n", "2", "--m", "4", "--sequence", "1,2,1",
+                "--out", str(path),
+            )
+            assert code == 5 and out == ""
+        assert old.read_text() == "kept\n" and not new.exists()
+
     def test_infeasible_construction_is_4(self, capsys):
         code, _, err = run_main(
             capsys, "extremal", "--n", "3", "--m", "7",

@@ -482,6 +482,15 @@ class TestBudget:
         with pytest.raises(ParseError):
             resolve_budget()
 
+    @pytest.mark.parametrize("text", ["-1", "-100000000"])
+    def test_env_budget_must_not_be_negative(self, monkeypatch, text):
+        # a negative budget used to refuse every study as over budget
+        monkeypatch.setenv("ELIMGAME_BUDGET", text)
+        with pytest.raises(ParseError, match="non-negative"):
+            resolve_budget()
+        monkeypatch.setenv("ELIMGAME_BUDGET", "0")
+        assert resolve_budget() == 0
+
     def test_default(self, monkeypatch):
         monkeypatch.delenv("ELIMGAME_BUDGET", raising=False)
         assert resolve_budget() == 10**8

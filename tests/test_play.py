@@ -18,7 +18,7 @@ from elimgame import (
 )
 from elimgame.cultures import permutation_table
 from elimgame.play import GameTrace, trace_report
-from elimgame.sweep import next_mask_table, play_batch_winners, table_batch_winners
+from elimgame.sweep import next_mask_table, play_batch_winners, range_batch_play
 from helpers import profile, random_instance, random_sequence, seq
 
 
@@ -382,11 +382,11 @@ class TestWorstAliveTable:
         # every entry is the mask minus its lowest-ranked alive candidate
         pos = permutation_table(m)
         table = next_mask_table(pos)
-        assert table.shape == (pos.shape[0], 1 << m) and table.dtype == np.uint8
+        assert table.shape == (1 << m, pos.shape[0]) and table.dtype == np.uint8
         for r in range(pos.shape[0]):
             for mask in range(1, 1 << m):
                 alive = [c for c in range(m) if mask >> c & 1]
-                assert table[r, mask] == mask ^ 1 << max(alive, key=lambda c: pos[r, c])
+                assert table[mask, r] == mask ^ 1 << max(alive, key=lambda c: pos[r, c])
 
     def test_building_the_largest_table_stays_in_bytes(self):
         # the m = 7 table is 0.62 MiB; one intp temporary of its shape is 4.9 MiB
@@ -405,17 +405,26 @@ class TestWorstAliveTable:
         pos = permutation_table(m)
         table = next_mask_table(pos)
         fact = pos.shape[0]
-        for _ in range(10):
-            n = int(rng.integers(1, 5))
-            B = int(rng.integers(1, 50))
-            # each voter is one scalar id for the whole batch or one id per
-            # row; one to all n voters get arrays
-            arrays = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-            ids = [
-                rng.integers(fact, size=B) if v in arrays else int(rng.integers(fact))
-                for v in range(n)
-            ]
-            turns = tuple(int(t) for t in rng.integers(n, size=m - 1))
-            got = table_batch_winners(table, ids, turns)
-            want = play_batch_winners([pos[np.atleast_1d(i)] for i in ids], turns)
-            assert got.shape == (B,) and got.tolist() == want.tolist()
+        shapes = ["random", "idle", "first"] + (["consecutive"] if m > 2 else [])
+        inner = False
+        for shape in shapes * 4:
+            # the last voter runs over a random range of ranking ids, the
+            # others keep one id each
+            n = int(rng.integers(2 if shape == "idle" else 1, 5))
+            last = n - 1
+            turns = [int(t) for t in rng.integers(n - (shape == "idle"), size=m - 1)]
+            if shape == "first":
+                turns[0] = last
+            elif shape == "consecutive":
+                at = int(rng.integers(m - 2))
+                turns[at:at + 2] = [last, last]
+            ids = [int(i) for i in rng.integers(fact, size=last)]
+            low = int(rng.integers(fact))
+            high = int(rng.integers(low + 1, fact + 1))
+            inner |= 0 < low and high < fact
+            alive, lone = range_batch_play(table, ids, np.arange(low, high), turns)
+            assert isinstance(alive, int) == (last not in turns)
+            got = np.broadcast_to(lone.take(alive), (high - low,))
+            want = play_batch_winners([pos[i:i + 1] for i in ids] + [pos[low:high]], turns)
+            assert got.tolist() == want.tolist()
+        assert inner or m == 2

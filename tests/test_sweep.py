@@ -398,13 +398,21 @@ class TestWorstTablePath:
             (seq(2, 1, 2, 1), 2, 5, RatioMode.CB, False),
             (seq(1, 1, 1), 1, 4, RatioMode.CB, True),
             (seq(1, 1, 1), 1, 4, RatioMode.AB, False),
+            # the last voter acts first, consecutively and last
+            (seq(2, 2, 1, 2, 1, 2), 2, 7, RatioMode.CB, True),
+            (seq(3, 1, 3, 3, 2), 3, 6, RatioMode.AB, True),
         ],
     )
     def test_same_result_as_position_kernel(self, monkeypatch, s, n, m, mode, fix_first):
-        table = run_exhaustive(s, n, m, mode, fix_first=fix_first)
-        monkeypatch.setattr("elimgame.sweep.WORST_TABLE_MAX_M", 0)
-        plain = run_exhaustive(s, n, m, mode, fix_first=fix_first)
-        assert_same_result(table, plain)
+        # whole m! batches, then batches of m!//3 + 1 rows, whose ranges
+        # start above 0, end below m!, or both
+        for batch in (factorial(m), factorial(m) // 3 + 1):
+            with monkeypatch.context() as patch:
+                patch.setattr("elimgame.sweep.MC_CHUNK", batch * n)
+                table = run_exhaustive(s, n, m, mode, fix_first=fix_first)
+                patch.setattr("elimgame.sweep.WORST_TABLE_MAX_M", 0)
+                plain = run_exhaustive(s, n, m, mode, fix_first=fix_first)
+            assert_same_result(table, plain)
 
 
 class TestSummary:
