@@ -209,7 +209,10 @@ def _check_writable(path: str) -> None:
 
 
 def cmd_study(args) -> int:
-    # the study modules load numpy, so only the study commands import them
+    # The study modules load numpy, so only the study commands import them.
+    # The package calls no BLAS routine, so OpenBLAS's thread pool would only
+    # spin beside the sweep; a value the user set still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .experiments import render_report, run_experiment, write_histogram_csv
     config = args.config(args)
     if args.out:

@@ -13,9 +13,15 @@ from functools import cached_property
 from .errors import (
     CandidateUnknown,
     InvalidVoter,
+    OutOfDomain,
     ParseError,
     SequenceLengthMismatch,
 )
+
+#: most voters a game or study takes, equal to a Monte-Carlo chunk's row
+#: budget (``sweep.MC_CHUNK``): a one-sample chunk stays within it, and
+#: int32 sums of up to 127 candidates' slots stay exact
+MAX_VOTERS = 1 << 16
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -166,7 +172,13 @@ class EliminationSequence:
         return len(self.turns)
 
     def validate(self, n: int, m: int | None = None) -> None:
-        """Check entries fit ``n`` voters and, when given, length ``m - 1``."""
+        """Check entries fit ``n`` voters and, when given, length ``m - 1``.
+
+        ``n`` above :data:`MAX_VOTERS` is refused here, before any caller
+        builds a per-voter list or array.
+        """
+        if n > MAX_VOTERS:
+            raise OutOfDomain(f"at most {MAX_VOTERS} voters are supported, got {n}")
         if m is not None and len(self.turns) != m - 1:
             raise SequenceLengthMismatch(
                 f"sequence has {len(self.turns)} turns but m-1={m - 1} are needed"

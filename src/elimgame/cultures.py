@@ -49,18 +49,27 @@ def resolve_budget(budget: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
-def _mix64(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+def _mix64(x: np.ndarray, tmp: np.ndarray | None = None, finish: bool = True) -> np.ndarray:
     """SplitMix64 finalizer, elementwise and in place on a uint64 array
     (wrapping arithmetic); returns ``x``. Each shift goes to ``tmp``, a
-    scratch array of ``x``'s shape, so no op allocates a temporary."""
+    scratch array of ``x``'s shape, so no op allocates a temporary. Without
+    ``finish`` the last step, ``x ^= x >> 31``, is left to the caller
+    (:func:`_finish64`); it changes no bit above bit 32."""
     if tmp is None:
         tmp = np.empty_like(x)
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         np.right_shift(x, np.uint64(shift), out=tmp)
         x ^= tmp
         x *= np.uint64(mult)
-    np.right_shift(x, np.uint64(31), out=tmp)
-    x ^= tmp
+    if finish:
+        np.right_shift(x, np.uint64(31), out=tmp)
+        x ^= tmp
+    return x
+
+
+def _finish64(x: np.ndarray) -> np.ndarray:
+    """The finalizer's last step, in place on words mixed without it."""
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -70,7 +79,8 @@ def _stream_keys(master_seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _word_rows(keys: np.ndarray, first: int, voters: int, width: int,
-               reverse: bool = False, scratch: np.ndarray | None = None):
+               reverse: bool = False, scratch: np.ndarray | None = None,
+               finish: bool = True):
     """Yield words ``first + v * width + k`` of every stream, ``k = 0..width-1``
     (``k = width-1..0`` with ``reverse``).
 
@@ -81,7 +91,10 @@ def _word_rows(keys: np.ndarray, first: int, voters: int, width: int,
     for, and a consumer may change it in place. So no block of words is
     resident and no row allocates. The buffer and the mixer's scratch are
     ``scratch[0]`` and ``scratch[1]`` of a caller's ``(2, voters, len(keys))``
-    uint64 array, or fresh when ``scratch`` is None.
+    uint64 array, or fresh when ``scratch`` is None. The mixer writes its
+    scratch before it reads it, so between rows a consumer may use
+    ``scratch[1]`` too. Without ``finish`` the rows skip the finalizer's
+    last step (see :func:`_mix64`).
     """
     offsets = np.uint64(width) * np.arange(voters, dtype=np.uint64)
     if scratch is None:
@@ -90,12 +103,7 @@ def _word_rows(keys: np.ndarray, first: int, voters: int, width: int,
     for k in range(width - 1, -1, -1) if reverse else range(width):
         ks = (offsets + np.uint64(first + k + 1)) * _GOLDEN
         np.add(ks[:, None], keys, out=x)
-        yield _mix64(x, tmp).reshape(-1)
-
-
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """Map raw words to float64 uniforms in [0, 1) with 53 random bits."""
-    return (words >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+        yield _mix64(x, tmp, finish).reshape(-1)
 
 
 class CultureKind(Enum):
@@ -249,28 +257,90 @@ def _fisher_yates(words, pos: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _mallows_slots(words, pos: np.ndarray, phi: float) -> np.ndarray:
+#: top word bits that index a Mallows insertion table: 4,096 int8 entries
+#: per (phi, step); 16 bits raised a (5, 10) study's peak RSS by about 2 MiB
+INSERT_BITS = 12
+
+
+@lru_cache(maxsize=256)
+def _insertion_table(phi: float, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step ``j`` of repeated insertion as a lookup: ``(table, thresholds)``.
+
+    The step draws slot ``p``, the number of cumulative weights ``edge`` of
+    ``phi**(j-1), ..., phi**0`` with ``u >= edge``, where
+    ``u = (x * 2**-53) * total`` in float64 for the word's top 53 bits ``x``
+    and the weights' sum ``total``. ``u`` never falls as ``x`` grows, so each
+    edge has a least ``x`` that reaches it, its threshold (``2**53`` when no
+    ``x`` does), and ``p`` is the number of thresholds at or below ``x``. A
+    bisection over every edge at once finds the thresholds by evaluating the
+    same float64 expression, so the integer count equals the float one for
+    every word. ``table[b]`` is that count for every word whose top
+    ``INSERT_BITS`` bits are ``b``, or -1 when the bucket holds a threshold;
+    only words in those buckets, at most ``j`` of 4,096, are compared with
+    the thresholds.
+    """
+    edges = np.cumsum(phi ** np.arange(j - 1, -1, -1, dtype=np.float64))
+    total = edges[-1]
+    # Bisection one bit at a time, from 2**53 down: a threshold is at least
+    # t + 2**k exactly when x = t + 2**k - 1 still falls short of its edge.
+    # Every x from 2**53 up reaches every edge, so no threshold passes 2**53.
+    found = np.zeros(j, dtype=np.int64)
+    for k in range(53, -1, -1):
+        step = found + (1 << k)
+        short = ((step - 1).astype(np.float64) * 2.0**-53) * total < edges
+        found = np.where(short, step, found)
+    thresholds = found.astype(np.uint64)
+    shift = np.uint64(53 - INSERT_BITS)
+    first = np.arange(1 << INSERT_BITS, dtype=np.uint64) << shift
+    table = np.searchsorted(thresholds, first, side="right").astype(np.int8)
+    table[thresholds[thresholds < np.uint64(1 << 53)] >> shift] = -1
+    return table, thresholds
+
+
+def _insertion_slots(word: np.ndarray, j: int, phi: float, out: np.ndarray,
+                     index: np.ndarray) -> np.ndarray:
+    """Write each word's step-``j`` insertion slot to the int8 row ``out``;
+    returns ``out``. See :func:`_insertion_table`.
+
+    ``word`` holds words mixed without the finalizer's last step, which
+    leaves their top bits as they are, so only copies of the few words in
+    marked buckets are finished; ``word`` is left as it was. ``index`` is a
+    uint64 scratch row of ``word``'s length for the table lookup.
+    """
+    table, thresholds = _insertion_table(phi, j)
+    np.right_shift(word, np.uint64(64 - INSERT_BITS), out=index)
+    # mode="clip" writes straight to out (every index is in range), where
+    # the default would buffer the whole row
+    np.take(table, index.view(np.int64), out=out, mode="clip")
+    marked = np.flatnonzero(out < 0)
+    if marked.size:
+        x = _finish64(word[marked]) >> np.uint64(11)
+        out[marked] = np.searchsorted(thresholds, x, side="right")
+    return out
+
+
+def _mallows_slots(words, pos: np.ndarray, phi: float, index: np.ndarray) -> np.ndarray:
     """Fill ``pos`` by repeated insertion against the identity reference, in
     slot space; returns ``pos``.
 
     ``pos`` is a caller's ``(m, R)`` int8 array: afterwards ``pos[c, r]`` is
     the slot of candidate ``c`` in row ``r``. Step ``j`` reads the next word
-    row and inserts candidate ``j-1`` (0-based) at slot ``p`` among the ``j``
-    slots of candidates ``0..j-1``; every earlier candidate at slot ``p`` or
-    below moves one slot down. Slots counted from the top carry weights
-    ``phi**(j-p)``, so the bottom slot has weight 1. ``p`` counts the cdf
-    entries at or below the scaled uniform, which is
-    ``searchsorted(cdf, u, side="right")`` without the binary search.
+    row, mixed without the finalizer's last step (``_word_rows(...,
+    finish=False)``), and inserts candidate ``j-1`` (0-based) at slot ``p``
+    among the ``j`` slots of candidates ``0..j-1``; every earlier candidate
+    at slot ``p`` or below moves one slot down. Slots counted from the top
+    carry weights ``phi**(j-p)``, so the bottom slot has weight 1, and
+    :func:`_insertion_slots` draws ``p`` by table lookup. ``index`` is a
+    uint64 scratch row of length R. No step allocates anything wider than
+    an ``(R,)`` bool row, so none faults in fresh pages.
     """
-    pos[:] = 0
+    pos[0] = 0
+    hit = np.empty(pos.shape[1], dtype=bool)
     for j, word in zip(range(2, pos.shape[0] + 1), words):
-        cdf = np.cumsum(phi ** np.arange(j - 1, -1, -1, dtype=np.float64))
-        u = _uniforms(word) * cdf[-1]
-        p = pos[j - 1]
-        for edge in cdf:
-            p += u >= edge
-        head = pos[: j - 1]
-        head += head >= p
+        p = _insertion_slots(word, j, phi, pos[j - 1], index)
+        for c in range(j - 1):
+            np.greater_equal(pos[c], p, out=hit)
+            pos[c] += hit.view(np.int8)
     return pos
 
 
@@ -299,11 +369,13 @@ def fill_positions(
     :func:`positions_block` makes: ``[c, v, s]`` becomes the slot of
     candidate ``c`` in voter ``v``'s ranking of sample ``s``, 0 for the
     best. ``scratch`` is a ``(2, n, count)`` uint64 array the stream words
-    are mixed in. The caller owns both, so a caller that drops what it
-    builds from them before the next fill can reuse them instead of
-    faulting in fresh memory for every batch; every byte written depends
-    only on the arguments, never on what the arrays held before. A random
-    reference is left to :func:`sample_positions_batch`.
+    are mixed in; between word rows, Mallows insertion also indexes its
+    tables through the mixer's half, ``scratch[1]``. The caller owns both,
+    so a caller that drops what it builds from them before the next fill
+    can reuse them instead of faulting in fresh memory for every batch;
+    every byte written depends only on the arguments, never on what the
+    arrays held before. A random reference is left to
+    :func:`sample_positions_batch`.
     """
     m, n, count = block.shape
     keys = _stream_keys(master_seed, start_index, count)
@@ -311,7 +383,8 @@ def fill_positions(
     if spec.kind is CultureKind.IMPARTIAL or spec.phi == 1.0:
         _fisher_yates(_word_rows(keys, 0, n, m - 1, reverse=True, scratch=scratch), slots)
     else:
-        _mallows_slots(_word_rows(keys, 0, n, m - 1, scratch=scratch), slots, spec.phi)
+        words = _word_rows(keys, 0, n, m - 1, scratch=scratch, finish=False)
+        _mallows_slots(words, slots, spec.phi, scratch[1].reshape(-1))
     return block
 
 

@@ -68,10 +68,11 @@ def play_batch_winners(positions, turns) -> np.ndarray:
     ``(1, m)`` int array of 0-based rank slots (broadcast across the batch).
     Returns the ``(B,)`` winners as unsigned integers of the narrowest type
     that holds ``m - 1`` (uint8 up to 256 candidates), valid ``take``
-    indices. This is the hot kernel behind the Monte-Carlo sweeps and the
-    exhaustive sweeps too large for :func:`range_batch_play`, which plays
-    ranking ids through a table of next alive masks instead; the scalar
-    functions in :mod:`elimgame.play` stay the readable reference.
+    indices, in a fresh array the caller owns. This is the hot kernel
+    behind the Monte-Carlo sweeps and the exhaustive sweeps too large for
+    :func:`range_batch_play`, which plays ranking ids through a table of
+    next alive masks instead; the scalar functions in :mod:`elimgame.play`
+    stay the readable reference.
 
     Each turn works slot-major on the voters' ``(m, B)`` transposes: it
     multiplies the acting voter's slots by an ``(m, B)`` alive mask, reduces
@@ -82,26 +83,39 @@ def play_batch_winners(positions, turns) -> np.ndarray:
     winner is the column's largest ``alive * candidate`` product: a
     reduction over rows, where ``argmax(axis=0)`` would walk the mask
     strided (on 2 CPUs, 11 µs against 313 µs at m = 10, B = 13,107). The
-    mask is multiplied as int8 and every turn's compare lands in one
-    preallocated buffer, so no turn converts or allocates. A Monte-Carlo
-    chunk passes the voters of its ``(m, n, B)``
+    mask is multiplied as int8 and every op writes to one of this process's
+    :func:`_play_buffers`, so no turn converts, allocates or faults in
+    fresh pages. A Monte-Carlo chunk passes the voters of its ``(m, n, B)``
     :func:`~elimgame.cultures.fill_positions` block, whose ``(m, B)``
     transposes have contiguous rows, the fast path.
     """
     cols = [p.T for p in positions]
-    alive = np.ones(np.broadcast_shapes(*(c.shape for c in cols)), dtype=bool)
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    alive, masked, worst, kept, product, ids = _play_buffers(
+        shape, np.result_type(np.int8, *cols))
+    alive[:] = True
     mask = alive.view(np.int8)
-    masked = np.empty(alive.shape, dtype=np.result_type(np.int8, *cols))
-    worst = np.empty(alive.shape[1], dtype=masked.dtype)
-    kept = np.empty(alive.shape, dtype=bool)
     for voter in turns:
         np.multiply(cols[voter], mask, out=masked)
         np.maximum.reduce(masked, axis=0, out=worst)
         np.not_equal(masked, worst, out=kept)
         alive &= kept
-    m = alive.shape[0]
+    np.multiply(alive.view(np.uint8), ids, out=product)
+    return np.maximum.reduce(product, axis=0)
+
+
+@lru_cache(maxsize=2)
+def _play_buffers(shape: tuple[int, int], dtype: np.dtype):
+    """The ``(m, B)`` buffers of :func:`play_batch_winners` for one shape
+    and slot dtype, kept per process: the alive mask, the masked slots, the
+    worst slots, the kept entries and the winner products, then the
+    ``(m, 1)`` candidate ids. Every call overwrites them before it reads
+    them, and its winners go to a fresh array, so nothing carries over."""
+    m = shape[0]
     ids = np.arange(m, dtype=np.min_scalar_type(m - 1))[:, None]
-    return np.maximum.reduce(alive.view(np.uint8) * ids, axis=0)
+    return (np.empty(shape, dtype=bool), np.empty(shape, dtype=dtype),
+            np.empty(shape[1:], dtype=dtype), np.empty(shape, dtype=bool),
+            np.empty(shape, dtype=ids.dtype), ids)
 
 
 def next_mask_table(pos: np.ndarray) -> np.ndarray:
@@ -370,19 +384,25 @@ def _exhaustive_chunk(args):
 
 @lru_cache(maxsize=1)
 def _chunk_buffers(n: int, m: int, count: int):
-    """This process's position block and word scratch for Monte-Carlo chunks
-    of one shape (see :func:`fill_positions`). Nothing a chunk builds in
-    them leaves the chunk, so each process's chunks fill the same memory
-    instead of faulting in about 1.7 MB of fresh pages each at (5, 10)."""
-    return positions_block(n, m, count), np.empty((2, n, count), dtype=np.uint64)
+    """This process's buffers for Monte-Carlo chunks of one shape: the
+    ``(m, n, count)`` position block and ``(2, n, count)`` word scratch of
+    :func:`~elimgame.cultures.fill_positions`, whose Mallows path also
+    indexes its insertion tables through the scratch, and the ``(m, count)``
+    int32 Borda-score block. Nothing a chunk builds in them leaves the
+    chunk, and each is overwritten before it is read, so each process's
+    chunks fill the same memory instead of faulting in about 2.2 MB of
+    fresh pages each at (5, 10)."""
+    return (positions_block(n, m, count), np.empty((2, n, count), dtype=np.uint64),
+            np.empty((m, count), dtype=np.int32))
 
 
 def _montecarlo_chunk(args):
     turns, rev_turns, n, m, mode, culture, seed, start, count = args
-    block = fill_positions(*_chunk_buffers(n, m, count), culture, seed, start)
-    # Borda scores n(m-1) - slot sums, (m, count) and in place: a copy cost
-    # ~1 MiB RSS at (5, 10); a row's score of w is the flat cell w*count + row
-    scores = block.sum(axis=1, dtype=np.int32)
+    block, scratch, scores = _chunk_buffers(n, m, count)
+    fill_positions(block, scratch, culture, seed, start)
+    # Borda scores n(m-1) - slot sums, (m, count); a row's score of w is the
+    # flat cell w*count + row
+    np.sum(block, axis=1, dtype=np.int32, out=scores)
     np.subtract(n * (m - 1), scores, out=scores)
     rows = np.arange(count)
     num, den = _evaluate(

@@ -1,6 +1,7 @@
 import importlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from elimgame.cli import main
+from elimgame.core import MAX_VOTERS
+from elimgame.sweep import MC_CHUNK
 from helpers import profile, seq
 
 
@@ -307,6 +310,25 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and "OUT_OF_DOMAIN" in err
 
+    @pytest.mark.parametrize("n", [MAX_VOTERS + 1, 10**13])
+    @pytest.mark.parametrize("command", ["bounds", "extremal", "exhaustive", "montecarlo"])
+    def test_more_voters_than_the_ceiling_is_3(self, capsys, command, n):
+        # 10**13 voters used to end in a MemoryError traceback from a
+        # per-voter list; the ceiling is the Monte-Carlo chunk's row budget
+        assert MAX_VOTERS == MC_CHUNK
+        extra = ["--samples", "10"] if command == "montecarlo" else []
+        code, out, err = run_main(
+            capsys, command, "--n", str(n), "--m", "3", "--sequence", "1,2", *extra)
+        assert code == 3
+        assert out == ""
+        assert err == f"error [OUT_OF_DOMAIN]: at most {MAX_VOTERS} voters are supported, got {n}\n"
+
+    def test_the_voter_ceiling_itself_is_accepted(self, capsys):
+        code, out, _ = run_main(capsys, "bounds", "--n", str(MAX_VOTERS), "--m", "3",
+                                "--sequence", "1,2")
+        assert code == 0
+        assert json.loads(out)["occurrences"] == [1, 1] + [0] * (MAX_VOTERS - 2)
+
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
     def test_seed_outside_64_bits_is_2(self, capsys, seed):
         # seeds used to wrap modulo 2**64: 2**64 gave the statistics of 0
@@ -451,6 +473,35 @@ class TestConsoleScript:
             sys.exit(entry())
         assert exc.value.code == 0
         assert json.loads(capsys.readouterr().out)["winner"] == "b"
+
+    @pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
+    def test_studies_run_blas_single_threaded_by_default(self, preset, want):
+        # the package calls no BLAS routine, so a study keeps OpenBLAS from
+        # starting a spinning thread pool; a value the user set still wins
+        script = (
+            "import contextlib, io, os, sys\n"
+            "from elimgame.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)\n"
+            "if os.path.isdir('/proc/self/task'):\n"
+            "    print(len(os.listdir('/proc/self/task')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "montecarlo", "--n", "2", "--m", "3",
+             "--sequence", "1,2", "--samples", "10"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].split() == ["0", want, "True"]
+        if preset is None and len(lines) > 1:
+            # set before numpy loaded: OpenBLAS started no thread of its own
+            assert lines[1] == "1"
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -13,13 +13,18 @@ from elimgame import (
     OutOfDomain,
     ParseError,
     PhiOutOfRange,
+    RatioMode,
     Vote,
     sample_rankings_batch,
 )
 from elimgame.cultures import (
+    INSERT_BITS,
     SELECT_STEPS,
     CultureKind,
+    _finish64,
     _fisher_yates,
+    _insertion_slots,
+    _insertion_table,
     _stream_keys,
     _word_rows,
     enumerate_profiles,
@@ -34,6 +39,7 @@ from elimgame.cultures import (
     resolve_budget,
     sample_positions_batch,
 )
+from elimgame import cultures, sweep
 from elimgame.sweep import MC_CHUNK, montecarlo_witness
 
 
@@ -117,6 +123,12 @@ def _oracle_mallows_identity(words, phi):
     return order
 
 
+def _unfinish(words):
+    """The words, mixed without the finalizer's last step ``x ^= x >> 31``,
+    that finish to ``words``: ``y ^ (y >> 31) ^ (y >> 62)`` inverts it."""
+    return words ^ (words >> np.uint64(31)) ^ (words >> np.uint64(62))
+
+
 def oracle_rankings(n, m, spec, seed, start, count):
     """The row-major sampler that built full rankings before the position
     sampler: one (count, (n+1)(m-1)) word block, rankings by Fisher-Yates or
@@ -166,6 +178,46 @@ class TestSamplerStages:
         block = np.full((m, 300), -7, dtype=np.int8)
         got = _fisher_yates(_word_rows(keys, 0, 1, m - 1, reverse=True), block)
         assert got is block and np.array_equal(got.T, want)
+
+    @pytest.mark.parametrize("phi", [1e-6, 0.1, 0.6, 0.999])
+    def test_insertion_table_matches_the_float_formula(self, phi):
+        # the step's slot is the number of cumulative weights at or below
+        # u = (x * 2**-53) * total for the word's top 53 bits x, in float64
+        rng = np.random.default_rng(round(phi * 10**6))
+        shift = np.uint64(64 - INSERT_BITS)
+        buckets = np.arange(1 << INSERT_BITS, dtype=np.uint64) << shift
+        fixed = np.concatenate([
+            buckets, buckets + ((np.uint64(1) << shift) - np.uint64(1)),
+            np.frombuffer(rng.bytes(8 * 10**5), dtype=np.uint64),
+        ])
+        one = np.uint64(1)
+        for j in range(2, 128):
+            table, thresholds = _insertion_table(phi, j)
+            assert table.shape == (1 << INSERT_BITS,) and table.dtype == np.int8
+            assert np.count_nonzero(table < 0) <= j - 1
+            at = thresholds[thresholds < one << np.uint64(53)] << np.uint64(11)
+            words = np.concatenate([at - one, at, at + one, fixed])
+            edges = np.cumsum(phi ** np.arange(j - 1, -1, -1, dtype=np.float64))
+            u = ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53) * edges[-1]
+            want = np.searchsorted(edges, u, side="right")
+            got = np.full(words.shape, -7, dtype=np.int8)
+            raw = _unfinish(words)
+            kept = raw.copy()
+            assert _insertion_slots(raw, j, phi, got, np.empty_like(raw)) is got
+            assert np.array_equal(got, want), (phi, j)
+            assert np.array_equal(raw, kept)
+
+    def test_top_bits_survive_the_last_mixing_step(self):
+        # the Mallows path looks words up before the finalizer's last step
+        keys = _stream_keys(9, 0, 1000)
+        finished = [row.copy() for row in _word_rows(keys, 0, 3, 4)]
+        raw = [row.copy() for row in _word_rows(keys, 0, 3, 4, finish=False)]
+        words = np.frombuffer(np.random.default_rng(5).bytes(8 * 10**5), dtype=np.uint64)
+        shift = np.uint64(64 - INSERT_BITS)
+        for done, mixed in [*zip(finished, raw), (_finish64(words.copy()), words)]:
+            assert np.array_equal(done >> shift, mixed >> shift)
+            assert np.array_equal(_finish64(mixed.copy()), done)
+            assert np.array_equal(_unfinish(done), mixed)
 
     def test_word_rows_fill_a_given_scratch(self):
         keys = _stream_keys(6, 100, 37)
@@ -272,6 +324,34 @@ class TestPositionSampler:
             assert got is block
             want = sample_positions_batch(n, m, identity, 8, start, count)
             assert np.array_equal(got.transpose(2, 1, 0), want)
+
+    def test_one_process_runs_chunks_of_every_culture_and_shape(self):
+        # a process's chunk, kernel and insertion-table caches serve Mallows
+        # phi = 0.6, impartial-culture and Mallows phi = 0.3 chunks of two
+        # shapes in turn; each chunk's block and table equal a fresh
+        # process's
+        runs = []
+        for n, m, count in [(3, 7, 300), (2, 9, 257)]:
+            turns = tuple(v % n for v in range(m - 1))
+            for k, culture in enumerate([CultureSpec.mallows(0.6), IC, CultureSpec.mallows(0.3)]):
+                runs.append((turns, turns[::-1], n, m, RatioMode.CB, culture, 4, 100 * k, count))
+
+        def chunk(args):
+            table = sweep._montecarlo_chunk(args)
+            n, m, culture, seed, start, count = args[2], args[3], *args[5:]
+            block = sweep._chunk_buffers(n, m, count)[0]
+            want = sample_positions_batch(n, m, culture, seed, start, count)
+            assert np.array_equal(block.transpose(2, 1, 0), want)
+            return table
+
+        fresh = []
+        for args in runs:
+            for cache in (sweep._chunk_buffers, sweep._play_buffers, cultures._insertion_table):
+                cache.cache_clear()
+            fresh.append(chunk(args))
+        for args, want in zip(runs + runs[::-1], fresh + fresh[::-1]):
+            got = chunk(args)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_candidate_ids_fit_int8(self):
         for culture in (IC, CultureSpec.mallows(0.9)):

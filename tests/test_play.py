@@ -18,6 +18,7 @@ from elimgame import (
 )
 from elimgame.cultures import permutation_table
 from elimgame.play import GameTrace, trace_report
+from elimgame import sweep
 from elimgame.sweep import next_mask_table, play_batch_winners, range_batch_play
 from helpers import profile, random_instance, random_sequence, seq
 
@@ -326,6 +327,28 @@ class TestInPlaceKernel:
             got = play_batch_winners(batches, turns)
             assert got.shape == (60,)
             assert got.tolist() == self.scalar_winners(batches, turns)
+
+    def test_reused_buffers_carry_no_state(self):
+        # one process's kernel buffers serve back-to-back calls of several
+        # shapes, dtypes and turn orders: each call equals a fresh process's
+        # call, and no call writes into winners a caller still holds
+        rng = np.random.default_rng(84)
+        cases = []
+        for m, rows, dtype in [(5, 40, np.int8), (5, 40, np.int64), (9, 40, np.int8),
+                               (5, 17, np.int8), (5, 40, np.int8)]:
+            batches = [self.random_positions(rng, rows, m, dtype) for _ in range(3)]
+            batches[1] = batches[1][:1]
+            cases.append((batches, tuple(int(t) for t in rng.integers(3, size=m - 1))))
+        fresh = []
+        for batches, turns in cases:
+            sweep._play_buffers.cache_clear()
+            fresh.append(play_batch_winners(batches, turns).tolist())
+        held = [(play_batch_winners(batches, turns), want)
+                for (batches, turns), want in zip(cases * 2, fresh * 2)]
+        for i, (got, want) in enumerate(held):
+            assert got.tolist() == want
+            assert not any(np.shares_memory(got, other) for other, _ in held[i + 1:])
+        assert fresh == [self.scalar_winners(*case) for case in cases]
 
     @pytest.mark.parametrize("m", [2, 5, 9, 16, 24])
     def test_matches_sincere_play(self, m):

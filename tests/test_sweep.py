@@ -11,6 +11,7 @@ import pytest
 from elimgame import (
     BudgetExceeded,
     CultureSpec,
+    OutOfDomain,
     RatioMode,
     ZeroWelfare,
     ratio_ab,
@@ -223,13 +224,19 @@ class TestDeterminism:
             lambda args: counts.append(args[8]) or (np.array([3]), np.array([1]), np.array([0])),
         )
         monkeypatch.setattr("elimgame.sweep._finish", lambda *args: None)
-        # MC_CHUNK voter rows per chunk: 65,536 // n samples, at least one
+        # MC_CHUNK voter rows per chunk: 65,536 // n samples, one at the
+        # voter ceiling, which equals the budget; past it nothing runs
         for n, m, rows in [(5, 10, 13107), (9, 24, 7281), (50, 50, 1310), (3, 1, 21845),
-                           (sweep.MC_CHUNK + 1, 2, 1)]:
+                           (sweep.MC_CHUNK, 2, 1)]:
             counts.clear()
             run_montecarlo(EliminationSequence((0,) * (m - 1)), n, m, RatioMode.AB,
                            CultureSpec.impartial(), rows + 1, seed=0)
             assert counts == [rows, 1]
+        counts.clear()
+        with pytest.raises(OutOfDomain):
+            run_montecarlo(EliminationSequence((0,)), sweep.MC_CHUNK + 1, 2, RatioMode.AB,
+                           CultureSpec.impartial(), 2, seed=0)
+        assert counts == []
 
     def test_exhaustive_chunk_size_is_invisible(self, monkeypatch):
         # (sequence, n, m, fix_first, batch rows); m = 8 plays on rank
