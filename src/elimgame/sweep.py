@@ -12,6 +12,11 @@ mean and variance, the spike at exactly 1 and the extremes with their
 indices (equal ratios such as 2/4 and 3/6 going to the lowest index) are
 read off the final table, which the result also carries for reports to bin.
 
+A CB exhaustive sweep takes its counts from
+:func:`~elimgame.trajectories.cb_pair_table`, which counts trajectory pairs
+instead of profiles, and scans chunks in order only until the folded prefix
+holds both extreme ratios, whose first indices it then knows.
+
 The batch play kernels live here, beside the chunks that call them; the
 scalar engine in :mod:`elimgame.play` is their test oracle. Monte-Carlo
 chunks and exhaustive sweeps with m > 7 play rank positions through
@@ -26,7 +31,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from math import factorial, sqrt
 
 import numpy as np
@@ -38,12 +43,12 @@ from .cultures import (
     fill_positions,
     permutation_table,
     positions_block,
-    profile_at_index,
     ranking_ids,
     resolve_budget,
     sample_rankings_batch,
 )
 from .errors import BudgetExceeded, ZeroWelfare
+from .trajectories import cb_pair_table
 from .welfare import RatioMode
 
 #: batches per exhaustive chunk. A batch fixes every voter but the last and
@@ -306,23 +311,11 @@ def _next_mask_table(m: int) -> np.ndarray:
     return next_mask_table(permutation_table(m))
 
 
-@lru_cache(maxsize=2)
-def _pair_slots(n: int, m: int) -> np.ndarray:
-    """``Q[id * m*m + w_r * m + w_f] = pos[id, w_r] * base + pos[id, w_f]``
-    for every ranking id and candidate pair, ``base = n(m-1) + 1``, flat and
-    in the narrowest unsigned type (uint8 at (3, 7): 247 KB): the last
-    voter's share of a CB key for each pair of winners."""
-    base = n * (m - 1) + 1
-    pos = permutation_table(m).astype(np.min_scalar_type((m - 1) * (base + 1)))
-    return (pos[:, :, None] * base + pos[:, None, :]).reshape(-1)
-
-
 def _exhaustive_chunk(args):
     turns, rev_turns, n, m, mode, batch, start, count = args
     pos = permutation_table(m)
     fact = pos.shape[0]
     table = _next_mask_table(m) if m <= WORST_TABLE_MAX_M else None
-    slots = _pair_slots(n, m) if table is not None and mode is RatioMode.CB else None
     base = n * (m - 1) + 1
     # every pair's count and lowest index; run_exhaustive refuses n(m-1) > 63
     # before any chunk runs, so the grid holds at most 4,096 keys
@@ -340,35 +333,25 @@ def _exhaustive_chunk(args):
             # most batches of a chunk share one range: E1's are all 0..5039
             span, last = (low, high), np.arange(low, high)
             cells = last * m
-            pair_cells = last * (m * m)
             # AB's row max reduces over a slot-major copy: numpy's max over a
             # short inner axis costs about 5x more
             cols = pos[low:high].T.copy() if mode is RatioMode.AB else None
         # Borda scores n(m-1) - slot sums: a row's score of candidate w is
         # fixed[w] - pos[last, w], two flat gathers
         fixed = n * (m - 1) - pos[ids].sum(axis=0, dtype=np.int64)
-        if slots is not None:
-            # The key den * base + num is the fixed voters' share, an m*m
-            # table of the (reversed, forward) winner pair built per batch,
-            # minus the last voter's pair slot: no winner or score is built.
-            rev, lone_rev = range_batch_play(table, ids, last, rev_turns)
-            fwd, lone_fwd = range_batch_play(table, ids, last, turns)
-            code = lone_fwd.take(fwd) + (lone_rev * m).take(rev)
-            keys = ((fixed * base)[:, None] + fixed).take(code) - slots.take(pair_cells + code)
+        if table is None:
+            winners = partial(play_batch_winners, [pos[i:i + 1] for i in ids] + [pos[low:high]])
         else:
-            if table is None:
-                winners = partial(play_batch_winners, [pos[i:i + 1] for i in ids] + [pos[low:high]])
-            else:
-                def winners(t):
-                    alive, lone = range_batch_play(table, ids, last, t)
-                    return lone.take(alive)
-            num, den = _evaluate(
-                winners,
-                lambda w: fixed.take(w) - pos.take(cells + w),
-                lambda: (fixed[:, None] - cols).max(axis=0),
-                turns, rev_turns, mode,
-            )
-            keys = den * base + num
+            def winners(t):
+                alive, lone = range_batch_play(table, ids, last, t)
+                return lone.take(alive)
+        num, den = _evaluate(
+            winners,
+            lambda w: fixed.take(w) - pos.take(cells + w),
+            lambda: (fixed[:, None] - cols).max(axis=0),
+            turns, rev_turns, mode,
+        )
+        keys = den * base + num
         # Batches run in index order, so a key is new to the chunk exactly
         # when its count is still 0; only the rows holding such keys are
         # sorted for their first index.
@@ -432,19 +415,28 @@ def _in_order(pool, fn, args, depth: int):
         yield pending.popleft().result()
 
 
-def _run_chunks(fn, static, total: int, chunk: int, workers: int):
+def _run_chunks(fn, static, total: int, chunk: int, workers: int, until=None):
     """Fold the tables ``fn`` returns for the chunks of ``range(total)`` in
-    chunk order.
+    chunk order, stopping after the first fold that ``until`` accepts.
 
     This is the one place chunk ranges are built: chunk ``k`` is called with
     ``(*static, start, count)`` for ``start = k * chunk`` and ``count`` up to
     ``chunk``. The arguments are built lazily; the pool has at most one
     process per usable CPU and keeps at most two chunks per process in
-    flight, so memory does not grow with the chunk count.
+    flight, so memory does not grow with the chunk count. A fold that stops
+    early leaves the pool's ``with`` block to wait out the chunks in flight.
     """
     args = ((*static, start, min(chunk, total - start)) for start in range(0, total, chunk))
     workers = min(workers, -(-total // chunk), _usable_cpus())
-    fold = partial(reduce, lambda folded, table: _fold((folded, table)))
+
+    def fold(tables):
+        folded = None
+        for table in tables:
+            folded = table if folded is None else _fold((folded, table))
+            if until is not None and until(folded):
+                break
+        return folded
+
     if workers < 2:  # a serial study never imports the process pool
         return fold(map(fn, args))
     from concurrent.futures import ProcessPoolExecutor
@@ -470,7 +462,10 @@ def run_exhaustive(
     each relabelling orbit holds m! profiles with one (num, den) pair and
     exactly one of them pinned, and the pinned profiles are the full
     order's first ``(m!)**(n-1)``, in the same order, so every first index
-    and the witness stay the same. The refusals read the population's size.
+    and the witness stay the same. The refusals read the population's size,
+    in CB mode too: there the counts come from the trajectory table and the
+    chunks only find the extremes' first indices, but a late witness costs
+    up to one full sweep.
     """
     seq.validate(n, m)
     # Refused whatever the budget, before any chunk or table is built. The
@@ -497,11 +492,37 @@ def run_exhaustive(
             "raise ELIMGAME_BUDGET or pass --force"
         )
     scale = total // enumeration_size(n, m)
+    total //= scale
+    base = n * (m - 1) + 1
     batch = min(factorial(m), max(1, MC_CHUNK // n))
     static = (seq.turns, seq.reverse().turns, n, m, mode, batch)
-    keys, counts, tags = _run_chunks(_exhaustive_chunk, static, total // scale,
-                                     EXHAUSTIVE_OUTER_CHUNK * batch, workers)
-    return _finish((keys, counts * scale, tags), n * (m - 1) + 1)
+    chunk = EXHAUSTIVE_OUTER_CHUNK * batch
+    if mode is RatioMode.AB:
+        keys, counts, tags = _run_chunks(_exhaustive_chunk, static, total, chunk, workers)
+        return _finish((keys, counts * scale, tags), base)
+    # CB: the counts come from the trajectory table. The scan only finds
+    # the first indices of the two extreme ratios, so it stops at the first
+    # prefix of chunks that holds a key of each: chunks cover increasing
+    # index ranges, so an extreme key first seen later has a higher index
+    # than every profile already scanned. A key the prefix misses gets the
+    # tag ``total``, above every index, and the extremes' tags come out of
+    # _finish as from a full scan.
+    keys, counts = (np.array(col, dtype=np.int64)
+                    for col in zip(*sorted(cb_pair_table(seq.turns, n, m).items())))
+    counts *= scale
+    # the two extreme ratios, read off with placeholder tags
+    extremes = _finish((keys, counts, keys), base)
+    den, num = np.divmod(keys, base)
+    top, bottom = (keys[num * r.denominator == den * r.numerator]
+                   for r in (extremes.max_ratio, extremes.min_ratio))
+
+    def until(folded):
+        return np.isin(top, folded[0]).any() and np.isin(bottom, folded[0]).any()
+
+    seen, _, first = _run_chunks(_exhaustive_chunk, static, total, chunk, workers, until)
+    tags = np.full_like(keys, total)
+    tags[np.searchsorted(keys, seen)] = first
+    return _finish((keys, counts, tags), base)
 
 
 def run_montecarlo(
@@ -527,12 +548,6 @@ def run_montecarlo(
     static = (seq.turns, seq.reverse().turns, n, m, mode, culture, seed)
     table = _run_chunks(_montecarlo_chunk, static, samples, max(1, MC_CHUNK // n), workers)
     return _finish(table, n * (m - 1) + 1)
-
-
-def exhaustive_witness(n: int, m: int, index: int) -> PreferenceProfile:
-    """Profile behind an exhaustive sweep's ``max_index``/``min_index``,
-    for either ``fix_first``: the pinned space is the full order's prefix."""
-    return profile_at_index(n, m, index)
 
 
 def montecarlo_witness(

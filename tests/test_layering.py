@@ -2,12 +2,12 @@
 
 Each module may import only modules on a strictly lower layer. The package
 ``__init__`` and ``__main__`` sit outside the order: they re-export and
-start the command line. The reference engine and the closed forms import
-only the standard library, and the study modules, the only ones that load
-numpy, are imported by the command line and the package only when a study
-needs them; a serial study loads no process pool either. The last check
-keeps every test in ``tests/`` collectable: a second definition of a name
-silently replaces the first.
+start the command line. The reference engine, the closed forms and the
+trajectory counts import only the standard library, and the study modules,
+the only ones that load numpy, are imported by the command line and the
+package only when a study needs them; a serial study loads no process pool
+either. The last check keeps every test in ``tests/`` collectable: a second
+definition of a name silently replaces the first.
 """
 
 import ast
@@ -27,7 +27,7 @@ LAYERS = [
     {"core"},
     {"play"},
     {"welfare"},
-    {"cultures", "extremal"},
+    {"cultures", "extremal", "trajectories"},
     {"sweep"},
     {"experiments"},
     {"cli"},
@@ -83,7 +83,8 @@ def test_imports_point_to_lower_layers(module):
     assert not upward, f"{module} imports {sorted(upward)} from its own or a higher layer"
 
 
-@pytest.mark.parametrize("module", ["errors", "core", "play", "welfare", "extremal"])
+@pytest.mark.parametrize("module", ["errors", "core", "play", "welfare", "extremal",
+                                    "trajectories"])
 def test_reference_modules_import_only_the_standard_library(module):
     outside = absolute_imports(ast.walk(parse(module))) - STANDARD
     assert not outside, f"{module} imports {sorted(outside)}"

@@ -21,14 +21,13 @@ from elimgame import (
 )
 from elimgame import sweep
 from elimgame.core import EliminationSequence
-from elimgame.cultures import enumerate_profiles, enumeration_size, permutation_table
-from elimgame.sweep import (
-    SweepResult,
-    exhaustive_witness,
-    montecarlo_witness,
-    run_exhaustive,
-    run_montecarlo,
+from elimgame.cultures import (
+    enumerate_profiles,
+    enumeration_size,
+    permutation_table,
+    profile_at_index,
 )
+from elimgame.sweep import SweepResult, montecarlo_witness, run_exhaustive, run_montecarlo
 from helpers import seq
 
 
@@ -172,8 +171,20 @@ class TestExhaustiveExactness:
     def test_witness_lookup(self):
         s = seq(1, 2, 1, 2)
         res = run_exhaustive(s, 2, 5, RatioMode.CB)
-        w = exhaustive_witness(2, 5, res.max_index)
+        w = profile_at_index(2, 5, res.max_index)
         assert ratio_cb(w, s) == res.max_ratio
+
+    def test_pairs_the_cb_scan_never_reached_lose_ties(self, monkeypatch):
+        # the maximum 2 = 8/4 first shows at index 201; a 6/3 key that no
+        # chunk holds, added to the counted table, is tagged past every index
+        # and must not take the witness from it
+        s = seq(1, 1, 2)
+        res = run_exhaustive(s, 3, 4, RatioMode.CB)
+        assert (res.max_ratio, res.max_index) == (2, 201)
+        table = sweep.cb_pair_table
+        monkeypatch.setattr("elimgame.sweep.cb_pair_table", lambda *a: {**table(*a), 3 * 10 + 6: 1})
+        padded = run_exhaustive(s, 3, 4, RatioMode.CB)
+        assert (padded.max_ratio, padded.max_index, padded.count) == (2, 201, res.count + 1)
 
 
 class TestDeterminism:
@@ -274,7 +285,7 @@ class TestDeterminism:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        assert ratio_cb(exhaustive_witness(2, 9, res.max_index), s) == res.max_ratio
+        assert ratio_cb(profile_at_index(2, 9, res.max_index), s) == res.max_ratio
 
 
 class _RecordingPool:
@@ -336,6 +347,36 @@ class TestPool:
         monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 24)
         assert run_exhaustive(s, 3, 4, RatioMode.AB, workers=64) == serial
         assert [(p.max_workers, p.peak) for p in pools] == [(2, 2)]
+
+    @pytest.mark.parametrize(
+        "s,n,m,fix_first,batch",
+        [
+            # 24 chunks; the scan stops at the minimum's, chunk 18
+            (seq(3, 2, 2), 3, 4, True, 24),
+            # 3 chunks; the maximum is in chunk 1, the minimum in the last
+            (seq(2, 1, 1, 2, 2), 2, 6, True, 240),
+            # the full space scans its pinned prefix: 5 chunks, stops at 1
+            (seq(2, 1, 1), 2, 4, False, 5),
+        ],
+    )
+    def test_cb_scan_stops_at_its_witnesses(self, monkeypatch, pools, s, n, m, fix_first, batch):
+        # CB counts come from the trajectory table; the chunks only find the
+        # extremes' first indices, so the serial scan runs up to the chunk
+        # of the later witness and no further
+        want = naive_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first)
+        monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 1)
+        monkeypatch.setattr("elimgame.sweep.MC_CHUNK", batch * n)
+        starts = []
+        chunk = sweep._exhaustive_chunk
+        monkeypatch.setattr("elimgame.sweep._exhaustive_chunk",
+                            lambda args: starts.append(args[-2]) or chunk(args))
+        serial = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first)
+        assert_matches(serial, want)
+        last = max(want["max_index"], want["min_index"]) // batch
+        assert starts == [k * batch for k in range(last + 1)]
+        pooled = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first, workers=2)
+        assert_same_result(serial, pooled)
+        assert [p.max_workers for p in pools] == [2]
 
 
 class TestMonteCarlo:

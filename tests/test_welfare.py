@@ -14,8 +14,8 @@ from elimgame import (
     ratio_cb,
     sr_upper_bound,
 )
-from elimgame.cultures import enumerate_profiles
-from elimgame.sweep import exhaustive_witness, run_exhaustive
+from elimgame.cultures import enumerate_profiles, profile_at_index
+from elimgame.sweep import run_exhaustive
 from elimgame.welfare import _score_ratio, ratio_json, sr_bound_for_sequence
 from helpers import profile, random_instance, seq
 
@@ -153,7 +153,7 @@ class TestExactWorstRatio:
         assert res.max_ratio == best
         assert res.count == 24
         # the witness really attains the reported value
-        assert fn(exhaustive_witness(2, 4, res.max_index), s) == res.max_ratio
+        assert fn(profile_at_index(2, 4, res.max_index), s) == res.max_ratio
 
     def test_full_space_agrees_with_reduced(self):
         s = seq(1, 2, 1)
