@@ -1,4 +1,8 @@
-"""Profile generation: exhaustive enumeration, Impartial Culture, Mallows.
+"""Profile generation: the pinned enumeration, Impartial Culture, Mallows.
+
+Exhaustive sweeps decode the pinned enumeration (voter 1 in identity order)
+with :func:`ranking_ids`. Samples come from :func:`fill_positions`, the one
+sampler body; :func:`sample_rankings_batch` is its one fresh-array entry.
 
 Randomness comes from a counter-based construction so that sample ``i`` is a
 pure function of ``(master_seed, i)``: workers can draw disjoint sample
@@ -10,12 +14,12 @@ word generator is the SplitMix64 finalizer used in counter mode:
 
 Mallows sampling uses repeated insertion: candidate ``j`` (1-based) inserts
 at position ``i`` from the top with probability proportional to
-``phi ** (j - i)``, which draws exactly ``P(v) ∝ phi ** kendall_tau(v, ref)``.
+``phi ** (j - i)``, which draws exactly ``P(v) ∝ phi ** d(v, ref)`` for
+the Kendall tau distance ``d`` (candidate pairs ordered oppositely).
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -24,8 +28,8 @@ from math import factorial
 
 import numpy as np
 
-from .core import PreferenceProfile, Vote
-from .errors import BudgetExceeded, LengthMismatch, OutOfDomain, ParseError, PhiOutOfRange
+from .core import PreferenceProfile
+from .errors import OutOfDomain, ParseError, PhiOutOfRange
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -164,30 +168,6 @@ class CultureSpec:
                 raise ParseError("mallows culture needs phi (use mallows:phi=X or --phi)")
             return cls.mallows(phi)
         raise ParseError(f"unknown culture {text!r} (expected ic or mallows:phi=X)")
-
-
-def kendall_tau(v1: Vote, v2: Vote) -> int:
-    """Number of candidate pairs the two votes order oppositely."""
-    if v1.m != v2.m:
-        raise LengthMismatch(f"votes rank {v1.m} and {v2.m} candidates")
-    seq = [v2.positions[c] for c in v1.ranking]
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return inv
-
-
-def mallows_pmf(m: int, phi: float, reference: Vote) -> dict[tuple[int, ...], float]:
-    """Exact Mallows pmf over all m! rankings (tiny m only; test oracle)."""
-    z = 1.0
-    for j in range(2, m + 1):
-        z *= sum(phi**k for k in range(j))
-    out = {}
-    for perm in itertools.permutations(range(m)):
-        out[perm] = phi ** kendall_tau(Vote(perm), reference) / z
-    return out
 
 
 #: Fisher-Yates steps ``j`` below this run as compare-select, the rest as a
@@ -344,17 +324,6 @@ def _mallows_slots(words, pos: np.ndarray, phi: float, index: np.ndarray) -> np.
     return pos
 
 
-def positions_block(n: int, m: int, count: int) -> np.ndarray:
-    """An uninitialised ``(m, n, count)`` int8 block for
-    :func:`fill_positions`, after refusing shapes the samplers cannot hold."""
-    if m < 1 or n < 1:
-        raise ValueError("need n >= 1 voters and m >= 1 candidates")
-    if m > 127:
-        # positions and rankings hold slots and candidate ids as int8
-        raise OutOfDomain(f"sampling supports at most 127 candidates, got {m}")
-    return np.empty((m, n, count), dtype=np.int8)
-
-
 def fill_positions(
     block: np.ndarray,
     scratch: np.ndarray,
@@ -365,19 +334,24 @@ def fill_positions(
     """Fill ``block`` with the rank positions of identity-reference profile
     samples ``start_index .. start_index+count-1``; returns ``block``.
 
-    ``block`` is a caller's C-contiguous ``(m, n, count)`` int8 array, as
-    :func:`positions_block` makes: ``[c, v, s]`` becomes the slot of
+    This is the one sampler body. ``block`` is a caller's C-contiguous
+    ``(m, n, count)`` int8 array: ``[c, v, s]`` becomes the slot of
     candidate ``c`` in voter ``v``'s ranking of sample ``s``, 0 for the
-    best. ``scratch`` is a ``(2, n, count)`` uint64 array the stream words
-    are mixed in; between word rows, Mallows insertion also indexes its
-    tables through the mixer's half, ``scratch[1]``. The caller owns both,
-    so a caller that drops what it builds from them before the next fill
-    can reuse them instead of faulting in fresh memory for every batch;
-    every byte written depends only on the arguments, never on what the
-    arrays held before. A random reference is left to
-    :func:`sample_positions_batch`.
+    best, so each voter's ``(m, count)`` ``[:, v, :]`` has contiguous rows.
+    ``scratch`` is a ``(2, n, count)`` uint64 array the stream words are
+    mixed in; between word rows, Mallows insertion also indexes its tables
+    through the mixer's half, ``scratch[1]``. The caller owns both, so a
+    caller that drops what it builds from them before the next fill can
+    reuse them instead of faulting in fresh memory for every batch; every
+    byte written depends only on the arguments, never on what the arrays
+    held before. A random reference is left to :func:`sample_rankings_batch`.
     """
     m, n, count = block.shape
+    if m < 1 or n < 1:
+        raise ValueError("need n >= 1 voters and m >= 1 candidates")
+    if m > 127:
+        # positions and rankings hold slots and candidate ids as int8
+        raise OutOfDomain(f"sampling supports at most 127 candidates, got {m}")
     keys = _stream_keys(master_seed, start_index, count)
     slots = block.reshape(m, n * count)
     if spec.kind is CultureKind.IMPARTIAL or spec.phi == 1.0:
@@ -386,39 +360,6 @@ def fill_positions(
         words = _word_rows(keys, 0, n, m - 1, scratch=scratch, finish=False)
         _mallows_slots(words, slots, spec.phi, scratch[1].reshape(-1))
     return block
-
-
-def sample_positions_batch(
-    n: int,
-    m: int,
-    spec: CultureSpec,
-    master_seed: int,
-    start_index: int,
-    count: int,
-) -> np.ndarray:
-    """Rank positions for profile samples ``start_index .. start_index+count-1``.
-
-    Returns a fresh ``(count, n, m)`` int8 array, which the caller owns;
-    ``[s, v, c]`` is the slot of candidate ``c`` in voter ``v``'s ranking,
-    0 for the best. Pure function of its arguments, so any chunking of the
-    index range yields identical rows. The array is the
-    ``.transpose(2, 1, 0)`` view of C-contiguous candidate-major
-    ``(m, n, count)`` memory, the layout :func:`fill_positions` builds, so
-    each voter's ``[:, v, :].T`` has contiguous rows. Sweep chunks fill
-    blocks of their own instead. A random Mallows reference is drawn here,
-    from the ``m-1`` words after each sample's ``n(m-1)`` voter words, a
-    layout every culture shares.
-    """
-    scratch = np.empty((2, n, count), dtype=np.uint64)
-    block = fill_positions(positions_block(n, m, count), scratch, spec, master_seed, start_index)
-    # the identity reference's candidate k is the reference's slot-k
-    # candidate, so candidate c takes the slots drawn for its reference slot
-    if spec.kind is CultureKind.MALLOWS and spec.random_reference:
-        keys = _stream_keys(master_seed, start_index, count)
-        words = _word_rows(keys, n * (m - 1), 1, m - 1, reverse=True, scratch=scratch[:, :1])
-        ref_pos = _fisher_yates(words, np.empty((m, count), dtype=np.int8))
-        block[:] = np.take_along_axis(block, ref_pos[:, None, :], axis=0)
-    return block.transpose(2, 1, 0)
 
 
 def sample_rankings_batch(
@@ -431,12 +372,24 @@ def sample_rankings_batch(
 ) -> np.ndarray:
     """Rankings for profile samples ``start_index .. start_index+count-1``.
 
-    Returns a ``(count, n, m)`` int8 array; ``[s, v]`` is voter v's ranking,
-    best first. It is the inverse of :func:`sample_positions_batch` on the
-    same arguments, so any chunking of the index range yields identical rows.
+    Returns a fresh ``(count, n, m)`` int8 array; ``[s, v]`` is voter v's
+    ranking, best first, the inverse of the positions :func:`fill_positions`
+    draws. Pure function of its arguments, so any chunking of the index
+    range yields identical rows. A random Mallows reference is drawn here,
+    from the ``m-1`` words after each sample's ``n(m-1)`` voter words, a
+    layout every culture shares.
     """
-    pos = sample_positions_batch(n, m, spec, master_seed, start_index, count)
-    return pos.argsort(axis=2).astype(np.int8)
+    scratch = np.empty((2, n, count), dtype=np.uint64)
+    block = np.empty((m, n, count), dtype=np.int8)
+    fill_positions(block, scratch, spec, master_seed, start_index)
+    # the identity reference's candidate k is the reference's slot-k
+    # candidate, so candidate c takes the slots drawn for its reference slot
+    if spec.kind is CultureKind.MALLOWS and spec.random_reference:
+        keys = _stream_keys(master_seed, start_index, count)
+        words = _word_rows(keys, n * (m - 1), 1, m - 1, reverse=True, scratch=scratch[:, :1])
+        ref_pos = _fisher_yates(words, np.empty((m, count), dtype=np.int8))
+        block[:] = np.take_along_axis(block, ref_pos[:, None, :], axis=0)
+    return block.transpose(2, 1, 0).argsort(axis=2).astype(np.int8)
 
 
 @lru_cache(maxsize=8)
@@ -466,48 +419,31 @@ def permutation_table(m: int) -> np.ndarray:
     return pos
 
 
-def enumeration_size(n: int, m: int, fix_first: bool = True) -> int:
-    free = n - 1 if fix_first else n
-    return factorial(m) ** free
+def enumeration_size(n: int, m: int) -> int:
+    """Profiles in the pinned space, where voter 1 ranks in identity order."""
+    return factorial(m) ** (n - 1)
 
 
-def ranking_ids(n: int, m: int, index: int, fix_first: bool = True) -> list[int]:
+def ranking_ids(n: int, m: int, index: int) -> list[int]:
     """Each voter's ranking id (a row of :func:`permutation_table`) in the
-    profile at rank ``index`` of the enumeration order.
+    profile at rank ``index`` of the pinned enumeration order.
 
-    This is the one place that order is decoded: lexicographic over the free
-    voters' ranking ids, first free voter most significant and the last voter
-    least, so consecutive indices run the last voter over consecutive
-    ranking ids. With ``fix_first`` voter 1 is pinned to the identity (id 0).
+    This is the one place that order is decoded: voter 1 is pinned to the
+    identity (id 0), and the others' ranking ids run lexicographically, the
+    second voter most significant and the last voter least, so consecutive
+    indices run the last voter over consecutive ranking ids.
     """
-    total = enumeration_size(n, m, fix_first)
+    total = enumeration_size(n, m)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside 0..{total - 1}")
     ids = [0] * n
-    for v in range(n - 1, 0 if fix_first else -1, -1):
+    for v in range(n - 1, 0, -1):
         index, ids[v] = divmod(index, factorial(m))
     return ids
 
 
-def profile_at_index(n: int, m: int, index: int, fix_first: bool = True) -> PreferenceProfile:
-    """Profile at a given rank of the enumeration order; see :func:`ranking_ids`."""
-    ids = ranking_ids(n, m, index, fix_first)
+def profile_at_index(n: int, m: int, index: int) -> PreferenceProfile:
+    """Profile at a given rank of the pinned order; see :func:`ranking_ids`."""
+    ids = ranking_ids(n, m, index)
     pos = permutation_table(m)
     return PreferenceProfile.from_rankings([pos[r].argsort().tolist() for r in ids])
-
-
-def enumerate_profiles(n: int, m: int, fix_first: bool = True, budget: int | None = None):
-    """Yield every profile in enumeration order; see :func:`profile_at_index`.
-
-    This is the plain-python path for small spaces and oracles; large
-    enumerations go through the vectorised sweep engine.
-    """
-    total = enumeration_size(n, m, fix_first)
-    limit = resolve_budget(budget)
-    if total > limit:
-        raise BudgetExceeded(
-            f"enumeration would touch {total} profiles, over the budget of {limit}; "
-            "raise ELIMGAME_BUDGET or pass a larger budget to proceed"
-        )
-    for index in range(total):
-        yield profile_at_index(n, m, index, fix_first)

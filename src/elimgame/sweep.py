@@ -42,7 +42,6 @@ from .cultures import (
     enumeration_size,
     fill_positions,
     permutation_table,
-    positions_block,
     ranking_ids,
     resolve_budget,
     sample_rankings_batch,
@@ -317,8 +316,8 @@ def _exhaustive_chunk(args):
     fact = pos.shape[0]
     table = _next_mask_table(m) if m <= WORST_TABLE_MAX_M else None
     base = n * (m - 1) + 1
-    # every pair's count and lowest index; run_exhaustive refuses n(m-1) > 63
-    # before any chunk runs, so the grid holds at most 4,096 keys
+    # every pair's count and lowest index; run_exhaustive's refusals leave
+    # n(m-1) <= 63, so the grid holds at most 4,096 keys
     counts = np.zeros(base * base, dtype=np.int64)
     tags = np.zeros(base * base, dtype=np.int64)
     span = None
@@ -375,7 +374,7 @@ def _chunk_buffers(n: int, m: int, count: int):
     chunk, and each is overwritten before it is read, so each process's
     chunks fill the same memory instead of faulting in about 2.2 MB of
     fresh pages each at (5, 10)."""
-    return (positions_block(n, m, count), np.empty((2, n, count), dtype=np.uint64),
+    return (np.empty((m, n, count), dtype=np.int8), np.empty((2, n, count), dtype=np.uint64),
             np.empty((m, count), dtype=np.int32))
 
 
@@ -468,31 +467,23 @@ def run_exhaustive(
     up to one full sweep.
     """
     seq.validate(n, m)
-    # Refused whatever the budget, before any chunk or table is built. The
-    # exact grid has (n(m-1) + 1)**2 cells; past n(m-1) = 63 every
-    # enumeration but a lone voter's holds over 2**62 profiles, beyond any
-    # budget up to --force's, so refusing them keeps the grid at most 4,096
-    # cells. From m = 12 the m!*m-byte position table passes 1 GiB (5.4 GiB
-    # at m = 12), and from 2**63 profiles the int64 counts would wrap.
-    if n * (m - 1) > 63:
+    # Refused whatever the budget, before any chunk or table is built: from
+    # m = 12 the m!*m-byte position table passes 1 GiB (5.4 GiB at m = 12),
+    # and from 2**63 profiles the int64 counts would wrap; m >= 12 goes first,
+    # as its count can take seconds. For m <= 11, n(m-1) > 63 means 2**63
+    # pinned profiles or more, so the exact grid keeps at most 4,096 cells.
+    scale = 1 if fix_first else factorial(m)
+    if m >= 12 or (total := enumeration_size(n, m)) * scale >= 1 << 63:
         raise BudgetExceeded(
-            f"exhaustive sweeps need n(m-1) <= 63, got {n * (m - 1)}; "
-            "sample the space with montecarlo instead"
-        )
-    total = enumeration_size(n, m, fix_first)
-    if m >= 12 or total >= 1 << 63:
-        raise BudgetExceeded(
-            f"exhaustive sweeps need m <= 11 and under 2**63 profiles, got m = {m} "
-            f"and {total} profiles; sample the space with montecarlo instead"
+            f"exhaustive sweeps need m <= 11 and under 2**63 profiles, got n = {n} "
+            f"and m = {m}; sample the space with montecarlo instead"
         )
     limit = resolve_budget(budget)
-    if total > limit:
+    if total * scale > limit:
         raise BudgetExceeded(
-            f"exhaustive sweep needs {total} profiles, over the budget of {limit}; "
+            f"exhaustive sweep needs {total * scale} profiles, over the budget of {limit}; "
             "raise ELIMGAME_BUDGET or pass --force"
         )
-    scale = total // enumeration_size(n, m)
-    total //= scale
     base = n * (m - 1) + 1
     batch = min(factorial(m), max(1, MC_CHUNK // n))
     static = (seq.turns, seq.reverse().turns, n, m, mode, batch)

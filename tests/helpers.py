@@ -1,10 +1,12 @@
-"""Shared test helpers: compact builders for profiles and sequences."""
+"""Shared test helpers: compact builders for profiles and sequences, and
+the plain-python oracles for the enumeration order and the Mallows model."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from elimgame import EliminationSequence, PreferenceProfile, Vote
+from elimgame import EliminationSequence, LengthMismatch, PreferenceProfile, Vote
 
 
 def profile(*rankings: str) -> PreferenceProfile:
@@ -41,3 +43,37 @@ def random_instance(rng: random.Random, n_choices=(2, 3), m_choices=(3, 4, 5, 6)
     n = rng.choice(n_choices)
     m = rng.choice(m_choices)
     return random_profile(rng, n, m), random_sequence(rng, n, m)
+
+
+def enumerate_profiles(n: int, m: int, fix_first: bool = True):
+    """Yield every profile in the engine's enumeration order: rankings in
+    lexicographic order (ranking 0 is the identity), the first listed voter
+    most significant. With ``fix_first`` voter 1 is pinned to the identity,
+    the pinned space that ``cultures.profile_at_index`` decodes."""
+    pinned = [tuple(range(m))] if fix_first else []
+    for rows in itertools.product(itertools.permutations(range(m)), repeat=n - len(pinned)):
+        yield PreferenceProfile.from_rankings(pinned + list(rows))
+
+
+def kendall_tau(v1: Vote, v2: Vote) -> int:
+    """Number of candidate pairs the two votes order oppositely."""
+    if v1.m != v2.m:
+        raise LengthMismatch(f"votes rank {v1.m} and {v2.m} candidates")
+    seq = [v2.positions[c] for c in v1.ranking]
+    inv = 0
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                inv += 1
+    return inv
+
+
+def mallows_pmf(m: int, phi: float, reference: Vote) -> dict[tuple[int, ...], float]:
+    """Exact Mallows pmf over all m! rankings (tiny m only; test oracle)."""
+    z = 1.0
+    for j in range(2, m + 1):
+        z *= sum(phi**k for k in range(j))
+    out = {}
+    for perm in itertools.permutations(range(m)):
+        out[perm] = phi ** kendall_tau(Vote(perm), reference) / z
+    return out

@@ -67,10 +67,9 @@ from elimgame import (
     sr_upper_bound,
     verify_tight,
 )
-from elimgame.cultures import enumerate_profiles, mallows_pmf
 from elimgame.sweep import play_batch_winners
 from elimgame.welfare import sr_bound_for_sequence
-from helpers import random_instance, seq, seq_from
+from helpers import enumerate_profiles, mallows_pmf, random_instance, seq, seq_from
 
 WORKERS = min(8, os.cpu_count() or 1)
 

@@ -27,20 +27,17 @@ from elimgame.cultures import (
     _insertion_table,
     _stream_keys,
     _word_rows,
-    enumerate_profiles,
     enumeration_size,
-    kendall_tau,
-    mallows_pmf,
     permutation_table,
     fill_positions,
-    positions_block,
     profile_at_index,
     ranking_ids,
     resolve_budget,
-    sample_positions_batch,
 )
 from elimgame import cultures, sweep
-from elimgame.sweep import MC_CHUNK, montecarlo_witness
+from elimgame.core import EliminationSequence
+from elimgame.sweep import MC_CHUNK, montecarlo_witness, run_exhaustive
+from helpers import enumerate_profiles, kendall_tau, mallows_pmf
 
 
 IC = CultureSpec.impartial()
@@ -237,40 +234,56 @@ SAMPLER_CULTURES = [
 ]
 
 
+def filled(n, m, culture, seed, start, count):
+    """Rank positions ``[s, v, c]`` that fill_positions draws into a fresh
+    candidate-major block: the block's ``.transpose(2, 1, 0)`` view."""
+    block = np.empty((m, n, count), dtype=np.int8)
+    scratch = np.empty((2, n, count), dtype=np.uint64)
+    return fill_positions(block, scratch, culture, seed, start).transpose(2, 1, 0)
+
+
 class TestPositionSampler:
     @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
     @pytest.mark.parametrize("n,m", [(1, 2), (3, 5), (4, 9), (2, 24)])
     def test_equals_argsort_of_oracle_rankings(self, culture, n, m):
-        want = np.argsort(oracle_rankings(n, m, culture, 19, 3, 257), axis=2)
-        got = sample_positions_batch(n, m, culture, 19, 3, 257)
+        # fill_positions draws identity-reference profiles; the rankings
+        # sample_rankings_batch returns carry the random reference too
+        identity = replace(culture, random_reference=False)
+        want = np.argsort(oracle_rankings(n, m, identity, 19, 3, 257), axis=2)
+        got = filled(n, m, culture, 19, 3, 257)
         assert got.dtype == np.int8 and got.shape == (257, n, m)
         assert np.array_equal(got, want)
+        rankings = sample_rankings_batch(n, m, culture, 19, 3, 257)
+        assert np.array_equal(rankings, oracle_rankings(n, m, culture, 19, 3, 257))
 
     @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
     def test_rankings_are_the_inverse(self, culture):
-        pos = sample_positions_batch(3, 6, culture, 4, 0, 200)
-        rankings = sample_rankings_batch(3, 6, culture, 4, 0, 200)
-        assert np.array_equal(rankings, oracle_rankings(3, 6, culture, 4, 0, 200))
+        identity = replace(culture, random_reference=False)
+        pos = filled(3, 6, culture, 4, 0, 200)
+        rankings = sample_rankings_batch(3, 6, identity, 4, 0, 200)
+        assert np.array_equal(rankings, oracle_rankings(3, 6, identity, 4, 0, 200))
         assert np.array_equal(np.take_along_axis(rankings, pos.astype(np.int64), axis=2),
                               np.broadcast_to(np.arange(6, dtype=np.int8), pos.shape))
 
     @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
     def test_single_candidate_and_empty_batches(self, culture):
-        one = sample_positions_batch(3, 1, culture, 5, 0, 4)
+        one = filled(3, 1, culture, 5, 0, 4)
         assert one.shape == (4, 3, 1) and not one.any()
+        assert not sample_rankings_batch(3, 1, culture, 5, 0, 4).any()
         for m in (1, 2, 5):
-            empty = sample_positions_batch(2, m, culture, 5, 10, 0)
-            assert empty.shape == (0, 2, m) and empty.dtype == np.int8
-        two = sample_positions_batch(2, 2, culture, 5, 0, 400)
+            for empty in (filled(2, m, culture, 5, 10, 0),
+                          sample_rankings_batch(2, m, culture, 5, 10, 0)):
+                assert empty.shape == (0, 2, m) and empty.dtype == np.int8
+        two = sample_rankings_batch(2, 2, culture, 5, 0, 400)
         assert np.array_equal(np.sort(two, axis=2),
                               np.broadcast_to(np.arange(2, dtype=np.int8), two.shape))
         assert 0 < int(two[:, :, 0].sum()) < 800
 
     @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
     def test_chunking_is_invisible(self, culture):
-        whole = sample_positions_batch(3, 7, culture, 8, 40, 500)
+        whole = sample_rankings_batch(3, 7, culture, 8, 40, 500)
         parts = np.concatenate([
-            sample_positions_batch(3, 7, culture, 8, lo, hi - lo)
+            sample_rankings_batch(3, 7, culture, 8, lo, hi - lo)
             for lo, hi in [(40, 41), (41, 200), (200, 200), (200, 540)]
         ])
         assert np.array_equal(whole, parts)
@@ -279,10 +292,12 @@ class TestPositionSampler:
     def test_candidate_major_layout(self, culture):
         # play_batch_winners reduces each voter's (m, count) transpose over its
         # m rows; that is fast only while those rows are contiguous
-        pos = sample_positions_batch(3, 6, culture, 4, 0, 200)
+        block, scratch, _ = sweep._chunk_buffers(3, 6, 200)
+        pos = fill_positions(block, scratch, culture, 4, 0).transpose(2, 1, 0)
         assert pos.transpose(2, 1, 0).flags.c_contiguous
         assert pos[:, 1, :].T.strides == (3 * 200, 1)
-        rankings = sample_rankings_batch(3, 6, culture, 4, 0, 200)
+        identity = replace(culture, random_reference=False)
+        rankings = sample_rankings_batch(3, 6, identity, 4, 0, 200)
         assert np.array_equal(rankings, np.argsort(pos, axis=2))
 
     @pytest.mark.parametrize(
@@ -294,9 +309,9 @@ class TestPositionSampler:
         # sweeps draw MC_CHUNK // n samples per call
         n, m = 7, 5
         chunk = MC_CHUNK // n
-        whole = sample_positions_batch(n, m, culture, 21, 5, 2 * chunk + 33)
+        whole = sample_rankings_batch(n, m, culture, 21, 5, 2 * chunk + 33)
         parts = np.concatenate([
-            sample_positions_batch(n, m, culture, 21, 5 + lo, min(chunk, 2 * chunk + 33 - lo))
+            sample_rankings_batch(n, m, culture, 21, 5 + lo, min(chunk, 2 * chunk + 33 - lo))
             for lo in range(0, 2 * chunk + 33, chunk)
         ])
         assert np.array_equal(whole, parts)
@@ -305,25 +320,24 @@ class TestPositionSampler:
     def test_back_to_back_batches_are_independent(self, culture):
         # every call returns memory of its own: a second batch of the same
         # shape must not overwrite the first
-        first = sample_positions_batch(3, 7, culture, 8, 0, 300)
+        first = sample_rankings_batch(3, 7, culture, 8, 0, 300)
         kept = first.copy()
-        second = sample_positions_batch(3, 7, culture, 8, 300, 300)
+        second = sample_rankings_batch(3, 7, culture, 8, 300, 300)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
 
     @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
     def test_refilled_blocks_match_fresh_batches(self, culture):
         # a reused block and scratch carry nothing from one fill to the next;
-        # a fill leaves a random reference to sample_positions_batch
+        # a fill leaves a random reference to sample_rankings_batch
         n, m, count = 3, 7, 200
-        block = positions_block(n, m, count)
+        block = np.empty((m, n, count), dtype=np.int8)
         scratch = np.empty((2, n, count), dtype=np.uint64)
         identity = replace(culture, random_reference=False)
         for start in (0, 200, 5):
             got = fill_positions(block, scratch, culture, 8, start)
             assert got is block
-            want = sample_positions_batch(n, m, identity, 8, start, count)
-            assert np.array_equal(got.transpose(2, 1, 0), want)
+            assert np.array_equal(got.transpose(2, 1, 0), filled(n, m, identity, 8, start, count))
 
     def test_one_process_runs_chunks_of_every_culture_and_shape(self):
         # a process's chunk, kernel and insertion-table caches serve Mallows
@@ -340,7 +354,7 @@ class TestPositionSampler:
             table = sweep._montecarlo_chunk(args)
             n, m, culture, seed, start, count = args[2], args[3], *args[5:]
             block = sweep._chunk_buffers(n, m, count)[0]
-            want = sample_positions_batch(n, m, culture, seed, start, count)
+            want = filled(n, m, culture, seed, start, count)
             assert np.array_equal(block.transpose(2, 1, 0), want)
             return table
 
@@ -355,12 +369,19 @@ class TestPositionSampler:
 
     def test_candidate_ids_fit_int8(self):
         for culture in (IC, CultureSpec.mallows(0.9)):
-            pos = sample_positions_batch(1, 127, culture, 0, 0, 2)
+            pos = filled(1, 127, culture, 0, 0, 2)
             assert pos.shape == (2, 1, 127)
             assert np.array_equal(np.sort(pos, axis=2),
                                   np.broadcast_to(np.arange(127, dtype=np.int8), pos.shape))
             with pytest.raises(OutOfDomain):
-                sample_positions_batch(1, 200, culture, 0, 0, 3)
+                filled(1, 200, culture, 0, 0, 3)
+
+    @pytest.mark.parametrize("n,m", [(0, 3), (2, 0)])
+    def test_empty_profiles_are_refused(self, n, m):
+        with pytest.raises(ValueError, match="n >= 1 voters and m >= 1 candidates"):
+            filled(n, m, IC, 0, 0, 3)
+        with pytest.raises(ValueError, match="n >= 1 voters and m >= 1 candidates"):
+            sample_rankings_batch(n, m, IC, 0, 0, 3)
 
 
 class TestKendall:
@@ -484,44 +505,39 @@ class TestMallowsDistribution:
 
 class TestEnumeration:
     def test_sizes(self):
-        assert enumeration_size(2, 3, fix_first=False) == 36
-        assert enumeration_size(3, 4, fix_first=True) == 576
-        assert enumeration_size(2, 8, fix_first=True) == math.factorial(8)
+        assert enumeration_size(1, 4) == 1
+        assert enumeration_size(3, 4) == 576
+        assert enumeration_size(2, 8) == math.factorial(8)
 
     def test_all_distinct_and_complete(self):
         seen = {
-            tuple(v.ranking for v in p.votes)
-            for p in enumerate_profiles(2, 3, fix_first=False)
+            tuple(v.ranking for v in profile_at_index(3, 4, idx).votes)
+            for idx in range(576)
         }
-        assert len(seen) == 36
-        seen_fixed = {
-            tuple(v.ranking for v in p.votes)
-            for p in enumerate_profiles(3, 4, fix_first=True)
-        }
-        assert len(seen_fixed) == 576
-        assert all(rows[0] == (0, 1, 2, 3) for rows in seen_fixed)
+        assert len(seen) == 576
+        assert all(rows[0] == (0, 1, 2, 3) for rows in seen)
 
     def test_index_lookup_matches_iteration(self):
-        listed = list(enumerate_profiles(3, 3, fix_first=True))
-        for idx in (0, 1, 17, 35):
-            assert profile_at_index(3, 3, idx, fix_first=True) == listed[idx]
+        listed = list(enumerate_profiles(3, 3))
+        assert len(listed) == 36
+        for idx in range(36):
+            assert profile_at_index(3, 3, idx) == listed[idx]
         with pytest.raises(ValueError):
             profile_at_index(3, 3, 36)
         with pytest.raises(ValueError):
             profile_at_index(3, 3, -1)
 
     def test_index_zero_is_all_identity(self):
-        p = profile_at_index(3, 4, 0, fix_first=False)
+        p = profile_at_index(3, 4, 0)
         assert all(v.ranking == (0, 1, 2, 3) for v in p.votes)
 
     def test_order_is_lexicographic(self):
-        # first free voter most significant, rankings in lexicographic order
-        rows = [
-            tuple(v.ranking for v in p.votes)
-            for p in enumerate_profiles(2, 3, fix_first=False)
-        ]
-        assert rows == list(itertools.product(itertools.permutations(range(3)), repeat=2))
-        assert ranking_ids(3, 3, 6 * 6 * 2 + 6 * 5 + 4, fix_first=False) == [2, 5, 4]
+        # voter 1 pinned, the second voter most significant, rankings in
+        # lexicographic order
+        rows = [tuple(v.ranking for v in profile_at_index(3, 3, idx).votes)
+                for idx in range(36)]
+        perms = list(itertools.permutations(range(3)))
+        assert rows == [(perms[0], *rest) for rest in itertools.product(perms, repeat=2)]
         assert ranking_ids(3, 3, 6 * 5 + 4) == [0, 5, 4]
         assert ranking_ids(1, 4, 0) == [0]
 
@@ -544,15 +560,10 @@ class TestEnumeration:
 
 
 class TestBudget:
-    def test_explicit_budget_enforced(self):
-        with pytest.raises(BudgetExceeded):
-            list(enumerate_profiles(2, 3, fix_first=False, budget=35))
-        assert len(list(enumerate_profiles(2, 3, fix_first=False, budget=36))) == 36
-
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("ELIMGAME_BUDGET", "10")
         with pytest.raises(BudgetExceeded):
-            list(enumerate_profiles(2, 3, fix_first=False))
+            run_exhaustive(EliminationSequence((0, 1)), 2, 3, RatioMode.AB, fix_first=False)
         assert resolve_budget() == 10
         # explicit argument outranks the environment
         assert resolve_budget(500) == 500

@@ -23,9 +23,8 @@ from elimgame.experiments import (
     render_report,
     write_histogram_csv,
 )
-from elimgame.cultures import enumerate_profiles
 from elimgame.sweep import run_exhaustive
-from helpers import seq, seq_from
+from helpers import enumerate_profiles, seq, seq_from
 
 
 def exhaustive_config(**kw):

@@ -21,14 +21,9 @@ from elimgame import (
 )
 from elimgame import sweep
 from elimgame.core import EliminationSequence
-from elimgame.cultures import (
-    enumerate_profiles,
-    enumeration_size,
-    permutation_table,
-    profile_at_index,
-)
+from elimgame.cultures import enumeration_size, permutation_table, profile_at_index
 from elimgame.sweep import SweepResult, montecarlo_witness, run_exhaustive, run_montecarlo
-from helpers import seq
+from helpers import enumerate_profiles, seq
 
 
 def assert_same_result(a, b):
@@ -537,26 +532,29 @@ class TestGuards:
             sweep._finish(table, 5)
 
     def test_budget_bounds_the_grid(self):
-        # every exhaustive sweep a budget up to --force's 2**62 admits has
-        # n(m-1) <= 63, so an exhaustive chunk's grid holds at most 64**2 keys
-        for m in range(2, 21):
-            for fix_first in (True, False):
-                n = 1
-                while enumeration_size(n, m, fix_first) <= 2**62:
-                    assert n * (m - 1) <= 63, (n, m, fix_first)
-                    n += 1
+        # for m <= 11, n(m-1) > 63 means at least 2**63 profiles, pinned and
+        # full, so the 2**63 refusal covers it; every admitted sweep then has
+        # n(m-1) <= 63, and an exhaustive chunk's grid holds at most 64**2 keys
+        for m in range(2, 12):
+            for n in range(1, 201):
+                pinned = enumeration_size(n, m)
+                if n * (m - 1) > 63:
+                    assert pinned >= 2**63, (n, m)
+                    assert pinned * factorial(m) >= 2**63, (n, m)
+                if pinned < 2**63:
+                    assert (n * (m - 1) + 1) ** 2 <= 4096, (n, m)
 
     @pytest.mark.parametrize("n,m", [(64, 2), (3000, 2), (22, 4)])
     def test_grid_cap_refuses_before_any_chunk(self, monkeypatch, n, m):
-        # n(m-1) > 63 is refused whatever the budget, before a chunk could
-        # allocate its (n(m-1)+1)**2 grid
+        # n(m-1) > 63 is refused whatever the budget, as 2**63 profiles or
+        # more, before a chunk could allocate its (n(m-1)+1)**2 grid
         def no_chunks(*args, **kwargs):
             raise AssertionError("a chunk ran")
 
         monkeypatch.setattr(sweep, "_run_chunks", no_chunks)
         monkeypatch.setenv("ELIMGAME_BUDGET", str(10**1000))
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
-        with pytest.raises(BudgetExceeded, match="n\\(m-1\\) <= 63"):
+        with pytest.raises(BudgetExceeded, match="m <= 11 and under 2\\*\\*63 profiles"):
             run_exhaustive(s, n, m, RatioMode.CB)
         with pytest.raises(BudgetExceeded):
             run_exhaustive(s, n, m, RatioMode.AB, fix_first=False, budget=10**1000)

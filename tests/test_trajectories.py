@@ -1,11 +1,13 @@
 """The CB pair table counted from trajectory pairs, against enumeration."""
 
 import itertools
-from math import factorial
+from fractions import Fraction
+from math import factorial, sqrt
 
 import pytest
 
-from elimgame import RatioMode, sweep
+from elimgame import CultureSpec, RatioMode, sweep
+from elimgame.sweep import run_montecarlo
 from elimgame.trajectories import cb_pair_table
 from helpers import seq_from
 
@@ -46,3 +48,21 @@ def test_counts_cover_the_pinned_space(n, m, turns):
     base = n * (m - 1) + 1
     assert all(base <= key < base * base and count > 0 for key, count in table.items())
 
+
+
+def test_impartial_culture_sample_mean_meets_the_exact_mean():
+    # Impartial culture draws every profile of the full space alike, and a
+    # relabelling moves no ratio, so the pinned table is IC's exact CB
+    # distribution. 10**5 samples at seed 0 must land within 5 standard
+    # errors of its mean, the error taken from its exact variance.
+    s, n, m, samples = seq_from("123451"), 5, 7, 10**5
+    base = n * (m - 1) + 1
+    table = cb_pair_table(s.turns, n, m)
+    total = sum(table.values())
+    ratios = {key: Fraction(key % base, key // base) for key in table}
+    mean = sum(count * ratios[key] for key, count in table.items()) / total
+    variance = sum(count * ratios[key] ** 2 for key, count in table.items()) / total - mean**2
+    se = sqrt(variance / samples)
+    res = run_montecarlo(s, n, m, RatioMode.CB, CultureSpec.impartial(), samples, 0)
+    assert res.count == samples and se > 0
+    assert abs(float(res.mean - mean)) <= 5 * se, (float(res.mean), float(mean), se)

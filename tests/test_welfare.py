@@ -14,10 +14,10 @@ from elimgame import (
     ratio_cb,
     sr_upper_bound,
 )
-from elimgame.cultures import enumerate_profiles, profile_at_index
+from elimgame.cultures import profile_at_index
 from elimgame.sweep import run_exhaustive
 from elimgame.welfare import _score_ratio, ratio_json, sr_bound_for_sequence
-from helpers import profile, random_instance, seq
+from helpers import enumerate_profiles, profile, random_instance, seq
 
 
 EXAMPLE = profile("abcd", "cbad", "cadb")
