@@ -8,14 +8,15 @@ table: a Monte-Carlo chunk sorts its one batch, and an exhaustive chunk
 counts its batches into a grid of every possible pair. The tables are folded
 in chunk order, and a fold is exact in any order, so results are
 bit-identical for every worker count and chunk size. The count, the exact
-mean and variance, the spike at exactly 1 and the extremes with their
-indices (equal ratios such as 2/4 and 3/6 going to the lowest index) are
-read off the final table, which the result also carries for reports to bin.
+mean and variance, the spike at exactly 1, both extreme ratios and the
+maximum's first index, the report's witness (equal ratios such as 2/4 and
+3/6 going to the lowest index), are read off the final table, which the
+result also carries for reports to bin.
 
 A CB exhaustive sweep takes its counts from
 :func:`~elimgame.trajectories.cb_pair_table`, which counts trajectory pairs
 instead of profiles, and scans chunks in order only until the folded prefix
-holds both extreme ratios, whose first indices it then knows.
+holds the maximum ratio, whose first index it then knows.
 
 The batch play kernels live here, beside the chunks that call them; the
 scalar engine in :mod:`elimgame.play` is their test oracle. Monte-Carlo
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial, sqrt
 
 import numpy as np
@@ -230,12 +231,12 @@ def _fold(tables):
 class SweepResult:
     """Exact reduction of a ratio population.
 
-    ``max_index``/``min_index`` identify the first profile attaining each
-    extreme: an enumeration rank for exhaustive sweeps, a sample index for
-    Monte-Carlo ones. ``pairs`` is the whole population as a ``(k, 3)``
-    int64 array of ``(num, den, count)`` rows, one per distinct Borda-score
-    pair, in ``(den, num)`` order; every field but the two indices is read
-    off it.
+    ``max_index`` identifies the first profile attaining the maximum, the
+    report's witness: an enumeration rank for exhaustive sweeps, a sample
+    index for Monte-Carlo ones. ``pairs`` is the whole population as a
+    ``(k, 3)`` int64 array of ``(num, den, count)`` rows, one per distinct
+    Borda-score pair, in ``(den, num)`` order; every field but the index is
+    read off it.
     """
 
     count: int
@@ -244,7 +245,6 @@ class SweepResult:
     max_ratio: Fraction
     max_index: int
     min_ratio: Fraction
-    min_index: int
     spike_count: int
     pairs: np.ndarray = field(compare=False, repr=False)
 
@@ -274,35 +274,20 @@ def _finish(table, base: int) -> SweepResult:
     mean = sum(map(Fraction, firsts, dens), Fraction(0)) / n_total
     second = sum(map(Fraction, seconds, [d * d for d in dens]), Fraction(0)) / n_total
     # Equal ratios under different keys (2/4, 3/6) compare equal as
-    # Fractions, so each extreme goes to the lowest tag among them.
-    def candidates(rows):
-        return [(Fraction(int(num[i]), int(den[i])), int(tags[i])) for i in rows]
-    max_ratio, max_index = min(candidates(tails), key=lambda p: (-p[0], p[1]))
-    min_ratio, min_index = min(candidates(heads))
+    # Fractions, so the maximum goes to the lowest tag among them.
+    max_ratio, max_index = min(
+        ((Fraction(int(num[i]), int(den[i])), int(tags[i])) for i in tails),
+        key=lambda p: (-p[0], p[1]))
     return SweepResult(
         count=n_total,
         mean=mean,
         variance=second - mean * mean,
         max_ratio=max_ratio,
         max_index=max_index,
-        min_ratio=min_ratio,
-        min_index=min_index,
+        min_ratio=min(Fraction(int(num[i]), int(den[i])) for i in heads),
         spike_count=int(counts[num == den].sum()),
         pairs=np.column_stack((num, den, counts)),
     )
-
-
-def _evaluate(winners, score, best, turns, rev_turns, mode):
-    """(numerator, denominator) int64 arrays for one batch.
-
-    ``winners(turns)`` plays the batch sincerely on ``turns``; the strategic
-    winner is sincere play on the reversed sequence. ``score(w)`` is each
-    row's Borda score of its candidate in ``w`` and ``best()`` each row's
-    highest Borda score.
-    """
-    den = score(winners(rev_turns))
-    num = score(winners(turns)) if mode is RatioMode.CB else best()
-    return num, den
 
 
 @lru_cache(maxsize=2)
@@ -338,18 +323,18 @@ def _exhaustive_chunk(args):
         # Borda scores n(m-1) - slot sums: a row's score of candidate w is
         # fixed[w] - pos[last, w], two flat gathers
         fixed = n * (m - 1) - pos[ids].sum(axis=0, dtype=np.int64)
-        if table is None:
-            winners = partial(play_batch_winners, [pos[i:i + 1] for i in ids] + [pos[low:high]])
-        else:
-            def winners(t):
+
+        def score(t):  # each row's Borda score of its sincere winner on turns t
+            if table is None:
+                w = play_batch_winners([pos[i:i + 1] for i in ids] + [pos[low:high]], t)
+            else:
                 alive, lone = range_batch_play(table, ids, last, t)
-                return lone.take(alive)
-        num, den = _evaluate(
-            winners,
-            lambda w: fixed.take(w) - pos.take(cells + w),
-            lambda: (fixed[:, None] - cols).max(axis=0),
-            turns, rev_turns, mode,
-        )
+                w = lone.take(alive)
+            return fixed.take(w) - pos.take(cells + w)
+
+        # the strategic winner is sincere play on the reversed sequence
+        den = score(rev_turns)
+        num = score(turns) if mode is RatioMode.CB else (fixed[:, None] - cols).max(axis=0)
         keys = den * base + num
         # Batches run in index order, so a key is new to the chunk exactly
         # when its count is still 0; only the rows holding such keys are
@@ -387,12 +372,14 @@ def _montecarlo_chunk(args):
     np.sum(block, axis=1, dtype=np.int32, out=scores)
     np.subtract(n * (m - 1), scores, out=scores)
     rows = np.arange(count)
-    num, den = _evaluate(
-        partial(play_batch_winners, block.transpose(1, 2, 0)),
-        lambda w: scores.take(rows + w.astype(np.intp) * count).astype(np.int64),
-        lambda: scores.max(axis=0).astype(np.int64),
-        turns, rev_turns, mode,
-    )
+
+    def score(t):  # each row's Borda score of its sincere winner on turns t
+        w = play_batch_winners(block.transpose(1, 2, 0), t)
+        return scores.take(rows + w.astype(np.intp) * count).astype(np.int64)
+
+    # the strategic winner is sincere play on the reversed sequence
+    den = score(rev_turns)
+    num = score(turns) if mode is RatioMode.CB else scores.max(axis=0).astype(np.int64)
     return _batch_table(num, den, n * (m - 1) + 1, start)
 
 
@@ -463,17 +450,18 @@ def run_exhaustive(
     order's first ``(m!)**(n-1)``, in the same order, so every first index
     and the witness stay the same. The refusals read the population's size,
     in CB mode too: there the counts come from the trajectory table and the
-    chunks only find the extremes' first indices, but a late witness costs
-    up to one full sweep.
+    chunks only find the maximum's first index, but a late witness costs up
+    to one full sweep.
     """
     seq.validate(n, m)
     # Refused whatever the budget, before any chunk or table is built: from
     # m = 12 the m!*m-byte position table passes 1 GiB (5.4 GiB at m = 12),
-    # and from 2**63 profiles the int64 counts would wrap; m >= 12 goes first,
-    # as its count can take seconds. For m <= 11, n(m-1) > 63 means 2**63
-    # pinned profiles or more, so the exact grid keeps at most 4,096 cells.
+    # and from 2**63 profiles the int64 counts would wrap. m >= 12, and n >= 64
+    # with m > 1 (2**(n-1) pinned profiles or more), go before the exact
+    # count, which takes 0.1 s at (65,536, 11). For m <= 11, n(m-1) > 63
+    # means 2**63 pinned profiles or more, so the grid keeps at most 4,096 cells.
     scale = 1 if fix_first else factorial(m)
-    if m >= 12 or (total := enumeration_size(n, m)) * scale >= 1 << 63:
+    if m >= 12 or (m > 1 and n >= 64) or (total := enumeration_size(n, m)) * scale >= 1 << 63:
         raise BudgetExceeded(
             f"exhaustive sweeps need m <= 11 and under 2**63 profiles, got n = {n} "
             f"and m = {m}; sample the space with montecarlo instead"
@@ -491,29 +479,20 @@ def run_exhaustive(
     if mode is RatioMode.AB:
         keys, counts, tags = _run_chunks(_exhaustive_chunk, static, total, chunk, workers)
         return _finish((keys, counts * scale, tags), base)
-    # CB: the counts come from the trajectory table. The scan only finds
-    # the first indices of the two extreme ratios, so it stops at the first
-    # prefix of chunks that holds a key of each: chunks cover increasing
-    # index ranges, so an extreme key first seen later has a higher index
-    # than every profile already scanned. A key the prefix misses gets the
-    # tag ``total``, above every index, and the extremes' tags come out of
-    # _finish as from a full scan.
+    # CB: the counts come from the trajectory table, and the result is read
+    # off it with placeholder tags. The scan only finds the maximum's first
+    # index, so it stops at the first prefix of chunks that holds a key of
+    # the maximum ratio: chunks cover increasing index ranges, so such a key
+    # first seen later has a higher index than every profile already
+    # scanned.
     keys, counts = (np.array(col, dtype=np.int64)
                     for col in zip(*sorted(cb_pair_table(seq.turns, n, m).items())))
-    counts *= scale
-    # the two extreme ratios, read off with placeholder tags
-    extremes = _finish((keys, counts, keys), base)
+    res = _finish((keys, counts * scale, keys), base)
     den, num = np.divmod(keys, base)
-    top, bottom = (keys[num * r.denominator == den * r.numerator]
-                   for r in (extremes.max_ratio, extremes.min_ratio))
-
-    def until(folded):
-        return np.isin(top, folded[0]).any() and np.isin(bottom, folded[0]).any()
-
-    seen, _, first = _run_chunks(_exhaustive_chunk, static, total, chunk, workers, until)
-    tags = np.full_like(keys, total)
-    tags[np.searchsorted(keys, seen)] = first
-    return _finish((keys, counts, tags), base)
+    top = keys[num * res.max_ratio.denominator == den * res.max_ratio.numerator]
+    seen, _, first = _run_chunks(_exhaustive_chunk, static, total, chunk, workers,
+                                 lambda folded: np.isin(top, folded[0]).any())
+    return replace(res, max_index=int(first[np.isin(seen, top)].min()))
 
 
 def run_montecarlo(
@@ -544,6 +523,6 @@ def run_montecarlo(
 def montecarlo_witness(
     n: int, m: int, culture: CultureSpec, seed: int, index: int
 ) -> PreferenceProfile:
-    """Profile behind a Monte-Carlo sweep's ``max_index``/``min_index``."""
+    """Profile behind a Monte-Carlo sweep's ``max_index``."""
     rows = sample_rankings_batch(n, m, culture, seed, index, 1)[0]
     return PreferenceProfile.from_rankings([tuple(int(c) for c in r) for r in rows])

@@ -46,7 +46,6 @@ def naive_exhaustive(s, n, m, mode, fix_first=True):
         "max_ratio": max(vals),
         "max_index": vals.index(max(vals)),
         "min_ratio": min(vals),
-        "min_index": vals.index(min(vals)),
         "spike_count": sum(1 for v in vals if v == 1),
     }
 
@@ -76,7 +75,6 @@ class TestExhaustiveExactness:
                 "max_ratio": Fraction(5, 4),
                 "max_index": 94,
                 "min_ratio": Fraction(1),
-                "min_index": 0,
                 "spike_count": 110,
             },
         )
@@ -90,7 +88,6 @@ class TestExhaustiveExactness:
                 "max_ratio": Fraction(6, 5),
                 "max_index": 62,
                 "min_ratio": Fraction(5, 6),
-                "min_index": 84,
                 "spike_count": 110,
             },
         )
@@ -106,7 +103,6 @@ class TestExhaustiveExactness:
                 "max_ratio": Fraction(7, 4),
                 "max_index": 305,
                 "min_ratio": Fraction(4, 7),
-                "min_index": 128,
                 "spike_count": 428,
             },
         )
@@ -346,18 +342,21 @@ class TestPool:
     @pytest.mark.parametrize(
         "s,n,m,fix_first,batch",
         [
-            # 24 chunks; the scan stops at the minimum's, chunk 18
+            # 24 chunks; the maximum is in chunk 4, the minimum in chunk 18
             (seq(3, 2, 2), 3, 4, True, 24),
             # 3 chunks; the maximum is in chunk 1, the minimum in the last
             (seq(2, 1, 1, 2, 2), 2, 6, True, 240),
-            # the full space scans its pinned prefix: 5 chunks, stops at 1
+            # the full space scans its pinned prefix: 5 chunks, stops at 0
             (seq(2, 1, 1), 2, 4, False, 5),
+            # 10 chunks; the maximum (index 62) is in chunk 5, the minimum
+            # (index 84) in chunk 7
+            (seq(1, 1, 2, 2), 2, 5, True, 12),
         ],
     )
     def test_cb_scan_stops_at_its_witnesses(self, monkeypatch, pools, s, n, m, fix_first, batch):
         # CB counts come from the trajectory table; the chunks only find the
-        # extremes' first indices, so the serial scan runs up to the chunk
-        # of the later witness and no further
+        # maximum's first index, so the serial scan runs up to the chunk of
+        # the witness and no further, wherever the minimum first shows
         want = naive_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first)
         monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 1)
         monkeypatch.setattr("elimgame.sweep.MC_CHUNK", batch * n)
@@ -367,7 +366,7 @@ class TestPool:
                             lambda args: starts.append(args[-2]) or chunk(args))
         serial = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first)
         assert_matches(serial, want)
-        last = max(want["max_index"], want["min_index"]) // batch
+        last = want["max_index"] // batch
         assert starts == [k * batch for k in range(last + 1)]
         pooled = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first, workers=2)
         assert_same_result(serial, pooled)
@@ -389,7 +388,7 @@ class TestMonteCarlo:
         assert res.count == N
         assert res.mean == mean
         assert res.max_ratio == max(vals) and res.max_index == vals.index(max(vals))
-        assert res.min_ratio == min(vals) and res.min_index == vals.index(min(vals))
+        assert res.min_ratio == min(vals)
         assert res.spike_count == sum(1 for v in vals if v == 1)
 
     def test_witness_lookup(self):
@@ -427,6 +426,40 @@ class TestMonteCarlo:
             run_montecarlo(
                 seq(1, 1), 1, 3, RatioMode.AB, CultureSpec.impartial(), 5, seed=seed
             )
+
+
+class TestTracedKernel:
+    """``benchmark/inproc.py`` counts the batch kernel by replacing
+    ``sweep.play_batch_winners``, so every chunk looks that name up when it
+    plays."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+        kernel = sweep.play_batch_winners
+
+        def counted(positions, turns):
+            calls.append(turns)
+            return kernel(positions, turns)
+
+        monkeypatch.setattr(sweep, "play_batch_winners", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode,plays", [(RatioMode.CB, 2), (RatioMode.AB, 1)])
+    def test_montecarlo_chunks(self, monkeypatch, mode, plays):
+        calls = self.count_calls(monkeypatch)
+        monkeypatch.setattr("elimgame.sweep.MC_CHUNK", 100 * 3)
+        # 450 samples in five chunks of up to 100
+        run_montecarlo(seq(1, 2, 3, 1), 3, 5, mode, CultureSpec.impartial(), 450, seed=2)
+        assert len(calls) == 5 * plays
+
+    def test_exhaustive_sweep_above_the_table_limit(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        s = seq(1, 2, 1, 2, 1, 2, 1)
+        run_exhaustive(s, 2, 8, RatioMode.CB)
+        # one chunk of two batches, 0..32767 and 32768..40319, each played
+        # on the reversed sequence and then on the sequence
+        assert calls == [s.reverse().turns, s.turns] * 2
 
 
 class TestWorstTablePath:
@@ -476,12 +509,12 @@ class TestSummary:
         a = [(10, [(2, 4), (6, 4), (5, 5)]), (20, [(1, 2), (3, 2)])]
         b = [(3, [(5, 5), (3, 6), (9, 6)]), (30, [(1, 2)])]
         alone = sweep._finish(self.build(10, a), 10)
-        assert (alone.min_ratio, alone.min_index) == (Fraction(1, 2), 10)
+        assert alone.min_ratio == Fraction(1, 2)
         assert (alone.max_ratio, alone.max_index) == (Fraction(3, 2), 11)
         for first, second in [(a, b), (b, a)]:
             folded = sweep._fold([self.build(10, first), self.build(10, second)])
             res = sweep._finish(folded, 10)
-            assert (res.min_ratio, res.min_index) == (Fraction(1, 2), 4)
+            assert res.min_ratio == Fraction(1, 2)
             assert (res.max_ratio, res.max_index) == (Fraction(3, 2), 5)
             assert res.count == 9 and res.spike_count == 2
             for got, want in zip(folded, self.build(10, a + b)):
@@ -577,6 +610,26 @@ class TestGuards:
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
         with pytest.raises(BudgetExceeded, match="m <= 11 and under 2\\*\\*63 profiles"):
             run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first)
+
+    def test_many_voters_are_refused_before_the_exact_count(self, monkeypatch):
+        # for m >= 2, n >= 64 means 2**63 pinned profiles or more, refused
+        # without computing (m!)**(n-1), which takes 0.1 s at (65,536, 11)
+        size = enumeration_size
+
+        def under_64_voters(n, m):
+            assert n < 64, "the exact count was computed"
+            return size(n, m)
+
+        monkeypatch.setattr(sweep, "enumeration_size", under_64_voters)
+        for n, m in [(65536, 11), (64, 2)]:
+            s = EliminationSequence(tuple(v % n for v in range(m - 1)))
+            with pytest.raises(BudgetExceeded, match="m <= 11 and under 2\\*\\*63 profiles"):
+                run_exhaustive(s, n, m, RatioMode.CB)
+        # 2**62 pinned profiles, and 2**63 in the full space
+        with pytest.raises(BudgetExceeded, match="over the budget"):
+            run_exhaustive(seq(1), 63, 2, RatioMode.CB, budget=10**9)
+        with pytest.raises(BudgetExceeded, match="m <= 11 and under 2\\*\\*63 profiles"):
+            run_exhaustive(seq(1), 63, 2, RatioMode.CB, fix_first=False, budget=10**9)
 
     @pytest.mark.parametrize("n,m,fix_first", [(2, 11, False), (25, 3, True)])
     def test_largest_admitted_sweeps_start(self, monkeypatch, n, m, fix_first):
