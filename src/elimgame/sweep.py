@@ -15,8 +15,11 @@ result also carries for reports to bin.
 
 A CB exhaustive sweep takes its counts from
 :func:`~elimgame.trajectories.cb_pair_table`, which counts trajectory pairs
-instead of profiles, and scans chunks in order only until the folded prefix
-holds the maximum ratio, whose first index it then knows.
+instead of profiles, and the maximum's first index from
+:func:`~elimgame.trajectories.cb_witness`, a search over the same
+trajectory pairs. Only when that search spends its allowance, one step per
+batch of the pinned space, does the sweep scan chunks in order, until the
+folded prefix holds the maximum ratio.
 
 The batch play kernels live here, beside the chunks that call them; the
 scalar engine in :mod:`elimgame.play` is their test oracle. Monte-Carlo
@@ -48,7 +51,7 @@ from .cultures import (
     sample_rankings_batch,
 )
 from .errors import BudgetExceeded, ZeroWelfare
-from .trajectories import cb_pair_table
+from .trajectories import cb_pair_table, cb_witness
 from .welfare import RatioMode
 
 #: batches per exhaustive chunk. A batch fixes every voter but the last and
@@ -60,6 +63,9 @@ EXHAUSTIVE_OUTER_CHUNK = 64
 #: table (2**m * m! uint8 per process: 0.62 MiB at m=7, 9.8 MiB at m=8; a
 #: uint8 mask holds at most 8 candidates)
 WORST_TABLE_MAX_M = 7
+#: steps the CB witness search may take per batch of the pinned space
+#: before the in-order scan, which would play those batches, takes over
+WITNESS_STEPS_PER_BATCH = 1
 #: voter rows per Monte-Carlo chunk: a chunk holds max(1, MC_CHUNK // n)
 #: samples, so one 8-byte sampling-word row is 512 KiB and every array the
 #: chunk builds stays about a core's L2 in size
@@ -450,8 +456,9 @@ def run_exhaustive(
     order's first ``(m!)**(n-1)``, in the same order, so every first index
     and the witness stay the same. The refusals read the population's size,
     in CB mode too: there the counts come from the trajectory table and the
-    chunks only find the maximum's first index, but a late witness costs up
-    to one full sweep.
+    maximum's first index from the trajectory search, but once the search
+    spends its allowance an in-order chunk scan finds that index, and a late
+    witness then costs up to one full sweep.
     """
     seq.validate(n, m)
     # Refused whatever the budget, before any chunk or table is built: from
@@ -480,19 +487,23 @@ def run_exhaustive(
         keys, counts, tags = _run_chunks(_exhaustive_chunk, static, total, chunk, workers)
         return _finish((keys, counts * scale, tags), base)
     # CB: the counts come from the trajectory table, and the result is read
-    # off it with placeholder tags. The scan only finds the maximum's first
-    # index, so it stops at the first prefix of chunks that holds a key of
-    # the maximum ratio: chunks cover increasing index ranges, so such a key
-    # first seen later has a higher index than every profile already
+    # off it with placeholder tags. The maximum's first index comes from the
+    # trajectory search, or once that has spent its allowance, from an
+    # in-order scan that stops at the first prefix of chunks holding a key
+    # of the maximum ratio: chunks cover increasing index ranges, so such a
+    # key first seen later has a higher index than every profile already
     # scanned.
     keys, counts = (np.array(col, dtype=np.int64)
                     for col in zip(*sorted(cb_pair_table(seq.turns, n, m).items())))
     res = _finish((keys, counts * scale, keys), base)
     den, num = np.divmod(keys, base)
     top = keys[num * res.max_ratio.denominator == den * res.max_ratio.numerator]
-    seen, _, first = _run_chunks(_exhaustive_chunk, static, total, chunk, workers,
-                                 lambda folded: np.isin(top, folded[0]).any())
-    return replace(res, max_index=int(first[np.isin(seen, top)].min()))
+    first = cb_witness(seq.turns, n, m, top.tolist(), WITNESS_STEPS_PER_BATCH * -(-total // batch))
+    if first is None:
+        seen, _, tags = _run_chunks(_exhaustive_chunk, static, total, chunk, workers,
+                                    lambda folded: np.isin(top, folded[0]).any())
+        first = int(tags[np.isin(seen, top)].min())
+    return replace(res, max_index=first)
 
 
 def run_montecarlo(

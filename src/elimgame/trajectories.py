@@ -19,18 +19,175 @@ The forward order is pinned to ``0, 1, ..., m-2``, so the sincere winner is
 profiles with one forward order one to one onto those with another, so
 each forward order holds the same table: (m!)**(n-1) profiles, the same
 population as the enumeration's pinned space (voter 1 in identity order).
+Renaming each candidate to its slot in voter 1's ranking maps the one
+population onto the other, which lets :func:`cb_witness` find the first
+pinned index of a pair from the same trajectory pairs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from math import factorial
 
 
 def cb_pair_table(turns: tuple[int, ...], n: int, m: int) -> dict[int, int]:
     """``{den * base + num: count}`` over the profiles whose sincere order
     on ``turns`` is ``0, 1, ..., m-2``, with ``base = n(m-1) + 1``, ``num``
     the Borda score of the sincere winner and ``den`` that of the sincere
-    winner on the reversed turns.
+    winner on the reversed turns: the sum, over :func:`_leaves`, of the
+    product of the voters' polynomials.
+    """
+    base = n * (m - 1) + 1
+    table: dict[int, int] = defaultdict(int)
+    polys: dict[tuple, dict[int, int]] = {}
+    for relations, w_r in _leaves(turns, n, m):
+        product = {0: 1}
+        for below in relations:
+            key = (*below, w_r)
+            if key not in polys:
+                polys[key] = _voter_poly(below, m, w_r, base)
+            product = _multiply(product, polys[key])
+        for key, count in product.items():
+            table[key] += count
+    return dict(table)
+
+
+class _Spent(Exception):
+    """The witness search used up its allowance."""
+
+
+def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
+               allowance: int | None = None) -> int | None:
+    """The lowest pinned enumeration index of a profile whose key
+    ``den * base + num`` (as in :func:`cb_pair_table`) is one of ``top``;
+    ``None`` if no profile holds one, or once the search has taken more
+    than ``allowance`` steps.
+
+    The profiles with one forward order map one to one onto the pinned
+    space by renaming each candidate to its slot in voter 1's ranking, and
+    a pinned index orders voters 2..n's renamed rankings lexicographically.
+    So the search walks the :func:`_leaves` whose voters' polynomials can
+    sum to a key of ``top``; at each it tries voter 1's rankings top-down,
+    first the candidates voter 2 could copy, and fills voters 2..n top-down
+    with candidates in voter 1's slot order, so their ranking ids rise and
+    the first complete ranking found under one voter-1 ranking is its
+    lowest index. Every placement must keep a key of ``top`` reachable:
+    the rest of the voter's ranking can add the keys of its polynomial on
+    the unplaced candidates, and the later voters the sums of their whole
+    polynomials' keys. The lowest index found so far cuts any branch that
+    cannot go under it, voter 1's as soon as voter 2's top candidate can no
+    longer take a low enough slot, and index 0 ends the search. Every leaf
+    and every node of either fill is one step.
+    """
+    base = n * (m - 1) + 1
+    full = (1 << m) - 1
+    fact = [factorial(k) for k in range(m + 1)]
+    # the weight of voter v's ranking id in the pinned index
+    scale = [fact[m] ** (n - 1 - v) for v in range(n)]
+    targets = sorted(set(top))
+    best = fact[m] ** (n - 1)
+    steps = 0
+    cache: dict[tuple, dict[int, int]] = {}
+
+    def tick() -> None:
+        nonlocal steps
+        steps += 1
+        if allowance is not None and steps > allowance:
+            raise _Spent
+
+    def search(relations, w_r) -> None:
+        # keys[v][rest]: the keys voter v's unplaced candidates ``rest`` can
+        # add, as a bitset, for every set they can be
+        keys = []
+        for below in relations:
+            relation = (*below, w_r)
+            if relation not in cache:
+                cache[relation] = _voter_keys(below, m, w_r, base)
+            keys.append(cache[relation])
+        # after[v]: the keys voters v+1..n-1 can add
+        after = [1] * n
+        for v in range(n - 1, 0, -1):
+            after[v - 1] = _sumset(keys[v][full], after[v])
+        weights = _weights(m, w_r, base)
+        reach: dict[tuple[int, int], int] = {}
+
+        def reachable(v: int, rest: int, key: int) -> bool:
+            bits = reach.get((v, rest))
+            if bits is None:
+                bits = reach[v, rest] = _sumset(keys[v][rest], after[v])
+            return any(t >= key and bits >> (t - key) & 1 for t in targets)
+
+        if not reachable(0, full, 0):
+            return
+        order: list[int] = []  # voter 1's ranking, best first
+        heads = [c for c in range(m) if full ^ 1 << c in keys[1]] if n > 1 else []
+
+        def lead(rest: int, key: int) -> None:
+            # voter 1's ranking, top-down
+            tick()
+            placed = len(order)
+            if n > 1 and min(order.index(c) if c in order else placed
+                             for c in heads) * fact[m - 1] * scale[1] >= best:
+                return
+            if not rest:
+                follow(1, full, key, 0)
+                return
+            moves = [c for c in range(m) if rest >> c & 1 and rest ^ 1 << c in keys[0]]
+            if n > 1 and rest in keys[1]:
+                moves.sort(key=lambda c: rest ^ 1 << c not in keys[1])
+            points = m - 1 - placed
+            for c in moves:
+                if reachable(0, rest ^ 1 << c, key + points * weights[c]):
+                    order.append(c)
+                    lead(rest ^ 1 << c, key + points * weights[c])
+                    order.pop()
+                    if best == 0:
+                        return
+
+        def follow(v: int, rest: int, key: int, index: int) -> bool:
+            # voter v's ranking, top-down in voter 1's slot order; True once
+            # a complete profile has set best
+            nonlocal best
+            tick()
+            if v == n:
+                best = index
+                return True
+            if not rest:
+                return follow(v + 1, full, key, index)
+            size = rest.bit_count()
+            unit = fact[size - 1] * scale[v]
+            digit = 0
+            for c in order:
+                if not rest >> c & 1:
+                    continue
+                low = index + digit * unit
+                digit += 1
+                if low >= best:
+                    return False
+                step = key + (size - 1) * weights[c]
+                if (rest ^ 1 << c in keys[v] and reachable(v, rest ^ 1 << c, step)
+                        and follow(v, rest ^ 1 << c, step, low)):
+                    return True
+            return False
+
+        lead(full, 0)
+
+    try:
+        for relations, w_r in _leaves(turns, n, m):
+            tick()
+            search(relations, w_r)
+            if best == 0:
+                break
+    except _Spent:
+        return None
+    return best if best < fact[m] ** (n - 1) else None
+
+
+def _leaves(turns: tuple[int, ...], n: int, m: int):
+    """Yield ``(relations, w_r)`` at each leaf of the search over the
+    reverse orders whose forward order is ``0, 1, ..., m-2``: every voter's
+    relation and the strategic winner. The relations change after the
+    consumer resumes the generator.
 
     Each voter keeps one relation: ``below[c]`` is the mask of the
     candidates it must rank directly below ``c``. The forward turns seed the
@@ -45,40 +202,28 @@ def cb_pair_table(turns: tuple[int, ...], n: int, m: int) -> dict[int, int]:
     was there when ``b`` was eliminated with ``a`` alive, and the test would
     have refused that. So ``b`` is ``x`` itself, and ``a`` lies directly
     below it. Every other choice keeps the relations acyclic, so every
-    branch reaches a leaf, and at a leaf each voter's polynomial counts the
-    linear extensions of its relation, which are those of its closure.
+    branch reaches a leaf, and at a leaf the profiles behind the pair of
+    orders are those where each voter's ranking extends its relation.
     """
-    base = n * (m - 1) + 1
     full = (1 << m) - 1
     relations = [[0] * m for _ in range(n)]
     for t, voter in enumerate(turns):
         _place_below(relations[voter], t, full >> (t + 1) << (t + 1))
     rev = turns[::-1]
-    table: dict[int, int] = defaultdict(int)
-    polys: dict[tuple, dict[int, int]] = {}
 
-    def search(depth: int, alive: int) -> None:
+    def search(depth: int, alive: int):
         if depth == m - 1:
-            w_r = alive.bit_length() - 1
-            product = {0: 1}
-            for below in relations:
-                key = (*below, w_r)
-                if key not in polys:
-                    polys[key] = _voter_poly(below, m, w_r, base)
-                product = _multiply(product, polys[key])
-            for key, count in product.items():
-                table[key] += count
+            yield relations, alive.bit_length() - 1
             return
         voter = rev[depth]
         below = relations[voter]
         for x in range(m):
             if alive >> x & 1 and not below[x] & alive:
                 relations[voter] = _place_below(below.copy(), x, alive ^ 1 << x)
-                search(depth + 1, alive ^ 1 << x)
+                yield from search(depth + 1, alive ^ 1 << x)
         relations[voter] = below
 
-    search(0, full)
-    return dict(table)
+    return search(0, full)
 
 
 def _place_below(below: list[int], x: int, others: int) -> list[int]:
@@ -90,6 +235,15 @@ def _place_below(below: list[int], x: int, others: int) -> list[int]:
     return below
 
 
+def _weights(m: int, w_r: int, base: int) -> list[int]:
+    """Each candidate's key per point: ``base`` for the strategic winner
+    ``w_r``, 1 for the sincere winner ``m - 1`` (both if they coincide)."""
+    weights = [0] * m
+    weights[m - 1] += 1
+    weights[w_r] += base
+    return weights
+
+
 def _voter_poly(below: list[int], m: int, w_r: int, base: int) -> dict[int, int]:
     """``{points(w_r) * base + points(m-1): rankings}`` over one voter's
     rankings that extend ``below``.
@@ -99,9 +253,7 @@ def _voter_poly(below: list[int], m: int, w_r: int, base: int) -> dict[int, int]
     must lie above is placed. The state is the placed set with the points
     scored so far by the two winners, one polynomial per set.
     """
-    weights = [0] * m
-    weights[m - 1] += 1
-    weights[w_r] += base
+    weights = _weights(m, w_r, base)
     layer = {0: {0: 1}}
     for size in range(m):
         nxt: dict[int, dict[int, int]] = {}
@@ -115,6 +267,40 @@ def _voter_poly(below: list[int], m: int, w_r: int, base: int) -> dict[int, int]
                     into[key + step] = into.get(key + step, 0) + count
         layer = nxt
     return layer[(1 << m) - 1]
+
+
+def _voter_keys(below: list[int], m: int, w_r: int, base: int) -> dict[int, int]:
+    """``{placed: keys}`` over the sets a ranking's bottom can hold: the
+    keys of :func:`_voter_poly`'s polynomial on each set, as a bitset.
+
+    This is that function's fill without the counts, so one shift places a
+    candidate under every key at once.
+    """
+    weights = _weights(m, w_r, base)
+    keys, layer = {0: 1}, [0]
+    for size in range(m):
+        nxt = []
+        for placed in layer:
+            for c in range(m):
+                if placed >> c & 1 or below[c] & ~placed:
+                    continue
+                grown = placed | 1 << c
+                if grown not in keys:
+                    keys[grown] = 0
+                    nxt.append(grown)
+                keys[grown] |= keys[placed] << size * weights[c]
+        layer = nxt
+    return keys
+
+
+def _sumset(a: int, b: int) -> int:
+    """The sums of a key of ``a`` and a key of ``b``, key sets as bitsets."""
+    out = 0
+    while a:
+        low = a & -a
+        out |= b << low.bit_length() - 1
+        a ^= low
+    return out
 
 
 def _multiply(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -191,14 +191,25 @@ class TestBoundAudit:
         for turns in itertools.product(range(1, n + 1), repeat=m - 1):
             s = seq(*turns)
             assert run_exhaustive(s, n, m, RatioMode.AB).max_ratio == poa_for_sequence(s, n, m), s
-            bound = sr_bound_for_sequence(s, n, m)
-            true_max = run_exhaustive(s, n, m, RatioMode.CB).max_ratio
-            try:
-                p, _ = gen_sr_tight(s, n, m)
-            except StructureUnsatisfiable:
-                assert true_max < bound, s
-            else:
-                assert ratio_cb(p, s) == bound == true_max, s
+            self.assert_sincerity_bound(s, n, m)
+
+    @pytest.mark.parametrize("n,m", [(3, 6), (4, 5)])
+    def test_every_sequence_cb_only(self, n, m):
+        # an AB sweep still plays every profile, 1.7 million per sequence at
+        # (4, 5); a CB sweep counts trajectories and searches for its witness
+        for turns in itertools.product(range(1, n + 1), repeat=m - 1):
+            self.assert_sincerity_bound(seq(*turns), n, m)
+
+    @staticmethod
+    def assert_sincerity_bound(s, n, m):
+        bound = sr_bound_for_sequence(s, n, m)
+        true_max = run_exhaustive(s, n, m, RatioMode.CB).max_ratio
+        try:
+            p, _ = gen_sr_tight(s, n, m)
+        except StructureUnsatisfiable:
+            assert true_max < bound, s
+        else:
+            assert ratio_cb(p, s) == bound == true_max, s
 
 
 class TestVerifyAndDispatch:

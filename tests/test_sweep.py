@@ -354,10 +354,12 @@ class TestPool:
         ],
     )
     def test_cb_scan_stops_at_its_witnesses(self, monkeypatch, pools, s, n, m, fix_first, batch):
-        # CB counts come from the trajectory table; the chunks only find the
-        # maximum's first index, so the serial scan runs up to the chunk of
-        # the witness and no further, wherever the minimum first shows
+        # CB counts come from the trajectory table; with no allowance for the
+        # witness search, the chunks find the maximum's first index, so the
+        # serial scan runs up to the chunk of the witness and no further,
+        # wherever the minimum first shows
         want = naive_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first)
+        monkeypatch.setattr("elimgame.sweep.WITNESS_STEPS_PER_BATCH", 0)
         monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 1)
         monkeypatch.setattr("elimgame.sweep.MC_CHUNK", batch * n)
         starts = []
@@ -371,6 +373,26 @@ class TestPool:
         pooled = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first, workers=2)
         assert_same_result(serial, pooled)
         assert [p.max_workers for p in pools] == [2]
+
+    @pytest.mark.parametrize(
+        "s,n,m,fix_first,index",
+        [
+            # E1: the scan would stop in the 21st of 79 chunks
+            (seq(1, 2, 3, 1, 2, 3), 3, 7, True, 6_622_774),
+            (seq(1, 2, 3, 1, 2, 3), 3, 7, False, 6_622_774),
+            # the scan would stop in the 214th of 225 chunks
+            (seq(2, 1, 2, 3), 4, 5, True, 1_642_201),
+        ],
+    )
+    def test_cb_search_settles_without_chunks(self, monkeypatch, pools, s, n, m, fix_first, index):
+        # the witness search finds the maximum's first index within its
+        # allowance, so no chunk runs and no pool starts
+        def no_chunk(args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr("elimgame.sweep._exhaustive_chunk", no_chunk)
+        res = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first, budget=10**12, workers=2)
+        assert res.max_index == index and pools == []
 
 
 class TestMonteCarlo:
@@ -582,9 +604,10 @@ class TestGuards:
         # n(m-1) > 63 is refused whatever the budget, as 2**63 profiles or
         # more, before a chunk could allocate its (n(m-1)+1)**2 grid
         def no_chunks(*args, **kwargs):
-            raise AssertionError("a chunk ran")
+            raise AssertionError("a table, search or chunk ran")
 
-        monkeypatch.setattr(sweep, "_run_chunks", no_chunks)
+        for name in ("_run_chunks", "cb_pair_table", "cb_witness"):
+            monkeypatch.setattr(sweep, name, no_chunks)
         monkeypatch.setenv("ELIMGAME_BUDGET", str(10**1000))
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
         with pytest.raises(BudgetExceeded, match="m <= 11 and under 2\\*\\*63 profiles"):
@@ -604,8 +627,8 @@ class TestGuards:
         def no_work(*args, **kwargs):
             raise AssertionError("a table or chunk was built")
 
-        monkeypatch.setattr(sweep, "_run_chunks", no_work)
-        monkeypatch.setattr(sweep, "permutation_table", no_work)
+        for name in ("_run_chunks", "permutation_table", "cb_pair_table", "cb_witness"):
+            monkeypatch.setattr(sweep, name, no_work)
         monkeypatch.setenv("ELIMGAME_BUDGET", str(10**1000))
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
         with pytest.raises(BudgetExceeded, match="m <= 11 and under 2\\*\\*63 profiles"):
@@ -633,11 +656,11 @@ class TestGuards:
 
     @pytest.mark.parametrize("n,m,fix_first", [(2, 11, False), (25, 3, True)])
     def test_largest_admitted_sweeps_start(self, monkeypatch, n, m, fix_first):
-        # m = 11, and 6**24 pinned profiles, still reach the chunks
+        # m = 11, and 6**24 pinned profiles, still reach the trajectory table
         def started(*args, **kwargs):
             raise AssertionError("started")
 
-        monkeypatch.setattr(sweep, "_run_chunks", started)
+        monkeypatch.setattr(sweep, "cb_pair_table", started)
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
         with pytest.raises(AssertionError, match="started"):
             run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first, budget=10**1000)

@@ -8,7 +8,7 @@ import pytest
 
 from elimgame import CultureSpec, RatioMode, sweep
 from elimgame.sweep import run_montecarlo
-from elimgame.trajectories import cb_pair_table
+from elimgame.trajectories import cb_pair_table, cb_witness
 from helpers import seq_from
 
 #: every sequence at the small sizes, then both E1-size (3, 7) sequences,
@@ -24,19 +24,43 @@ CASES = [
 
 
 def enumerated_table(turns, n, m):
-    """``{den * base + num: count}`` from one in-order exhaustive chunk over
-    the whole pinned space, no scan stopped early."""
+    """``{den * base + num: count}`` and ``{den * base + num: first index}``
+    from one in-order exhaustive chunk over the whole pinned space, no scan
+    stopped early."""
     batch = factorial(m)
     args = (turns, turns[::-1], n, m, RatioMode.CB, batch, 0, batch ** (n - 1))
-    keys, counts, _ = sweep._exhaustive_chunk(args)
-    return dict(zip(keys.tolist(), counts.tolist()))
+    keys, counts, tags = sweep._exhaustive_chunk(args)
+    return dict(zip(keys.tolist(), counts.tolist())), dict(zip(keys.tolist(), tags.tolist()))
 
 
-@pytest.mark.parametrize("n,m,turns", CASES,
-                         ids=["{}x{}-{}".format(n, m, "".join(str(t + 1) for t in turns))
-                              for n, m, turns in CASES])
+CASE_IDS = ["{}x{}-{}".format(n, m, "".join(str(t + 1) for t in turns)) for n, m, turns in CASES]
+
+
+@pytest.mark.parametrize("n,m,turns", CASES, ids=CASE_IDS)
 def test_table_equals_enumeration(n, m, turns):
-    assert cb_pair_table(turns, n, m) == enumerated_table(turns, n, m)
+    assert cb_pair_table(turns, n, m) == enumerated_table(turns, n, m)[0]
+
+
+@pytest.mark.parametrize("n,m,turns", CASES, ids=CASE_IDS)
+def test_witness_is_the_lowest_tag_of_the_maximum(n, m, turns):
+    # equal ratios under different keys (2/4, 3/6) all count as the maximum
+    table, tags = enumerated_table(turns, n, m)
+    base = n * (m - 1) + 1
+    ratios = {key: Fraction(key % base, key // base) for key in table}
+    best = max(ratios.values())
+    top = [key for key in table if ratios[key] == best]
+    assert cb_witness(turns, n, m, top) == min(tags[key] for key in top)
+
+
+def test_e1_witness_within_one_step_per_batch():
+    # E1, (3, 7) 1,2,3,1,2,3: the maximum 2 = 14/7 first shows at index
+    # 6,622,774, in the 21st of 79 scan chunks; the search settles it
+    # within one step per batch of 5,040 profiles
+    turns, base = seq_from("123123").turns, 19
+    top = [key for key in cb_pair_table(turns, 3, 7) if key % base == 2 * (key // base)]
+    assert top == [7 * base + 14]
+    assert cb_witness(turns, 3, 7, top) == cb_witness(turns, 3, 7, top, 5040) == 6_622_774
+    assert cb_witness(turns, 3, 7, top, 0) is None
 
 
 @pytest.mark.parametrize("n,m,turns", [(5, 7, (0, 1, 2, 3, 4, 0)), (20, 4, (0, 10, 19))])
