@@ -7,8 +7,9 @@ constructs worst-case profiles attaining the closed-form bounds, and runs
 exhaustive and Monte-Carlo ratio studies reproducibly across worker counts.
 
 The top level re-exports the entry points and the types they take; every
-other name lives in its submodule. Importing the package loads no numpy;
-the study names load it on first use.
+other name lives in its submodule. Importing the package loads no numpy.
+The culture names load it on first use, and the study names when a study
+runs chunks: AB and Monte-Carlo studies do, CB exhaustive studies need not.
 """
 
 from importlib import import_module
@@ -54,7 +55,8 @@ from .welfare import (
 
 __version__ = "0.1.0"
 
-#: the numpy-backed study names and their modules, imported on first use
+#: the study names and their modules, imported on first use: ``cultures``
+#: loads numpy, and ``experiments`` loads it only once a study runs chunks
 _STUDY_NAMES = {"CultureSpec": "cultures", "sample_rankings_batch": "cultures",
                 "ExperimentConfig": "experiments", "run_experiment": "experiments"}
 

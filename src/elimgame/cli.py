@@ -209,7 +209,9 @@ def _check_writable(path: str) -> None:
 
 
 def cmd_study(args) -> int:
-    # The study modules load numpy, so only the study commands import them.
+    # Only the study commands import the study layer. It loads numpy once a
+    # study runs chunks (AB and Monte-Carlo studies, and a CB exhaustive
+    # study whose witness search spends its allowance) or builds a culture.
     # The package calls no BLAS routine, so OpenBLAS's thread pool would only
     # spin beside the sweep; a value the user set still wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -1,14 +1,22 @@
-"""Votes, preference profiles, elimination sequences and Borda scoring.
+"""Votes, preference profiles, elimination sequences and Borda scoring,
+and the pinned enumeration that exhaustive studies index.
 
 Candidates and voters are 0-based integers everywhere inside the package.
 1-based numbering appears only at the text boundary: profile files,
 sequence strings like ``"1,2,3,1"``, and JSON reports.
+
+The pinned enumeration (voter 1 in identity order, the others' rankings in
+lexicographic order) is decoded here, in plain integers: its size, each
+voter's ranking id at an index, the profile at an index, and the profile
+budget an exhaustive study may spend.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 
 from .errors import (
     CandidateUnknown,
@@ -18,10 +26,14 @@ from .errors import (
     SequenceLengthMismatch,
 )
 
-#: most voters a game or study takes, equal to a Monte-Carlo chunk's row
-#: budget (``sweep.MC_CHUNK``): a one-sample chunk stays within it, and
-#: int32 sums of up to 127 candidates' slots stay exact
+#: most voters a game or study takes, and a Monte-Carlo chunk's row budget
+#: (``sweep.MC_CHUNK``): a one-sample chunk stays within it, and int32 sums
+#: of up to 127 candidates' slots stay exact
 MAX_VOTERS = 1 << 16
+
+#: profiles an exhaustive enumeration may touch unless overridden; the
+#: ELIMGAME_BUDGET environment variable or an explicit argument wins.
+DEFAULT_BUDGET = 10**8
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -271,3 +283,60 @@ def format_profile(profile: PreferenceProfile) -> str:
         " ".join(profile.label(c) for c in v.ranking) for v in profile.votes
     ]
     return "\n".join(lines) + "\n"
+
+
+def resolve_budget(budget: int | None = None) -> int:
+    if budget is not None:
+        return budget
+    env = os.environ.get("ELIMGAME_BUDGET")
+    if env is not None:
+        try:
+            limit = int(env)
+        except ValueError:
+            limit = None
+        if limit is None or limit < 0:
+            raise ParseError(f"ELIMGAME_BUDGET must be a non-negative integer, got {env!r}")
+        return limit
+    return DEFAULT_BUDGET
+
+
+def enumeration_size(n: int, m: int) -> int:
+    """Profiles in the pinned space, where voter 1 ranks in identity order."""
+    return factorial(m) ** (n - 1)
+
+
+def ranking_ids(n: int, m: int, index: int) -> list[int]:
+    """Each voter's ranking id in the profile at rank ``index`` of the
+    pinned enumeration order.
+
+    This is the one place that order is decoded: voter 1 is pinned to the
+    identity (id 0), and the others' ranking ids run lexicographically, the
+    second voter most significant and the last voter least, so consecutive
+    indices run the last voter over consecutive ranking ids. Ranking id
+    ``r`` is the ``r``-th ranking in lexicographic order, a row of
+    ``cultures.permutation_table``.
+    """
+    total = enumeration_size(n, m)
+    if not 0 <= index < total:
+        raise ValueError(f"index {index} outside 0..{total - 1}")
+    ids = [0] * n
+    for v in range(n - 1, 0, -1):
+        index, ids[v] = divmod(index, factorial(m))
+    return ids
+
+
+def profile_at_index(n: int, m: int, index: int) -> PreferenceProfile:
+    """Profile at a given rank of the pinned order; see :func:`ranking_ids`.
+
+    Each ranking id is decoded by its factorial digits: the digit of
+    ``(k-1)!`` picks the next candidate, best first, among the ``k`` not
+    yet ranked, in increasing order.
+    """
+    rankings = []
+    for r in ranking_ids(n, m, index):
+        rest, ranking = list(range(m)), []
+        for k in range(m - 1, -1, -1):
+            digit, r = divmod(r, factorial(k))
+            ranking.append(rest.pop(digit))
+        rankings.append(ranking)
+    return PreferenceProfile.from_rankings(rankings)

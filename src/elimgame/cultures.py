@@ -1,8 +1,11 @@
-"""Profile generation: the pinned enumeration, Impartial Culture, Mallows.
+"""Profile generation: Impartial Culture, Mallows and the ranking table.
 
-Exhaustive sweeps decode the pinned enumeration (voter 1 in identity order)
-with :func:`ranking_ids`. Samples come from :func:`fill_positions`, the one
-sampler body; :func:`sample_rankings_batch` is its one fresh-array entry.
+Samples come from :func:`fill_positions`, the one sampler body;
+:func:`sample_rankings_batch` is its one fresh-array entry.
+:func:`permutation_table` holds the rank positions of every ranking in the
+lexicographic order that :func:`~elimgame.core.ranking_ids` numbers, for
+the exhaustive chunks to play; the pinned enumeration itself is decoded in
+:mod:`elimgame.core`, without numpy.
 
 Randomness comes from a counter-based construction so that sample ``i`` is a
 pure function of ``(master_seed, i)``: workers can draw disjoint sample
@@ -20,37 +23,17 @@ the Kendall tau distance ``d`` (candidate pairs ordered oppositely).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 
-from .core import PreferenceProfile
+# resolve_budget is looked up here by benchmark/inproc.py
+from .core import resolve_budget
 from .errors import OutOfDomain, ParseError, PhiOutOfRange
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-#: profiles an exhaustive enumeration may touch unless overridden; the
-#: ELIMGAME_BUDGET environment variable or an explicit argument wins.
-DEFAULT_BUDGET = 10**8
-
-
-def resolve_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("ELIMGAME_BUDGET")
-    if env is not None:
-        try:
-            limit = int(env)
-        except ValueError:
-            limit = None
-        if limit is None or limit < 0:
-            raise ParseError(f"ELIMGAME_BUDGET must be a non-negative integer, got {env!r}")
-        return limit
-    return DEFAULT_BUDGET
 
 
 def _mix64(x: np.ndarray, tmp: np.ndarray | None = None, finish: bool = True) -> np.ndarray:
@@ -398,8 +381,8 @@ def permutation_table(m: int) -> np.ndarray:
 
     Returns ``(m!, m)`` int8: ``pos[r, c]`` is the slot of candidate ``c`` in
     ranking ``r``, and ``pos[r].argsort()`` is ranking ``r``, best first.
-    Ranking 0 is the identity. Positions are the only ranking table: sweeps
-    sum and play them, and a witness profile argsorts one row.
+    Ranking 0 is the identity. Positions are the only ranking table:
+    exhaustive chunks sum and play them.
     """
     # Rankings of k candidates, built in place from those of k - 1: block c
     # leads with candidate c, then the k - 1 others in the smaller table's
@@ -417,33 +400,3 @@ def permutation_table(m: int) -> np.ndarray:
             np.add(pos[:, c:], 1, out=next_pos[block, c + 1:])
         pos = next_pos
     return pos
-
-
-def enumeration_size(n: int, m: int) -> int:
-    """Profiles in the pinned space, where voter 1 ranks in identity order."""
-    return factorial(m) ** (n - 1)
-
-
-def ranking_ids(n: int, m: int, index: int) -> list[int]:
-    """Each voter's ranking id (a row of :func:`permutation_table`) in the
-    profile at rank ``index`` of the pinned enumeration order.
-
-    This is the one place that order is decoded: voter 1 is pinned to the
-    identity (id 0), and the others' ranking ids run lexicographically, the
-    second voter most significant and the last voter least, so consecutive
-    indices run the last voter over consecutive ranking ids.
-    """
-    total = enumeration_size(n, m)
-    if not 0 <= index < total:
-        raise ValueError(f"index {index} outside 0..{total - 1}")
-    ids = [0] * n
-    for v in range(n - 1, 0, -1):
-        index, ids[v] = divmod(index, factorial(m))
-    return ids
-
-
-def profile_at_index(n: int, m: int, index: int) -> PreferenceProfile:
-    """Profile at a given rank of the pinned order; see :func:`ranking_ids`."""
-    ids = ranking_ids(n, m, index)
-    pos = permutation_table(m)
-    return PreferenceProfile.from_rankings([pos[r].argsort().tolist() for r in ids])

@@ -1,10 +1,21 @@
-"""Experiment drivers: exhaustive and Monte-Carlo ratio studies.
+"""Ratio studies: exhaustive and Monte-Carlo sweeps and their reports.
 
-Wraps the sweep engine with the bookkeeping the command line and the test
-suite share: closed-form bounds, witness profiles, histogram rows and the
-delimited output formats. Everything here is deterministic given the
-configuration; in particular CSV and histogram bytes do not depend on the
-worker count.
+This is the study layer the command line and the test suite share: the
+sweeps' exact statistics, closed-form bounds, witness profiles, histogram
+rows and the delimited output formats. Everything here is deterministic
+given the configuration; in particular CSV and histogram bytes do not depend
+on the worker count.
+
+A sweep's whole result is one exact table of ascending ``(key, count, tag)``
+rows, a key per distinct Borda-score pair ``den * base + num`` with
+``base = n(m-1) + 1``, and :func:`_finish` reads every statistic off it in
+Python ints and Fractions. A CB exhaustive study takes its counts from
+:func:`~elimgame.trajectories.cb_pair_table` and the maximum's first index
+from :func:`~elimgame.trajectories.cb_witness`, so it runs without numpy.
+The numpy chunk engine in :mod:`elimgame.sweep` is imported only when chunks
+must run: for AB and Monte-Carlo studies, and for a CB study whose witness
+search spends its allowance, one step per batch of the pinned space, which
+then scans chunks in order until the folded prefix holds the maximum ratio.
 """
 
 from __future__ import annotations
@@ -12,17 +23,204 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import groupby
+from math import factorial, sqrt
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import EliminationSequence, PreferenceProfile, format_profile
-from .cultures import CultureSpec
+from .core import (
+    MAX_VOTERS,
+    EliminationSequence,
+    PreferenceProfile,
+    enumeration_size,
+    format_profile,
+    resolve_budget,
+)
 # imported under the name benchmark/inproc.py wraps for its witness span
-from .cultures import profile_at_index as exhaustive_witness
-from .sweep import SweepResult, montecarlo_witness, run_exhaustive, run_montecarlo
+from .core import profile_at_index as exhaustive_witness
+from .errors import BudgetExceeded, ZeroWelfare
+from .trajectories import cb_pair_table, cb_witness
 from .welfare import RatioMode, poa_for_sequence, ratio_json, sr_bound_for_sequence
+
+if TYPE_CHECKING:
+    from .cultures import CultureSpec
+
+#: steps the CB witness search may take per batch of the pinned space
+#: before the in-order scan, which would play those batches, takes over
+WITNESS_STEPS_PER_BATCH = 1
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """Exact reduction of a ratio population.
+
+    ``max_index`` identifies the first profile attaining the maximum, the
+    report's witness: an enumeration rank for exhaustive sweeps, a sample
+    index for Monte-Carlo ones. ``pairs`` is the whole population as a
+    tuple of ``(num, den, count)`` int rows, one per distinct Borda-score
+    pair, in ``(den, num)`` order; every field but the index is read off it.
+    """
+
+    count: int
+    mean: Fraction
+    variance: Fraction
+    max_ratio: Fraction
+    max_index: int
+    min_ratio: Fraction
+    spike_count: int
+    pairs: tuple[tuple[int, int, int], ...] = field(compare=False, repr=False)
+
+    @property
+    def std(self) -> float:
+        return sqrt(float(self.variance))
+
+
+def _finish(rows, base: int) -> SweepResult:
+    """The statistics of a table of ``(key, count, tag)`` rows, keys
+    ``den * base + num`` ascending; the maximum's index is the lowest tag
+    among the keys of the maximum ratio."""
+    # keys ascend, so the first holds the lowest denominator
+    if rows[0][0] < base:
+        raise ZeroWelfare("strategic winner has zero Borda score")
+    pairs = []
+    mean = second = Fraction(0)
+    tops, lows = [], []
+    # Keys ascend by (den, num), so each denominator's rows form one run
+    # that starts at its smallest ratio and ends at its largest. Each run
+    # sums num and num**2 in Python ints, exact for any n(m-1) and any
+    # population size, and adds one Fraction to each moment.
+    for den, run in groupby(rows, key=lambda row: row[0] // base):
+        run = [(key - den * base, count, tag) for key, count, tag in run]
+        pairs += [(num, den, count) for num, count, _ in run]
+        mean += Fraction(sum(count * num for num, count, _ in run), den)
+        second += Fraction(sum(count * num * num for num, count, _ in run), den * den)
+        lows.append(Fraction(run[0][0], den))
+        num, _, tag = run[-1]
+        tops.append((Fraction(num, den), tag))
+    n_total = sum(count for _, _, count in pairs)
+    mean /= n_total
+    second /= n_total
+    # Equal ratios under different keys (2/4, 3/6) compare equal as
+    # Fractions, so the maximum goes to the lowest tag among them.
+    max_ratio, max_index = min(tops, key=lambda p: (-p[0], p[1]))
+    return SweepResult(
+        count=n_total,
+        mean=mean,
+        variance=second - mean * mean,
+        max_ratio=max_ratio,
+        max_index=max_index,
+        min_ratio=min(lows),
+        spike_count=sum(count for num, den, count in pairs if num == den),
+        pairs=tuple(pairs),
+    )
+
+
+def run_exhaustive(
+    seq: EliminationSequence,
+    n: int,
+    m: int,
+    mode: RatioMode,
+    fix_first: bool = True,
+    budget: int | None = None,
+    workers: int = 1,
+) -> SweepResult:
+    """Evaluate the ratio on every profile of the enumeration.
+
+    With ``fix_first`` the population is the pinned space, where voter 1
+    ranks in identity order; without it, the full space. The sweep plays
+    only the pinned space and scales the full space's counts by m!. That
+    is exact: no Borda score depends on what the candidates are called, so
+    each relabelling orbit holds m! profiles with one (num, den) pair and
+    exactly one of them pinned, and the pinned profiles are the full
+    order's first ``(m!)**(n-1)``, in the same order, so every first index
+    and the witness stay the same. The refusals read the population's size,
+    in CB mode too: there the counts come from the trajectory table and the
+    maximum's first index from the trajectory search, but once the search
+    spends its allowance an in-order chunk scan finds that index, and a late
+    witness then costs up to one full sweep.
+    """
+    seq.validate(n, m)
+    # Refused whatever the budget, before any chunk or table is built: from
+    # m = 12 the m!*m-byte position table passes 1 GiB (5.4 GiB at m = 12),
+    # and from 2**63 profiles the int64 counts would wrap. m >= 12, and n >= 64
+    # with m > 1 (2**(n-1) pinned profiles or more), go before the exact
+    # count, which takes 0.1 s at (65,536, 11). For m <= 11, n(m-1) > 63
+    # means 2**63 pinned profiles or more, so the grid keeps at most 4,096 cells.
+    scale = 1 if fix_first else factorial(m)
+    if m >= 12 or (m > 1 and n >= 64) or (total := enumeration_size(n, m)) * scale >= 1 << 63:
+        raise BudgetExceeded(
+            f"exhaustive sweeps need m <= 11 and under 2**63 profiles, got n = {n} "
+            f"and m = {m}; sample the space with montecarlo instead"
+        )
+    limit = resolve_budget(budget)
+    if total * scale > limit:
+        raise BudgetExceeded(
+            f"exhaustive sweep needs {total * scale} profiles, over the budget of {limit}; "
+            "raise ELIMGAME_BUDGET or pass --force"
+        )
+    base = n * (m - 1) + 1
+    if mode is RatioMode.AB:
+        from . import sweep
+        rows = sweep.exhaustive_table(seq, n, m, mode, workers)
+        return _finish([(key, count * scale, tag) for key, count, tag in rows], base)
+    # CB: the counts come from the trajectory table, and the result is read
+    # off it with placeholder tags.
+    table = sorted(cb_pair_table(seq.turns, n, m).items())
+    res = _finish([(key, count * scale, key) for key, count in table], base)
+    if res.max_ratio == 1:
+        # pinned profile 0, every voter in identity order, eliminates from
+        # the bottom in both games and crowns candidate 0 twice
+        return replace(res, max_index=0)
+    # The maximum's first index comes from the trajectory search, or once
+    # that has spent its allowance, from an in-order scan that stops at the
+    # first prefix of chunks holding a key of the maximum ratio. A batch is
+    # the sweep's: MAX_VOTERS voter rows, the chunk engine's MC_CHUNK.
+    top = [key for key, _ in table
+           if key % base * res.max_ratio.denominator == key // base * res.max_ratio.numerator]
+    batch = min(factorial(m), max(1, MAX_VOTERS // n))
+    first = cb_witness(seq.turns, n, m, top, WITNESS_STEPS_PER_BATCH * -(-total // batch))
+    if first is None:
+        from . import sweep
+        rows = sweep.exhaustive_table(seq, n, m, mode, workers, until=top)
+        first = min(tag for key, _, tag in rows if key in top)
+    return replace(res, max_index=first)
+
+
+def run_montecarlo(
+    seq: EliminationSequence,
+    n: int,
+    m: int,
+    mode: RatioMode,
+    culture: CultureSpec,
+    samples: int,
+    seed: int,
+    workers: int = 1,
+) -> SweepResult:
+    """Evaluate the ratio on ``samples`` profiles drawn from ``culture``.
+
+    Sample ``i`` is a pure function of ``(seed, i)``; chunking and worker
+    count never change any output bit.
+    """
+    seq.validate(n, m)
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in 0..2**64-1, got {seed}")
+    from . import sweep
+    rows = sweep.montecarlo_table(seq, n, m, mode, culture, samples, seed, workers)
+    return _finish(rows, n * (m - 1) + 1)
+
+
+def montecarlo_witness(
+    n: int, m: int, culture: CultureSpec, seed: int, index: int
+) -> PreferenceProfile:
+    """Profile behind a Monte-Carlo sweep's ``max_index``."""
+    from . import sweep
+    rows = sweep.sample_rankings_batch(n, m, culture, seed, index, 1)[0]
+    return PreferenceProfile.from_rankings(rows.tolist())
+
 
 CSV_HEADER = "sequence,n,m,mode,culture,phi,count,mean,std,max_num,max_den"
 HIST_HEADER = "bin_left,bin_right,count"
@@ -128,23 +326,38 @@ def csv_row(result: ExperimentResult) -> str:
 def histogram_rows(result: ExperimentResult) -> list[tuple[float, float, int]]:
     """(left, right, count) rows, left-ascending, zero-width spike at 1.0.
 
-    The sweep's exact pair table is binned here and only here: the configured
-    number of equal-width float bins over :func:`ratio_range`, each pair's
-    float ratio going to the bin whose left edge it reaches (values past
-    either end go to the end bins). Regular bins hold only ratios different
-    from 1; every exact 1 lands in the spike row. Counts sum to the
-    population size.
+    The sweep's exact pair table is binned here and only here, by
+    :func:`bin_pairs`: the configured number of equal-width float bins over
+    :func:`ratio_range`.
     """
     low, high = ratio_range(result.config)
-    edges = np.linspace(float(low), float(high), result.config.histogram_bins + 1)
-    num, den, counts = result.sweep.pairs.T
-    off = num != den
-    idx = np.searchsorted(edges, num[off] / den[off], side="right") - 1
-    hist = np.zeros(edges.shape[0] - 1, dtype=np.int64)
-    np.add.at(hist, np.clip(idx, 0, hist.shape[0] - 1), counts[off])
-    rows = [(float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(hist)]
-    # the spike goes before the first bin whose left edge is at least 1.0
-    rows.insert(int(np.searchsorted(edges[:-1], 1.0)), (1.0, 1.0, result.sweep.spike_count))
+    return bin_pairs(result.sweep.pairs, float(low), float(high), result.config.histogram_bins)
+
+
+def bin_pairs(pairs, low: float, high: float, bins: int) -> list[tuple[float, float, int]]:
+    """(left, right, count) rows of ``(num, den, count)`` pairs in ``bins``
+    equal-width bins over ``[low, high]``, left-ascending, with a
+    zero-width spike row at 1.0.
+
+    The edges are ``np.linspace``'s, bit for bit: edge ``i`` is
+    ``i * step + low`` and the last is ``high``. Each pair's float ratio
+    goes to the bin whose left edge it reaches, ``searchsorted``'s right
+    side (values past either end go to the end bins). Regular bins hold only
+    ratios different from 1; every exact 1 lands in the spike row, before
+    the first bin whose left edge is at least 1.0. Counts sum to the
+    population size.
+    """
+    step = (high - low) / bins
+    edges = [i * step + low for i in range(bins)] + [high]
+    hist = [0] * bins
+    spike = 0
+    for num, den, count in pairs:
+        if num == den:
+            spike += count
+        else:
+            hist[min(max(bisect_right(edges, num / den) - 1, 0), bins - 1)] += count
+    rows = [(edges[i], edges[i + 1], c) for i, c in enumerate(hist)]
+    rows.insert(bisect_left(edges, 1.0, 0, bins), (1.0, 1.0, spike))
     return rows
 
 

@@ -1,25 +1,21 @@
-"""Chunked ratio sweeps over profile spaces, exhaustive and Monte-Carlo.
+"""The numpy chunk engine behind exhaustive and Monte-Carlo ratio sweeps.
 
 Each welfare ratio is a quotient of two integer Borda scores in
 ``0..n(m-1)``, so a sweep's whole result is one exact table: every distinct
-(numerator, denominator) pair, how often it occurs and the lowest
-enumeration or sample index that produced it. Every chunk returns such a
-table: a Monte-Carlo chunk sorts its one batch, and an exhaustive chunk
-counts its batches into a grid of every possible pair. The tables are folded
-in chunk order, and a fold is exact in any order, so results are
-bit-identical for every worker count and chunk size. The count, the exact
-mean and variance, the spike at exactly 1, both extreme ratios and the
-maximum's first index, the report's witness (equal ratios such as 2/4 and
-3/6 going to the lowest index), are read off the final table, which the
-result also carries for reports to bin.
+(numerator, denominator) pair, keyed ``den * base + num`` with
+``base = n(m-1) + 1``, how often it occurs and the lowest enumeration or
+sample index that produced it. Every chunk returns such a table: a
+Monte-Carlo chunk sorts its one batch, and an exhaustive chunk counts its
+batches into a grid of every possible pair. The tables are folded in chunk
+order, and a fold is exact in any order, so results are bit-identical for
+every worker count and chunk size.
 
-A CB exhaustive sweep takes its counts from
-:func:`~elimgame.trajectories.cb_pair_table`, which counts trajectory pairs
-instead of profiles, and the maximum's first index from
-:func:`~elimgame.trajectories.cb_witness`, a search over the same
-trajectory pairs. Only when that search spends its allowance, one step per
-batch of the pinned space, does the sweep scan chunks in order, until the
-folded prefix holds the maximum ratio.
+This module only builds those tables. :func:`exhaustive_table` and
+:func:`montecarlo_table` return them as ascending ``(key, count, tag)``
+rows of Python ints, and :mod:`elimgame.experiments` reads the statistics
+and the witness off them. An exhaustive table covers the pinned space; a CB
+study asks for one only to scan for its witness in order, when the
+trajectory search has spent its allowance.
 
 The batch play kernels live here, beside the chunks that call them; the
 scalar engine in :mod:`elimgame.play` is their test oracle. Monte-Carlo
@@ -33,25 +29,20 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, sqrt
+from math import factorial
 
 import numpy as np
 
-from .core import EliminationSequence, PreferenceProfile
+from .core import MAX_VOTERS, EliminationSequence, enumeration_size, ranking_ids
 from .cultures import (
     CultureSpec,
-    enumeration_size,
     fill_positions,
     permutation_table,
-    ranking_ids,
-    resolve_budget,
+    # looked up here by experiments.montecarlo_witness and wrapped here by
+    # benchmark/inproc.py
     sample_rankings_batch,
 )
-from .errors import BudgetExceeded, ZeroWelfare
-from .trajectories import cb_pair_table, cb_witness
 from .welfare import RatioMode
 
 #: batches per exhaustive chunk. A batch fixes every voter but the last and
@@ -63,13 +54,10 @@ EXHAUSTIVE_OUTER_CHUNK = 64
 #: table (2**m * m! uint8 per process: 0.62 MiB at m=7, 9.8 MiB at m=8; a
 #: uint8 mask holds at most 8 candidates)
 WORST_TABLE_MAX_M = 7
-#: steps the CB witness search may take per batch of the pinned space
-#: before the in-order scan, which would play those batches, takes over
-WITNESS_STEPS_PER_BATCH = 1
 #: voter rows per Monte-Carlo chunk: a chunk holds max(1, MC_CHUNK // n)
 #: samples, so one 8-byte sampling-word row is 512 KiB and every array the
 #: chunk builds stays about a core's L2 in size
-MC_CHUNK = 1 << 16
+MC_CHUNK = MAX_VOTERS
 
 
 def play_batch_winners(positions, turns) -> np.ndarray:
@@ -233,69 +221,6 @@ def _fold(tables):
     )
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Exact reduction of a ratio population.
-
-    ``max_index`` identifies the first profile attaining the maximum, the
-    report's witness: an enumeration rank for exhaustive sweeps, a sample
-    index for Monte-Carlo ones. ``pairs`` is the whole population as a
-    ``(k, 3)`` int64 array of ``(num, den, count)`` rows, one per distinct
-    Borda-score pair, in ``(den, num)`` order; every field but the index is
-    read off it.
-    """
-
-    count: int
-    mean: Fraction
-    variance: Fraction
-    max_ratio: Fraction
-    max_index: int
-    min_ratio: Fraction
-    spike_count: int
-    pairs: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def std(self) -> float:
-        return sqrt(float(self.variance))
-
-
-def _finish(table, base: int) -> SweepResult:
-    keys, counts, tags = table
-    # keys ascend, so the lowest holds the lowest denominator
-    if keys[0] < base:
-        raise ZeroWelfare("strategic winner has zero Borda score")
-    den, num = np.divmod(keys, base)
-    # Keys ascend by (den, num), so each denominator's rows form one run
-    # that starts at its smallest ratio and ends at its largest.
-    heads = np.flatnonzero(np.diff(den, prepend=-1))
-    tails = np.append(heads[1:], den.shape[0]) - 1
-    # Sums of num and num**2 per denominator in Python ints (object arrays):
-    # exact for any n(m-1) and any population size.
-    big_num = num.astype(object)
-    weighted = counts.astype(object) * big_num
-    firsts = np.add.reduceat(weighted, heads)
-    seconds = np.add.reduceat(weighted * big_num, heads)
-    dens = den[heads].tolist()
-    n_total = int(counts.sum())
-    mean = sum(map(Fraction, firsts, dens), Fraction(0)) / n_total
-    second = sum(map(Fraction, seconds, [d * d for d in dens]), Fraction(0)) / n_total
-    # Equal ratios under different keys (2/4, 3/6) compare equal as
-    # Fractions, so the maximum goes to the lowest tag among them.
-    max_ratio, max_index = min(
-        ((Fraction(int(num[i]), int(den[i])), int(tags[i])) for i in tails),
-        key=lambda p: (-p[0], p[1]))
-    return SweepResult(
-        count=n_total,
-        mean=mean,
-        variance=second - mean * mean,
-        max_ratio=max_ratio,
-        max_index=max_index,
-        min_ratio=min(Fraction(int(num[i]), int(den[i])) for i in heads),
-        spike_count=int(counts[num == den].sum()),
-        pairs=np.column_stack((num, den, counts)),
-    )
-
-
 @lru_cache(maxsize=2)
 def _next_mask_table(m: int) -> np.ndarray:
     return next_mask_table(permutation_table(m))
@@ -409,7 +334,8 @@ def _in_order(pool, fn, args, depth: int):
 
 def _run_chunks(fn, static, total: int, chunk: int, workers: int, until=None):
     """Fold the tables ``fn`` returns for the chunks of ``range(total)`` in
-    chunk order, stopping after the first fold that ``until`` accepts.
+    chunk order, stopping after the first fold that holds one of the keys
+    ``until``, an int64 array.
 
     This is the one place chunk ranges are built: chunk ``k`` is called with
     ``(*static, start, count)`` for ``start = k * chunk`` and ``count`` up to
@@ -425,7 +351,7 @@ def _run_chunks(fn, static, total: int, chunk: int, workers: int, until=None):
         folded = None
         for table in tables:
             folded = table if folded is None else _fold((folded, table))
-            if until is not None and until(folded):
+            if until is not None and np.isin(until, folded[0]).any():
                 break
         return folded
 
@@ -436,104 +362,37 @@ def _run_chunks(fn, static, total: int, chunk: int, workers: int, until=None):
         return fold(_in_order(pool, fn, args, 2 * workers))
 
 
-def run_exhaustive(
-    seq: EliminationSequence,
-    n: int,
-    m: int,
-    mode: RatioMode,
-    fix_first: bool = True,
-    budget: int | None = None,
-    workers: int = 1,
-) -> SweepResult:
-    """Evaluate the ratio on every profile of the enumeration.
+def _rows(table) -> list[tuple[int, int, int]]:
+    """A folded ``(keys, counts, tags)`` table as ``(key, count, tag)``
+    rows of Python ints, keys ascending."""
+    return list(zip(*(col.tolist() for col in table)))
 
-    With ``fix_first`` the population is the pinned space, where voter 1
-    ranks in identity order; without it, the full space. The sweep plays
-    only the pinned space and scales the full space's counts by m!. That
-    is exact: no Borda score depends on what the candidates are called, so
-    each relabelling orbit holds m! profiles with one (num, den) pair and
-    exactly one of them pinned, and the pinned profiles are the full
-    order's first ``(m!)**(n-1)``, in the same order, so every first index
-    and the witness stay the same. The refusals read the population's size,
-    in CB mode too: there the counts come from the trajectory table and the
-    maximum's first index from the trajectory search, but once the search
-    spends its allowance an in-order chunk scan finds that index, and a late
-    witness then costs up to one full sweep.
+
+def exhaustive_table(seq: EliminationSequence, n: int, m: int, mode: RatioMode,
+                     workers: int = 1, until=None) -> list[tuple[int, int, int]]:
+    """The pinned space's table, as ascending ``(key, count, tag)`` rows,
+    each tag a profile's pinned enumeration index.
+
+    ``until``, a collection of keys, stops the in-order scan after the
+    first folded prefix of chunks that holds one of them: chunks cover
+    increasing index ranges, so the prefix's tags of those keys are final
+    while its counts are partial. The caller refuses the spaces too large
+    to sweep.
     """
-    seq.validate(n, m)
-    # Refused whatever the budget, before any chunk or table is built: from
-    # m = 12 the m!*m-byte position table passes 1 GiB (5.4 GiB at m = 12),
-    # and from 2**63 profiles the int64 counts would wrap. m >= 12, and n >= 64
-    # with m > 1 (2**(n-1) pinned profiles or more), go before the exact
-    # count, which takes 0.1 s at (65,536, 11). For m <= 11, n(m-1) > 63
-    # means 2**63 pinned profiles or more, so the grid keeps at most 4,096 cells.
-    scale = 1 if fix_first else factorial(m)
-    if m >= 12 or (m > 1 and n >= 64) or (total := enumeration_size(n, m)) * scale >= 1 << 63:
-        raise BudgetExceeded(
-            f"exhaustive sweeps need m <= 11 and under 2**63 profiles, got n = {n} "
-            f"and m = {m}; sample the space with montecarlo instead"
-        )
-    limit = resolve_budget(budget)
-    if total * scale > limit:
-        raise BudgetExceeded(
-            f"exhaustive sweep needs {total * scale} profiles, over the budget of {limit}; "
-            "raise ELIMGAME_BUDGET or pass --force"
-        )
-    base = n * (m - 1) + 1
     batch = min(factorial(m), max(1, MC_CHUNK // n))
     static = (seq.turns, seq.reverse().turns, n, m, mode, batch)
-    chunk = EXHAUSTIVE_OUTER_CHUNK * batch
-    if mode is RatioMode.AB:
-        keys, counts, tags = _run_chunks(_exhaustive_chunk, static, total, chunk, workers)
-        return _finish((keys, counts * scale, tags), base)
-    # CB: the counts come from the trajectory table, and the result is read
-    # off it with placeholder tags. The maximum's first index comes from the
-    # trajectory search, or once that has spent its allowance, from an
-    # in-order scan that stops at the first prefix of chunks holding a key
-    # of the maximum ratio: chunks cover increasing index ranges, so such a
-    # key first seen later has a higher index than every profile already
-    # scanned.
-    keys, counts = (np.array(col, dtype=np.int64)
-                    for col in zip(*sorted(cb_pair_table(seq.turns, n, m).items())))
-    res = _finish((keys, counts * scale, keys), base)
-    den, num = np.divmod(keys, base)
-    top = keys[num * res.max_ratio.denominator == den * res.max_ratio.numerator]
-    first = cb_witness(seq.turns, n, m, top.tolist(), WITNESS_STEPS_PER_BATCH * -(-total // batch))
-    if first is None:
-        seen, _, tags = _run_chunks(_exhaustive_chunk, static, total, chunk, workers,
-                                    lambda folded: np.isin(top, folded[0]).any())
-        first = int(tags[np.isin(seen, top)].min())
-    return replace(res, max_index=first)
+    if until is not None:
+        until = np.array(sorted(until), dtype=np.int64)
+    return _rows(_run_chunks(_exhaustive_chunk, static, enumeration_size(n, m),
+                             EXHAUSTIVE_OUTER_CHUNK * batch, workers, until))
 
 
-def run_montecarlo(
-    seq: EliminationSequence,
-    n: int,
-    m: int,
-    mode: RatioMode,
-    culture: CultureSpec,
-    samples: int,
-    seed: int,
-    workers: int = 1,
-) -> SweepResult:
-    """Evaluate the ratio on ``samples`` profiles drawn from ``culture``.
-
-    Sample ``i`` is a pure function of ``(seed, i)``; chunking and worker
-    count never change any output bit.
-    """
-    seq.validate(n, m)
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in 0..2**64-1, got {seed}")
+def montecarlo_table(seq: EliminationSequence, n: int, m: int, mode: RatioMode,
+                     culture: CultureSpec, samples: int, seed: int,
+                     workers: int = 1) -> list[tuple[int, int, int]]:
+    """The table of samples ``0..samples-1`` drawn from ``culture``, as
+    ascending ``(key, count, tag)`` rows, each tag a sample index. Sample
+    ``i`` is a pure function of ``(seed, i)``."""
     static = (seq.turns, seq.reverse().turns, n, m, mode, culture, seed)
-    table = _run_chunks(_montecarlo_chunk, static, samples, max(1, MC_CHUNK // n), workers)
-    return _finish(table, n * (m - 1) + 1)
-
-
-def montecarlo_witness(
-    n: int, m: int, culture: CultureSpec, seed: int, index: int
-) -> PreferenceProfile:
-    """Profile behind a Monte-Carlo sweep's ``max_index``."""
-    rows = sample_rankings_batch(n, m, culture, seed, index, 1)[0]
-    return PreferenceProfile.from_rankings([tuple(int(c) for c in r) for r in rows])
+    return _rows(_run_chunks(_montecarlo_chunk, static, samples,
+                             max(1, MC_CHUNK // n), workers))

@@ -1,10 +1,13 @@
-"""Shared test helpers: compact builders for profiles and sequences, and
-the plain-python oracles for the enumeration order and the Mallows model."""
+"""Shared test helpers: compact builders for profiles and sequences, the
+plain-python oracles for the enumeration order and the Mallows model, and
+the numpy oracle for histogram binning."""
 
 from __future__ import annotations
 
 import itertools
 import random
+
+import numpy as np
 
 from elimgame import EliminationSequence, LengthMismatch, PreferenceProfile, Vote
 
@@ -49,7 +52,7 @@ def enumerate_profiles(n: int, m: int, fix_first: bool = True):
     """Yield every profile in the engine's enumeration order: rankings in
     lexicographic order (ranking 0 is the identity), the first listed voter
     most significant. With ``fix_first`` voter 1 is pinned to the identity,
-    the pinned space that ``cultures.profile_at_index`` decodes."""
+    the pinned space that ``core.profile_at_index`` decodes."""
     pinned = [tuple(range(m))] if fix_first else []
     for rows in itertools.product(itertools.permutations(range(m)), repeat=n - len(pinned)):
         yield PreferenceProfile.from_rankings(pinned + list(rows))
@@ -77,3 +80,18 @@ def mallows_pmf(m: int, phi: float, reference: Vote) -> dict[tuple[int, ...], fl
     for perm in itertools.permutations(range(m)):
         out[perm] = phi ** kendall_tau(Vote(perm), reference) / z
     return out
+
+
+def numpy_bin_pairs(pairs, low: float, high: float, bins: int) -> list[tuple[float, float, int]]:
+    """``experiments.bin_pairs`` as numpy computes it: ``np.linspace``
+    edges, ``searchsorted`` bins clipped to the ends, and the spike before
+    the first left edge at least 1.0 (test oracle)."""
+    edges = np.linspace(low, high, bins + 1)
+    num, den, counts = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+    off = num != den
+    idx = np.searchsorted(edges, num[off] / den[off], side="right") - 1
+    hist = np.zeros(bins, dtype=np.int64)
+    np.add.at(hist, np.clip(idx, 0, bins - 1), counts[off])
+    rows = [(float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(hist)]
+    rows.insert(int(np.searchsorted(edges[:-1], 1.0)), (1.0, 1.0, int(counts[~off].sum())))
+    return rows

@@ -27,16 +27,19 @@ from elimgame.cultures import (
     _insertion_table,
     _stream_keys,
     _word_rows,
-    enumeration_size,
     permutation_table,
     fill_positions,
+)
+from elimgame import cultures, sweep
+from elimgame.core import (
+    EliminationSequence,
+    enumeration_size,
     profile_at_index,
     ranking_ids,
     resolve_budget,
 )
-from elimgame import cultures, sweep
-from elimgame.core import EliminationSequence
-from elimgame.sweep import MC_CHUNK, montecarlo_witness, run_exhaustive
+from elimgame.experiments import montecarlo_witness, run_exhaustive
+from elimgame.sweep import MC_CHUNK
 from helpers import enumerate_profiles, kendall_tau, mallows_pmf
 
 
@@ -549,6 +552,31 @@ class TestEnumeration:
         # every row holds each slot once
         assert np.array_equal(np.sort(pos, axis=1), np.broadcast_to(np.arange(4), (24, 4)))
 
+
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_profile_decoder_matches_the_position_table(self, m):
+        # core decodes ranking ids by factorial digits; the position table's
+        # argsorted rows are the same rankings, every id up to m = 6 and
+        # 1,000 random ids above. The m = 11 table is 440 MB, so its rows
+        # are built as permutation_table builds them from the m = 10 table:
+        # row r leads with candidate r // 10! and ranks the others as row
+        # r % 10! ranks 0..9
+        pos = permutation_table(min(m, 10))
+        if m <= 6:
+            ids = range(math.factorial(m))
+        else:
+            ids = np.random.default_rng(m).integers(0, math.factorial(m), 1000).tolist()
+        for r in ids:
+            if m == 11:
+                lead, rest = divmod(r, math.factorial(10))
+                others = [c for c in range(11) if c != lead]
+                want = (lead, *(others[c] for c in pos[rest].argsort().tolist()))
+            else:
+                want = tuple(pos[r].argsort().tolist())
+            # the two-voter profile whose second voter holds ranking id r
+            p = profile_at_index(2, m, r)
+            assert p.votes[1].ranking == want, (m, r)
+            assert p.votes[0].ranking == tuple(range(m))
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_permutation_table_matches_itertools(self, m):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elimgame import (
     CultureSpec,
@@ -13,9 +14,11 @@ from elimgame import (
     ratio_cb,
     run_experiment,
 )
+from elimgame.cli import MAX_BINS
 from elimgame.experiments import (
     CSV_HEADER,
     HIST_HEADER,
+    bin_pairs,
     csv_row,
     histogram_rows,
     json_summary,
@@ -23,8 +26,8 @@ from elimgame.experiments import (
     render_report,
     write_histogram_csv,
 )
-from elimgame.sweep import run_exhaustive
-from helpers import enumerate_profiles, seq, seq_from
+from elimgame.experiments import run_exhaustive
+from helpers import enumerate_profiles, numpy_bin_pairs, seq, seq_from
 
 
 def exhaustive_config(**kw):
@@ -164,6 +167,41 @@ class TestHistogram:
         bins = [r for r in rows if r[0] != r[1]]
         assert [r[2] for r in bins] == expect
         assert [r[0] for r in bins] + [bins[-1][1]] == edges.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bound=st.fractions(min_value=1, max_value=20, max_denominator=30),
+        spread=st.one_of(st.none(), st.floats(0.01, 50)),
+        bins=st.one_of(st.integers(1, 80), st.integers(1, MAX_BINS)),
+        pairs=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 60),
+                                 st.integers(1, 10**6)), max_size=40),
+        on_edges=st.lists(st.integers(0, MAX_BINS), max_size=8),
+    )
+    def test_pure_binning_matches_numpy(self, bound, spread, bins, pairs, on_edges):
+        # a study's range is [1/bound, bound]; other ranges reach edges
+        # that no closed form gives. Random pairs rarely hit an edge, so
+        # ``on_edges`` adds the simplest ratio near each of a few edges,
+        # whose float often is the edge itself
+        low, high = (float(1 / bound), float(bound)) if spread is None else (0.25, 0.25 + spread)
+        edges = np.linspace(low, high, bins + 1)
+        for i in on_edges:
+            near = Fraction(float(edges[i % (bins + 1)])).limit_denominator(1000)
+            pairs.append((near.numerator, near.denominator, 1))
+        assert bin_pairs(pairs, low, high, bins) == numpy_bin_pairs(pairs, low, high, bins)
+
+    def test_e1_on_edge_ratios_keep_their_bins(self):
+        # E1's range [1/2, 2] in 60 bins puts 6/5 and 17/10 exactly on the
+        # left edges of bins 28 and 48, but the float edges 28 * 0.025 + 0.5
+        # and 48 * 0.025 + 0.5 round above them, so the pinned histogram
+        # holds them in bins 27 and 47
+        cfg = exhaustive_config(n=3, m=7, sequence=seq_from("123123"), mode=RatioMode.CB)
+        low, high = ratio_range(cfg)
+        assert (low, high) == (Fraction(1, 2), 2)
+        rows = [r for r in bin_pairs([(6, 5, 1), (17, 10, 2)], float(low), float(high), 60)
+                if r[0] != r[1]]
+        assert [i for i, r in enumerate(rows) if r[2]] == [27, 47]
+        assert (rows[27][2], rows[47][2]) == (1, 2)
+        assert rows[28][0] > 1.2 and rows[48][0] > 1.7
 
     def test_csv_file(self, tmp_path):
         result = run_experiment(exhaustive_config(histogram_bins=5))

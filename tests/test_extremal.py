@@ -18,7 +18,7 @@ from elimgame import (
     verify_tight,
 )
 from elimgame.extremal import gen_poa_tight, gen_sr_tight
-from elimgame.sweep import run_exhaustive
+from elimgame.experiments import run_exhaustive
 from elimgame.welfare import sr_bound_for_sequence
 from helpers import profile, seq, seq_from
 

@@ -3,9 +3,10 @@
 Each module may import only modules on a strictly lower layer. The package
 ``__init__`` and ``__main__`` sit outside the order: they re-export and
 start the command line. The reference engine, the closed forms and the
-trajectory counts import only the standard library, and the study modules,
-the only ones that load numpy, are imported by the command line and the
-package only when a study needs them; a serial study loads no process pool
+trajectory counts import only the standard library. The numpy modules,
+``cultures`` and ``sweep``, load only when chunks must run: the study layer
+``experiments`` imports without them, and a CB exhaustive study loads
+neither numpy nor a process pool; a serial study loads no process pool
 either. The last check keeps every test in ``tests/`` collectable: a second
 definition of a name silently replaces the first.
 """
@@ -37,7 +38,7 @@ PACKAGE = Path(elimgame.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 EXEMPT = {"__init__", "__main__"}
 #: the modules that import numpy; nothing else may load them at import time
-STUDY_MODULES = {"cultures", "sweep", "experiments"}
+STUDY_MODULES = {"cultures", "sweep"}
 STANDARD = set(sys.stdlib_module_names) | {"elimgame"}
 
 
@@ -90,8 +91,10 @@ def test_reference_modules_import_only_the_standard_library(module):
     assert not outside, f"{module} imports {sorted(outside)}"
 
 
-@pytest.mark.parametrize("module", ["cli", "__init__"])
+@pytest.mark.parametrize("module", ["cli", "__init__", "experiments"])
 def test_entry_points_import_no_study_module_at_module_level(module):
+    # experiments imports sweep, and through it cultures, only in the
+    # functions that run chunks
     body = parse(module).body
     found = (relative_imports(body) & STUDY_MODULES) | (absolute_imports(body) - STANDARD)
     assert not found, f"{module} imports {sorted(found)} at module level"
@@ -108,6 +111,27 @@ def test_reference_commands_load_no_numpy(tmp_path):
     runs.append(["solve", "--profile", str(profile), *game,
                  "--behavior", "mixed", "--sincere-set", "1"])
     assert modules_left_loaded(runs, {"numpy", "concurrent.futures.process"}) == []
+
+
+def test_cb_exhaustive_studies_load_no_numpy():
+    # the trajectory table, the witness search, the finish and the histogram
+    # are pure Python: fix-first or not, serial or not, and a maximum of 1,
+    # whose witness is index 0 with no search
+    game = ["--n", "3", "--m", "5", "--sequence", "1,2,3,1", "--mode", "cb"]
+    runs = [["exhaustive", *game], ["exhaustive", *game, "--no-fix-first"],
+            ["exhaustive", *game, "--workers", "2"],
+            ["exhaustive", "--n", "3", "--m", "7", "--sequence", "3,3,3,3,3,3",
+             "--mode", "cb", "--workers", "2"]]
+    heavy = {"numpy", "concurrent.futures.process", "elimgame.cultures", "elimgame.sweep"}
+    assert modules_left_loaded(runs, heavy) == []
+
+
+def test_chunked_studies_still_run():
+    # AB exhaustive and Monte-Carlo studies load the numpy chunk engine
+    game = ["--n", "3", "--m", "5", "--sequence", "1,2,3,1"]
+    runs = [["exhaustive", *game, "--mode", "ab", "--workers", "2"],
+            ["montecarlo", *game, "--mode", "cb", "--samples", "300", "--workers", "2"]]
+    assert modules_left_loaded(runs, {"numpy", "elimgame.sweep"}) == ["elimgame.sweep", "numpy"]
 
 
 def test_serial_studies_load_no_process_pool():

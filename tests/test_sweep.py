@@ -19,20 +19,16 @@ from elimgame import (
     sincere_play,
     spne_outcome,
 )
-from elimgame import sweep
-from elimgame.core import EliminationSequence
-from elimgame.cultures import enumeration_size, permutation_table, profile_at_index
-from elimgame.sweep import SweepResult, montecarlo_witness, run_exhaustive, run_montecarlo
+from elimgame import experiments, sweep
+from elimgame.core import EliminationSequence, enumeration_size, profile_at_index
+from elimgame.cultures import permutation_table
+from elimgame.experiments import SweepResult, montecarlo_witness, run_exhaustive, run_montecarlo
 from helpers import enumerate_profiles, seq
 
 
 def assert_same_result(a, b):
     for field in fields(SweepResult):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
-            assert np.array_equal(x, y), field.name
-        else:
-            assert x == y, field.name
+        assert getattr(a, field.name) == getattr(b, field.name), field.name
 
 
 def naive_exhaustive(s, n, m, mode, fix_first=True):
@@ -144,12 +140,11 @@ class TestExhaustiveExactness:
             else:
                 num = max(p.borda_score(c) for c in range(p.m))
             want[den, num] += 1
-        assert res.pairs.dtype == np.int64
-        assert res.pairs.tolist() == [[num, den, want[den, num]] for den, num in sorted(want)]
-        num, den, count = res.pairs.T
-        assert count.sum() == res.count
-        assert count[num == den].sum() == res.spike_count
-        weighted = sum(Fraction(c * a, b) for a, b, c in res.pairs.tolist())
+        assert res.pairs == tuple((num, den, want[den, num]) for den, num in sorted(want))
+        assert all(type(x) is int for row in res.pairs for x in row)
+        assert sum(c for _, _, c in res.pairs) == res.count
+        assert sum(c for a, b, c in res.pairs if a == b) == res.spike_count
+        weighted = sum(Fraction(c * a, b) for a, b, c in res.pairs)
         assert weighted / res.count == res.mean
 
     def test_single_profile_space(self):
@@ -172,8 +167,9 @@ class TestExhaustiveExactness:
         s = seq(1, 1, 2)
         res = run_exhaustive(s, 3, 4, RatioMode.CB)
         assert (res.max_ratio, res.max_index) == (2, 201)
-        table = sweep.cb_pair_table
-        monkeypatch.setattr("elimgame.sweep.cb_pair_table", lambda *a: {**table(*a), 3 * 10 + 6: 1})
+        table = experiments.cb_pair_table
+        monkeypatch.setattr("elimgame.experiments.cb_pair_table",
+                            lambda *a: {**table(*a), 3 * 10 + 6: 1})
         padded = run_exhaustive(s, 3, 4, RatioMode.CB)
         assert (padded.max_ratio, padded.max_index, padded.count) == (2, 201, res.count + 1)
 
@@ -225,7 +221,7 @@ class TestDeterminism:
             "elimgame.sweep._montecarlo_chunk",
             lambda args: counts.append(args[8]) or (np.array([3]), np.array([1]), np.array([0])),
         )
-        monkeypatch.setattr("elimgame.sweep._finish", lambda *args: None)
+        monkeypatch.setattr("elimgame.experiments._finish", lambda *args: None)
         # MC_CHUNK voter rows per chunk: 65,536 // n samples, one at the
         # voter ceiling, which equals the budget; past it nothing runs
         for n, m, rows in [(5, 10, 13107), (9, 24, 7281), (50, 50, 1310), (3, 1, 21845),
@@ -346,8 +342,8 @@ class TestPool:
             (seq(3, 2, 2), 3, 4, True, 24),
             # 3 chunks; the maximum is in chunk 1, the minimum in the last
             (seq(2, 1, 1, 2, 2), 2, 6, True, 240),
-            # the full space scans its pinned prefix: 5 chunks, stops at 0
-            (seq(2, 1, 1), 2, 4, False, 5),
+            # the full space scans its pinned prefix: 3 chunks, stops at 12
+            (seq(2, 2, 1), 2, 4, False, 5),
             # 10 chunks; the maximum (index 62) is in chunk 5, the minimum
             # (index 84) in chunk 7
             (seq(1, 1, 2, 2), 2, 5, True, 12),
@@ -359,7 +355,7 @@ class TestPool:
         # serial scan runs up to the chunk of the witness and no further,
         # wherever the minimum first shows
         want = naive_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first)
-        monkeypatch.setattr("elimgame.sweep.WITNESS_STEPS_PER_BATCH", 0)
+        monkeypatch.setattr("elimgame.experiments.WITNESS_STEPS_PER_BATCH", 0)
         monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 1)
         monkeypatch.setattr("elimgame.sweep.MC_CHUNK", batch * n)
         starts = []
@@ -393,6 +389,36 @@ class TestPool:
         monkeypatch.setattr("elimgame.sweep._exhaustive_chunk", no_chunk)
         res = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first, budget=10**12, workers=2)
         assert res.max_index == index and pools == []
+
+
+    @pytest.mark.parametrize("s,n,m", [(seq(1, 2, 3, 1, 2, 3), 3, 7), (seq(1, 2, 1, 2), 2, 5)])
+    def test_cb_scan_equals_search(self, monkeypatch, s, n, m):
+        # with no allowance the in-order scan finds the witness; both routes
+        # are exact, so every field agrees
+        searched = run_exhaustive(s, n, m, RatioMode.CB)
+        monkeypatch.setattr("elimgame.experiments.WITNESS_STEPS_PER_BATCH", 0)
+        assert_same_result(run_exhaustive(s, n, m, RatioMode.CB), searched)
+
+    @pytest.mark.parametrize(
+        "n,m,voter",
+        [(n, m, voter) for n, ms in [(2, range(3, 7)), (3, range(4, 8))]
+         for m in ms for voter in range(n)],
+    )
+    def test_cb_maximum_one_is_witnessed_by_index_zero(self, monkeypatch, pools, n, m, voter):
+        # one voter takes every turn, so both games crown its favourite and
+        # every ratio is 1. Pinned profile 0 attains it, the lowest index
+        # there is, so neither the search nor a chunk runs
+        def refuse(*args):
+            raise AssertionError("a search or chunk ran")
+
+        monkeypatch.setattr("elimgame.sweep._exhaustive_chunk", refuse)
+        monkeypatch.setattr("elimgame.experiments.cb_witness", refuse)
+        s = EliminationSequence((voter,) * (m - 1))
+        for fix_first in (True, False):
+            res = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first,
+                                 budget=10**12, workers=2)
+            assert (res.max_ratio, res.max_index, res.min_ratio) == (1, 0, 1)
+        assert pools == []
 
 
 class TestMonteCarlo:
@@ -478,7 +504,9 @@ class TestTracedKernel:
     def test_exhaustive_sweep_above_the_table_limit(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         s = seq(1, 2, 1, 2, 1, 2, 1)
-        run_exhaustive(s, 2, 8, RatioMode.CB)
+        # the chunk engine's table: this sequence's maximum is 1, so a CB
+        # study settles its witness without a chunk
+        sweep.exhaustive_table(s, 2, 8, RatioMode.CB)
         # one chunk of two batches, 0..32767 and 32768..40319, each played
         # on the reversed sequence and then on the sequence
         assert calls == [s.reverse().turns, s.turns] * 2
@@ -530,12 +558,12 @@ class TestSummary:
         # 1/2, 2/4, 3/6 and 3/2, 6/4, 9/6 are two ratios under six keys
         a = [(10, [(2, 4), (6, 4), (5, 5)]), (20, [(1, 2), (3, 2)])]
         b = [(3, [(5, 5), (3, 6), (9, 6)]), (30, [(1, 2)])]
-        alone = sweep._finish(self.build(10, a), 10)
+        alone = experiments._finish(sweep._rows(self.build(10, a)), 10)
         assert alone.min_ratio == Fraction(1, 2)
         assert (alone.max_ratio, alone.max_index) == (Fraction(3, 2), 11)
         for first, second in [(a, b), (b, a)]:
             folded = sweep._fold([self.build(10, first), self.build(10, second)])
-            res = sweep._finish(folded, 10)
+            res = experiments._finish(sweep._rows(folded), 10)
             assert res.min_ratio == Fraction(1, 2)
             assert (res.max_ratio, res.max_index) == (Fraction(3, 2), 5)
             assert res.count == 9 and res.spike_count == 2
@@ -550,7 +578,7 @@ class TestSummary:
         vals = [Fraction(num, den) for num, den in pairs]
         mean = sum(vals, Fraction(0)) / len(vals)
         table = self.build(d + 1, [(0, pairs[:3]), (3, pairs[3:])])
-        res = sweep._finish(table, d + 1)
+        res = experiments._finish(sweep._rows(table), d + 1)
         assert res.count == len(vals)
         assert res.mean == mean
         assert res.variance == sum((v - mean) ** 2 for v in vals) / len(vals)
@@ -584,7 +612,7 @@ class TestGuards:
         num, den = np.array([1, 2], dtype=np.int64), np.array([2, 0], dtype=np.int64)
         table = sweep._batch_table(num, den, 5, 0)
         with pytest.raises(ZeroWelfare):
-            sweep._finish(table, 5)
+            experiments._finish(sweep._rows(table), 5)
 
     def test_budget_bounds_the_grid(self):
         # for m <= 11, n(m-1) > 63 means at least 2**63 profiles, pinned and
@@ -606,8 +634,9 @@ class TestGuards:
         def no_chunks(*args, **kwargs):
             raise AssertionError("a table, search or chunk ran")
 
-        for name in ("_run_chunks", "cb_pair_table", "cb_witness"):
-            monkeypatch.setattr(sweep, name, no_chunks)
+        for module, name in [(sweep, "_run_chunks"), (experiments, "cb_pair_table"),
+                             (experiments, "cb_witness")]:
+            monkeypatch.setattr(module, name, no_chunks)
         monkeypatch.setenv("ELIMGAME_BUDGET", str(10**1000))
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
         with pytest.raises(BudgetExceeded, match="m <= 11 and under 2\\*\\*63 profiles"):
@@ -627,8 +656,9 @@ class TestGuards:
         def no_work(*args, **kwargs):
             raise AssertionError("a table or chunk was built")
 
-        for name in ("_run_chunks", "permutation_table", "cb_pair_table", "cb_witness"):
-            monkeypatch.setattr(sweep, name, no_work)
+        for module, name in [(sweep, "_run_chunks"), (sweep, "permutation_table"),
+                             (experiments, "cb_pair_table"), (experiments, "cb_witness")]:
+            monkeypatch.setattr(module, name, no_work)
         monkeypatch.setenv("ELIMGAME_BUDGET", str(10**1000))
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
         with pytest.raises(BudgetExceeded, match="m <= 11 and under 2\\*\\*63 profiles"):
@@ -643,7 +673,7 @@ class TestGuards:
             assert n < 64, "the exact count was computed"
             return size(n, m)
 
-        monkeypatch.setattr(sweep, "enumeration_size", under_64_voters)
+        monkeypatch.setattr(experiments, "enumeration_size", under_64_voters)
         for n, m in [(65536, 11), (64, 2)]:
             s = EliminationSequence(tuple(v % n for v in range(m - 1)))
             with pytest.raises(BudgetExceeded, match="m <= 11 and under 2\\*\\*63 profiles"):
@@ -660,7 +690,7 @@ class TestGuards:
         def started(*args, **kwargs):
             raise AssertionError("started")
 
-        monkeypatch.setattr(sweep, "cb_pair_table", started)
+        monkeypatch.setattr(experiments, "cb_pair_table", started)
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
         with pytest.raises(AssertionError, match="started"):
             run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first, budget=10**1000)

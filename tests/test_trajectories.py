@@ -7,7 +7,7 @@ from math import factorial, sqrt
 import pytest
 
 from elimgame import CultureSpec, RatioMode, sweep
-from elimgame.sweep import run_montecarlo
+from elimgame.experiments import run_montecarlo
 from elimgame.trajectories import cb_pair_table, cb_witness
 from helpers import seq_from
 

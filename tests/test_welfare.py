@@ -14,8 +14,8 @@ from elimgame import (
     ratio_cb,
     sr_upper_bound,
 )
-from elimgame.cultures import profile_at_index
-from elimgame.sweep import run_exhaustive
+from elimgame.core import profile_at_index
+from elimgame.experiments import run_exhaustive
 from elimgame.welfare import _score_ratio, ratio_json, sr_bound_for_sequence
 from helpers import enumerate_profiles, profile, random_instance, seq
 
