@@ -11,11 +11,9 @@ rows, a key per distinct Borda-score pair ``den * base + num`` with
 ``base = n(m-1) + 1``, and :func:`_finish` reads every statistic off it in
 Python ints and Fractions. A CB exhaustive study takes its counts from
 :func:`~elimgame.trajectories.cb_pair_table` and the maximum's first index
-from :func:`~elimgame.trajectories.cb_witness`, so it runs without numpy.
-The numpy chunk engine in :mod:`elimgame.sweep` is imported only when chunks
-must run: for AB and Monte-Carlo studies, and for a CB study whose witness
-search spends its allowance, one step per batch of the pinned space, which
-then scans chunks in order until the folded prefix holds the maximum ratio.
+from :func:`~elimgame.trajectories.cb_witness`, so it never runs a chunk.
+The numpy chunk engine in :mod:`elimgame.sweep` is imported only by the
+studies that run chunks: AB exhaustive and Monte-Carlo ones.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from math import factorial, sqrt
 from typing import TYPE_CHECKING
 
 from .core import (
-    MAX_VOTERS,
     EliminationSequence,
     PreferenceProfile,
     enumeration_size,
@@ -46,11 +43,6 @@ from .welfare import RatioMode, poa_for_sequence, ratio_json, sr_bound_for_seque
 
 if TYPE_CHECKING:
     from .cultures import CultureSpec
-
-#: steps the CB witness search may take per batch of the pinned space
-#: before the in-order scan, which would play those batches, takes over
-WITNESS_STEPS_PER_BATCH = 1
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -135,11 +127,11 @@ def run_exhaustive(
     each relabelling orbit holds m! profiles with one (num, den) pair and
     exactly one of them pinned, and the pinned profiles are the full
     order's first ``(m!)**(n-1)``, in the same order, so every first index
-    and the witness stay the same. The refusals read the population's size,
-    in CB mode too: there the counts come from the trajectory table and the
-    maximum's first index from the trajectory search, but once the search
-    spends its allowance an in-order chunk scan finds that index, and a late
-    witness then costs up to one full sweep.
+    and the witness stay the same. In CB mode the counts come from the
+    trajectory table and the maximum's first index from the trajectory
+    search, and no chunk runs. The refusals read the population's size in
+    CB mode too: neither the table nor the search has a bound of its own
+    yet, and those refusals keep both within reach.
     """
     seq.validate(n, m)
     # Refused whatever the budget, before any chunk or table is built: from
@@ -173,19 +165,11 @@ def run_exhaustive(
         # pinned profile 0, every voter in identity order, eliminates from
         # the bottom in both games and crowns candidate 0 twice
         return replace(res, max_index=0)
-    # The maximum's first index comes from the trajectory search, or once
-    # that has spent its allowance, from an in-order scan that stops at the
-    # first prefix of chunks holding a key of the maximum ratio. A batch is
-    # the sweep's: MAX_VOTERS voter rows, the chunk engine's MC_CHUNK.
+    # the maximum's first index: the lowest pinned index over the keys of
+    # the maximum ratio
     top = [key for key, _ in table
            if key % base * res.max_ratio.denominator == key // base * res.max_ratio.numerator]
-    batch = min(factorial(m), max(1, MAX_VOTERS // n))
-    first = cb_witness(seq.turns, n, m, top, WITNESS_STEPS_PER_BATCH * -(-total // batch))
-    if first is None:
-        from . import sweep
-        rows = sweep.exhaustive_table(seq, n, m, mode, workers, until=top)
-        first = min(tag for key, _, tag in rows if key in top)
-    return replace(res, max_index=first)
+    return replace(res, max_index=cb_witness(seq.turns, n, m, top))
 
 
 def run_montecarlo(

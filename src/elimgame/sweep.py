@@ -13,9 +13,9 @@ every worker count and chunk size.
 This module only builds those tables. :func:`exhaustive_table` and
 :func:`montecarlo_table` return them as ascending ``(key, count, tag)``
 rows of Python ints, and :mod:`elimgame.experiments` reads the statistics
-and the witness off them. An exhaustive table covers the pinned space; a CB
-study asks for one only to scan for its witness in order, when the
-trajectory search has spent its allowance.
+and the witness off them. An exhaustive table covers the pinned space; only
+AB studies ask for one, because a CB study reads its counts and witness off
+trajectory pairs.
 
 The batch play kernels live here, beside the chunks that call them; the
 scalar engine in :mod:`elimgame.play` is their test oracle. Monte-Carlo
@@ -332,17 +332,15 @@ def _in_order(pool, fn, args, depth: int):
         yield pending.popleft().result()
 
 
-def _run_chunks(fn, static, total: int, chunk: int, workers: int, until=None):
+def _run_chunks(fn, static, total: int, chunk: int, workers: int):
     """Fold the tables ``fn`` returns for the chunks of ``range(total)`` in
-    chunk order, stopping after the first fold that holds one of the keys
-    ``until``, an int64 array.
+    chunk order.
 
     This is the one place chunk ranges are built: chunk ``k`` is called with
     ``(*static, start, count)`` for ``start = k * chunk`` and ``count`` up to
     ``chunk``. The arguments are built lazily; the pool has at most one
     process per usable CPU and keeps at most two chunks per process in
-    flight, so memory does not grow with the chunk count. A fold that stops
-    early leaves the pool's ``with`` block to wait out the chunks in flight.
+    flight, so memory does not grow with the chunk count.
     """
     args = ((*static, start, min(chunk, total - start)) for start in range(0, total, chunk))
     workers = min(workers, -(-total // chunk), _usable_cpus())
@@ -351,8 +349,6 @@ def _run_chunks(fn, static, total: int, chunk: int, workers: int, until=None):
         folded = None
         for table in tables:
             folded = table if folded is None else _fold((folded, table))
-            if until is not None and np.isin(until, folded[0]).any():
-                break
         return folded
 
     if workers < 2:  # a serial study never imports the process pool
@@ -369,22 +365,15 @@ def _rows(table) -> list[tuple[int, int, int]]:
 
 
 def exhaustive_table(seq: EliminationSequence, n: int, m: int, mode: RatioMode,
-                     workers: int = 1, until=None) -> list[tuple[int, int, int]]:
+                     workers: int = 1) -> list[tuple[int, int, int]]:
     """The pinned space's table, as ascending ``(key, count, tag)`` rows,
-    each tag a profile's pinned enumeration index.
-
-    ``until``, a collection of keys, stops the in-order scan after the
-    first folded prefix of chunks that holds one of them: chunks cover
-    increasing index ranges, so the prefix's tags of those keys are final
-    while its counts are partial. The caller refuses the spaces too large
-    to sweep.
+    each tag a profile's pinned enumeration index. The caller refuses the
+    spaces too large to sweep.
     """
     batch = min(factorial(m), max(1, MC_CHUNK // n))
     static = (seq.turns, seq.reverse().turns, n, m, mode, batch)
-    if until is not None:
-        until = np.array(sorted(until), dtype=np.int64)
     return _rows(_run_chunks(_exhaustive_chunk, static, enumeration_size(n, m),
-                             EXHAUSTIVE_OUTER_CHUNK * batch, workers, until))
+                             EXHAUSTIVE_OUTER_CHUNK * batch, workers))
 
 
 def montecarlo_table(seq: EliminationSequence, n: int, m: int, mode: RatioMode,

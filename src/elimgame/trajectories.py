@@ -52,16 +52,10 @@ def cb_pair_table(turns: tuple[int, ...], n: int, m: int) -> dict[int, int]:
     return dict(table)
 
 
-class _Spent(Exception):
-    """The witness search used up its allowance."""
-
-
-def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
-               allowance: int | None = None) -> int | None:
+def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int]) -> int | None:
     """The lowest pinned enumeration index of a profile whose key
     ``den * base + num`` (as in :func:`cb_pair_table`) is one of ``top``;
-    ``None`` if no profile holds one, or once the search has taken more
-    than ``allowance`` steps.
+    ``None`` if no profile holds one.
 
     The profiles with one forward order map one to one onto the pinned
     space by renaming each candidate to its slot in voter 1's ranking, and
@@ -76,8 +70,7 @@ def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
     the unplaced candidates, and the later voters the sums of their whole
     polynomials' keys. The lowest index found so far cuts any branch that
     cannot go under it, voter 1's as soon as voter 2's top candidate can no
-    longer take a low enough slot, and index 0 ends the search. Every leaf
-    and every node of either fill is one step.
+    longer take a low enough slot, and index 0 ends the search.
     """
     base = n * (m - 1) + 1
     full = (1 << m) - 1
@@ -86,14 +79,7 @@ def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
     scale = [fact[m] ** (n - 1 - v) for v in range(n)]
     targets = sorted(set(top))
     best = fact[m] ** (n - 1)
-    steps = 0
     cache: dict[tuple, dict[int, int]] = {}
-
-    def tick() -> None:
-        nonlocal steps
-        steps += 1
-        if allowance is not None and steps > allowance:
-            raise _Spent
 
     def search(relations, w_r) -> None:
         # keys[v][rest]: the keys voter v's unplaced candidates ``rest`` can
@@ -124,7 +110,6 @@ def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
 
         def lead(rest: int, key: int) -> None:
             # voter 1's ranking, top-down
-            tick()
             placed = len(order)
             if n > 1 and min(order.index(c) if c in order else placed
                              for c in heads) * fact[m - 1] * scale[1] >= best:
@@ -148,7 +133,6 @@ def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
             # voter v's ranking, top-down in voter 1's slot order; True once
             # a complete profile has set best
             nonlocal best
-            tick()
             if v == n:
                 best = index
                 return True
@@ -172,14 +156,10 @@ def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
 
         lead(full, 0)
 
-    try:
-        for relations, w_r in _leaves(turns, n, m):
-            tick()
-            search(relations, w_r)
-            if best == 0:
-                break
-    except _Spent:
-        return None
+    for relations, w_r in _leaves(turns, n, m):
+        search(relations, w_r)
+        if best == 0:
+            break
     return best if best < fact[m] ** (n - 1) else None
 
 

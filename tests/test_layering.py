@@ -126,6 +126,16 @@ def test_cb_exhaustive_studies_load_no_numpy():
     assert modules_left_loaded(runs, heavy) == []
 
 
+def test_long_cb_witness_searches_load_no_numpy():
+    # two of the longest witness searches at their sizes, with a pool
+    # allowed: the search runs to the end alone and no chunk runs
+    runs = [["exhaustive", "--n", "2", "--m", "9", "--sequence", "1,1,1,1,2,2,2,2"],
+            ["exhaustive", "--n", "3", "--m", "7", "--sequence", "3,3,3,3,3,2"]]
+    runs = [[*argv, "--mode", "cb", "--workers", "2"] for argv in runs]
+    heavy = {"numpy", "concurrent.futures.process", "elimgame.cultures", "elimgame.sweep"}
+    assert modules_left_loaded(runs, heavy) == []
+
+
 def test_chunked_studies_still_run():
     # AB exhaustive and Monte-Carlo studies load the numpy chunk engine
     game = ["--n", "3", "--m", "5", "--sequence", "1,2,3,1"]

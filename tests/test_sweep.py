@@ -160,10 +160,10 @@ class TestExhaustiveExactness:
         w = profile_at_index(2, 5, res.max_index)
         assert ratio_cb(w, s) == res.max_ratio
 
-    def test_pairs_the_cb_scan_never_reached_lose_ties(self, monkeypatch):
+    def test_a_maximum_key_no_profile_holds_cannot_take_the_witness(self, monkeypatch):
         # the maximum 2 = 8/4 first shows at index 201; a 6/3 key that no
-        # chunk holds, added to the counted table, is tagged past every index
-        # and must not take the witness from it
+        # profile holds, added to the counted table, is a key of the maximum
+        # ratio with no index and must not take the witness from it
         s = seq(1, 1, 2)
         res = run_exhaustive(s, 3, 4, RatioMode.CB)
         assert (res.max_ratio, res.max_index) == (2, 201)
@@ -336,68 +336,36 @@ class TestPool:
         assert [(p.max_workers, p.peak) for p in pools] == [(2, 2)]
 
     @pytest.mark.parametrize(
-        "s,n,m,fix_first,batch",
-        [
-            # 24 chunks; the maximum is in chunk 4, the minimum in chunk 18
-            (seq(3, 2, 2), 3, 4, True, 24),
-            # 3 chunks; the maximum is in chunk 1, the minimum in the last
-            (seq(2, 1, 1, 2, 2), 2, 6, True, 240),
-            # the full space scans its pinned prefix: 3 chunks, stops at 12
-            (seq(2, 2, 1), 2, 4, False, 5),
-            # 10 chunks; the maximum (index 62) is in chunk 5, the minimum
-            # (index 84) in chunk 7
-            (seq(1, 1, 2, 2), 2, 5, True, 12),
-        ],
-    )
-    def test_cb_scan_stops_at_its_witnesses(self, monkeypatch, pools, s, n, m, fix_first, batch):
-        # CB counts come from the trajectory table; with no allowance for the
-        # witness search, the chunks find the maximum's first index, so the
-        # serial scan runs up to the chunk of the witness and no further,
-        # wherever the minimum first shows
-        want = naive_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first)
-        monkeypatch.setattr("elimgame.experiments.WITNESS_STEPS_PER_BATCH", 0)
-        monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 1)
-        monkeypatch.setattr("elimgame.sweep.MC_CHUNK", batch * n)
-        starts = []
-        chunk = sweep._exhaustive_chunk
-        monkeypatch.setattr("elimgame.sweep._exhaustive_chunk",
-                            lambda args: starts.append(args[-2]) or chunk(args))
-        serial = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first)
-        assert_matches(serial, want)
-        last = want["max_index"] // batch
-        assert starts == [k * batch for k in range(last + 1)]
-        pooled = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first, workers=2)
-        assert_same_result(serial, pooled)
-        assert [p.max_workers for p in pools] == [2]
-
-    @pytest.mark.parametrize(
         "s,n,m,fix_first,index",
         [
-            # E1: the scan would stop in the 21st of 79 chunks
+            # E1: the witness lies 26% of the way into the pinned space
             (seq(1, 2, 3, 1, 2, 3), 3, 7, True, 6_622_774),
             (seq(1, 2, 3, 1, 2, 3), 3, 7, False, 6_622_774),
-            # the scan would stop in the 214th of 225 chunks
+            # 95% of the way in
             (seq(2, 1, 2, 3), 4, 5, True, 1_642_201),
+            # small spaces, every field checked against the enumeration,
+            # one of them over the full space
+            (seq(3, 2, 2), 3, 4, True, None),
+            (seq(2, 1, 1, 2, 2), 2, 6, True, None),
+            (seq(2, 2, 1), 2, 4, False, None),
+            (seq(1, 1, 2, 2), 2, 5, True, None),
+            (seq(1, 2, 1, 2), 2, 5, True, None),
         ],
     )
     def test_cb_search_settles_without_chunks(self, monkeypatch, pools, s, n, m, fix_first, index):
-        # the witness search finds the maximum's first index within its
-        # allowance, so no chunk runs and no pool starts
+        # the counts come from the trajectory table and the maximum's first
+        # index from the trajectory search, so no chunk runs and no pool
+        # starts; ``index`` None compares every field with the enumeration
         def no_chunk(args):
             raise AssertionError("a chunk ran")
 
         monkeypatch.setattr("elimgame.sweep._exhaustive_chunk", no_chunk)
         res = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first, budget=10**12, workers=2)
-        assert res.max_index == index and pools == []
-
-
-    @pytest.mark.parametrize("s,n,m", [(seq(1, 2, 3, 1, 2, 3), 3, 7), (seq(1, 2, 1, 2), 2, 5)])
-    def test_cb_scan_equals_search(self, monkeypatch, s, n, m):
-        # with no allowance the in-order scan finds the witness; both routes
-        # are exact, so every field agrees
-        searched = run_exhaustive(s, n, m, RatioMode.CB)
-        monkeypatch.setattr("elimgame.experiments.WITNESS_STEPS_PER_BATCH", 0)
-        assert_same_result(run_exhaustive(s, n, m, RatioMode.CB), searched)
+        if index is None:
+            assert_matches(res, naive_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first))
+        else:
+            assert res.max_index == index
+        assert pools == []
 
     @pytest.mark.parametrize(
         "n,m,voter",

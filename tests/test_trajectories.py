@@ -52,15 +52,13 @@ def test_witness_is_the_lowest_tag_of_the_maximum(n, m, turns):
     assert cb_witness(turns, n, m, top) == min(tags[key] for key in top)
 
 
-def test_e1_witness_within_one_step_per_batch():
+def test_e1_witness_index():
     # E1, (3, 7) 1,2,3,1,2,3: the maximum 2 = 14/7 first shows at index
-    # 6,622,774, in the 21st of 79 scan chunks; the search settles it
-    # within one step per batch of 5,040 profiles
+    # 6,622,774, 26% of the way into the pinned space
     turns, base = seq_from("123123").turns, 19
     top = [key for key in cb_pair_table(turns, 3, 7) if key % base == 2 * (key // base)]
     assert top == [7 * base + 14]
-    assert cb_witness(turns, 3, 7, top) == cb_witness(turns, 3, 7, top, 5040) == 6_622_774
-    assert cb_witness(turns, 3, 7, top, 0) is None
+    assert cb_witness(turns, 3, 7, top) == 6_622_774
 
 
 @pytest.mark.parametrize("n,m,turns", [(5, 7, (0, 1, 2, 3, 4, 0)), (20, 4, (0, 10, 19))])
