@@ -21,12 +21,15 @@ each forward order holds the same table: (m!)**(n-1) profiles, the same
 population as the enumeration's pinned space (voter 1 in identity order).
 Renaming each candidate to its slot in voter 1's ranking maps the one
 population onto the other, which lets :func:`cb_witness` find the first
-pinned index of a pair from the same trajectory pairs.
+pinned index of a pair from the same trajectory pairs. Both walk the same
+leaves and read one fill per voter relation, made once per game: its
+polynomial is the table's factor, and its key sets steer the search.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from math import factorial
 
 
@@ -37,16 +40,11 @@ def cb_pair_table(turns: tuple[int, ...], n: int, m: int) -> dict[int, int]:
     winner on the reversed turns: the sum, over :func:`_leaves`, of the
     product of the voters' polynomials.
     """
-    base = n * (m - 1) + 1
     table: dict[int, int] = defaultdict(int)
-    polys: dict[tuple, dict[int, int]] = {}
-    for relations, w_r in _leaves(turns, n, m):
+    for fills, _ in _leaves(turns, n, m):
         product = {0: 1}
-        for below in relations:
-            key = (*below, w_r)
-            if key not in polys:
-                polys[key] = _voter_poly(below, m, w_r, base)
-            product = _multiply(product, polys[key])
+        for poly, _ in fills:
+            product = _multiply(product, poly)
         for key, count in product.items():
             table[key] += count
     return dict(table)
@@ -79,17 +77,11 @@ def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int]) -> int | 
     scale = [fact[m] ** (n - 1 - v) for v in range(n)]
     targets = sorted(set(top))
     best = fact[m] ** (n - 1)
-    cache: dict[tuple, dict[int, int]] = {}
 
-    def search(relations, w_r) -> None:
+    def search(fills, w_r) -> None:
         # keys[v][rest]: the keys voter v's unplaced candidates ``rest`` can
         # add, as a bitset, for every set they can be
-        keys = []
-        for below in relations:
-            relation = (*below, w_r)
-            if relation not in cache:
-                cache[relation] = _voter_keys(below, m, w_r, base)
-            keys.append(cache[relation])
+        keys = [sets for _, sets in fills]
         # after[v]: the keys voters v+1..n-1 can add
         after = [1] * n
         for v in range(n - 1, 0, -1):
@@ -156,18 +148,19 @@ def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int]) -> int | 
 
         lead(full, 0)
 
-    for relations, w_r in _leaves(turns, n, m):
-        search(relations, w_r)
+    for fills, w_r in _leaves(turns, n, m):
+        search(fills, w_r)
         if best == 0:
             break
     return best if best < fact[m] ** (n - 1) else None
 
 
 def _leaves(turns: tuple[int, ...], n: int, m: int):
-    """Yield ``(relations, w_r)`` at each leaf of the search over the
-    reverse orders whose forward order is ``0, 1, ..., m-2``: every voter's
-    relation and the strategic winner. The relations change after the
-    consumer resumes the generator.
+    """Yield ``(fills, w_r)`` at each leaf of the search over the reverse
+    orders whose forward order is ``0, 1, ..., m-2``: every voter's
+    :func:`_voter_fill` of its relation, and the strategic winner. Each
+    distinct (relation, ``w_r``) is filled once per game, and every walk
+    over the game's leaves, the table's and the witness's, reads that fill.
 
     Each voter keeps one relation: ``below[c]`` is the mask of the
     candidates it must rank directly below ``c``. The forward turns seed the
@@ -185,7 +178,8 @@ def _leaves(turns: tuple[int, ...], n: int, m: int):
     branch reaches a leaf, and at a leaf the profiles behind the pair of
     orders are those where each voter's ranking extends its relation.
     """
-    full = (1 << m) - 1
+    full, base = (1 << m) - 1, n * (m - 1) + 1
+    known = _game_fills(turns, n, m)
     relations = [[0] * m for _ in range(n)]
     for t, voter in enumerate(turns):
         _place_below(relations[voter], t, full >> (t + 1) << (t + 1))
@@ -193,7 +187,14 @@ def _leaves(turns: tuple[int, ...], n: int, m: int):
 
     def search(depth: int, alive: int):
         if depth == m - 1:
-            yield relations, alive.bit_length() - 1
+            w_r = alive.bit_length() - 1
+            fills = []
+            for below in relations:
+                relation = (*below, w_r)
+                if relation not in known:
+                    known[relation] = _voter_fill(below, m, w_r, base)
+                fills.append(known[relation])
+            yield fills, w_r
             return
         voter = rev[depth]
         below = relations[voter]
@@ -204,6 +205,15 @@ def _leaves(turns: tuple[int, ...], n: int, m: int):
         relations[voter] = below
 
     return search(0, full)
+
+
+@lru_cache(maxsize=1)
+def _game_fills(turns: tuple[int, ...], n: int, m: int) -> dict[tuple, tuple]:
+    """One game's fills, keyed ``(*below, w_r)``: empty until :func:`_leaves`
+    adds each relation it meets. ``base`` follows from ``n`` and ``m``, so
+    the key holds all a fill depends on, and the next game's walk drops
+    this game's fills."""
+    return {}
 
 
 def _place_below(below: list[int], x: int, others: int) -> list[int]:
@@ -224,53 +234,34 @@ def _weights(m: int, w_r: int, base: int) -> list[int]:
     return weights
 
 
-def _voter_poly(below: list[int], m: int, w_r: int, base: int) -> dict[int, int]:
-    """``{points(w_r) * base + points(m-1): rankings}`` over one voter's
-    rankings that extend ``below``.
+def _voter_fill(below: list[int], m: int, w_r: int,
+                base: int) -> tuple[dict[int, int], dict[int, int]]:
+    """``({points(w_r) * base + points(m-1): rankings}, {placed: keys})``
+    over one voter's rankings that extend ``below``: the polynomial of its
+    whole ranking, and for every set its ranking's bottom can hold, the keys
+    of that set's polynomial as a bitset.
 
     The ranking is filled from the bottom, so a candidate placed onto ``k``
     others scores ``k`` points, and a candidate may be placed once all it
     must lie above is placed. The state is the placed set with the points
-    scored so far by the two winners, one polynomial per set.
+    scored so far by the two winners, one polynomial per set; one shift
+    places a candidate under every key of a set's bitset at once.
     """
     weights = _weights(m, w_r, base)
-    layer = {0: {0: 1}}
+    keys, layer = {0: 1}, {0: {0: 1}}
     for size in range(m):
         nxt: dict[int, dict[int, int]] = {}
         for placed, poly in layer.items():
             for c in range(m):
                 if placed >> c & 1 or below[c] & ~placed:
                     continue
-                step = size * weights[c]
-                into = nxt.setdefault(placed | 1 << c, {})
+                grown, step = placed | 1 << c, size * weights[c]
+                keys[grown] = keys.get(grown, 0) | keys[placed] << step
+                into = nxt.setdefault(grown, {})
                 for key, count in poly.items():
                     into[key + step] = into.get(key + step, 0) + count
         layer = nxt
-    return layer[(1 << m) - 1]
-
-
-def _voter_keys(below: list[int], m: int, w_r: int, base: int) -> dict[int, int]:
-    """``{placed: keys}`` over the sets a ranking's bottom can hold: the
-    keys of :func:`_voter_poly`'s polynomial on each set, as a bitset.
-
-    This is that function's fill without the counts, so one shift places a
-    candidate under every key at once.
-    """
-    weights = _weights(m, w_r, base)
-    keys, layer = {0: 1}, [0]
-    for size in range(m):
-        nxt = []
-        for placed in layer:
-            for c in range(m):
-                if placed >> c & 1 or below[c] & ~placed:
-                    continue
-                grown = placed | 1 << c
-                if grown not in keys:
-                    keys[grown] = 0
-                    nxt.append(grown)
-                keys[grown] |= keys[placed] << size * weights[c]
-        layer = nxt
-    return keys
+    return layer[(1 << m) - 1], keys
 
 
 def _sumset(a: int, b: int) -> int:

@@ -1,13 +1,14 @@
 """The CB pair table counted from trajectory pairs, against enumeration."""
 
+import functools
 import itertools
 from fractions import Fraction
 from math import factorial, sqrt
 
 import pytest
 
-from elimgame import CultureSpec, RatioMode, sweep
-from elimgame.experiments import run_montecarlo
+from elimgame import CultureSpec, EliminationSequence, RatioMode, sweep, trajectories
+from elimgame.experiments import run_exhaustive, run_montecarlo
 from elimgame.trajectories import cb_pair_table, cb_witness
 from helpers import seq_from
 
@@ -23,14 +24,23 @@ CASES = [
 ]
 
 
+@functools.cache
 def enumerated_table(turns, n, m):
     """``{den * base + num: count}`` and ``{den * base + num: first index}``
     from one in-order exhaustive chunk over the whole pinned space, no scan
-    stopped early."""
+    stopped early; enumerated once per case for all the tests here."""
     batch = factorial(m)
     args = (turns, turns[::-1], n, m, RatioMode.CB, batch, 0, batch ** (n - 1))
     keys, counts, tags = sweep._exhaustive_chunk(args)
     return dict(zip(keys.tolist(), counts.tolist())), dict(zip(keys.tolist(), tags.tolist()))
+
+
+def maximum_keys(table, base):
+    """The keys of the maximum ratio: equal ratios under different keys
+    (2/4, 3/6) all count as the maximum."""
+    ratios = {key: Fraction(key % base, key // base) for key in table}
+    best = max(ratios.values())
+    return [key for key in table if ratios[key] == best]
 
 
 CASE_IDS = ["{}x{}-{}".format(n, m, "".join(str(t + 1) for t in turns)) for n, m, turns in CASES]
@@ -43,13 +53,53 @@ def test_table_equals_enumeration(n, m, turns):
 
 @pytest.mark.parametrize("n,m,turns", CASES, ids=CASE_IDS)
 def test_witness_is_the_lowest_tag_of_the_maximum(n, m, turns):
-    # equal ratios under different keys (2/4, 3/6) all count as the maximum
     table, tags = enumerated_table(turns, n, m)
-    base = n * (m - 1) + 1
-    ratios = {key: Fraction(key % base, key // base) for key in table}
-    best = max(ratios.values())
-    top = [key for key in table if ratios[key] == best]
+    top = maximum_keys(table, n * (m - 1) + 1)
     assert cb_witness(turns, n, m, top) == min(tags[key] for key in top)
+
+
+def test_one_fill_per_relation_serves_table_and_witness(monkeypatch):
+    # E1: the table walks every leaf, and the witness walks them all again
+    # before it settles at index 6,622,774; both must read the fills the
+    # table's walk made, each distinct (relation, w_r) filled once
+    turns, n, m = seq_from("123123").turns, 3, 7
+    made = []
+
+    def counted(below, m, w_r, base):
+        fill = fill_once(below, m, w_r, base)
+        made.append(((*below, w_r), fill))
+        return fill
+
+    walks = []
+
+    def recorded(turns, n, m):
+        read = set()
+        walks.append(read)
+        for fills, w_r in leaves(turns, n, m):
+            read.update(map(id, fills))
+            yield fills, w_r
+
+    fill_once, leaves = trajectories._voter_fill, trajectories._leaves
+    monkeypatch.setattr(trajectories, "_voter_fill", counted)
+    monkeypatch.setattr(trajectories, "_leaves", recorded)
+    trajectories._game_fills.cache_clear()
+    res = run_exhaustive(EliminationSequence(turns), n, m, RatioMode.CB)
+    assert res.max_index == 6_622_774
+    relations = [relation for relation, _ in made]
+    assert len(relations) == len(set(relations))
+    assert walks == [{id(fill) for _, fill in made}] * 2
+
+
+def test_interleaved_games_keep_their_own_fills():
+    # (2, 5) and (3, 5) share their turns but not base = n(m-1) + 1, so a
+    # fill kept for one must not serve the other
+    a, b = ((0, 1, 0, 1), 2, 5), ((0, 1, 0, 1), 3, 5)
+    trajectories._game_fills.cache_clear()
+    assert cb_pair_table(*a) == enumerated_table(*a)[0]
+    for turns, n, m in (b, a):
+        table, tags = enumerated_table(turns, n, m)
+        top = maximum_keys(table, n * (m - 1) + 1)
+        assert cb_witness(turns, n, m, top) == min(tags[key] for key in top)
 
 
 def test_e1_witness_index():
