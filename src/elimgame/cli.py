@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .core import EliminationSequence, format_profile, parse_profile
+from .core import EliminationSequence, format_profile, parse_profile, parse_voters
 from .errors import BudgetExceeded, ElimGameError, OutOfDomain, ParseError, Unsatisfiable
 from .extremal import ExtremalMode, generate, verify_tight
 from .play import (
@@ -138,14 +138,8 @@ def _read_profile(path: str):
 
 
 def _parse_voter_set(text: str) -> BehaviorAssignment:
-    if not text.strip():
-        return BehaviorAssignment(frozenset())
-    voters = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part.isdigit() or int(part) < 1:
-            raise ParseError(f"bad voter index {part!r} in sincere set")
-        voters.append(int(part) - 1)
+    # empty text is the empty set; anything else is a voter list
+    voters = parse_voters(text, "sincere set") if text.strip() else ()
     return BehaviorAssignment(frozenset(voters))
 
 

@@ -165,10 +165,6 @@ class OccurrenceTable:
     def o_max(self) -> int:
         return max(self.counts) if self.counts else 0
 
-    def argmax(self) -> int:
-        """Lowest-index voter with the most turns."""
-        return self.counts.index(self.o_max)
-
 
 @dataclass(frozen=True)
 class EliminationSequence:
@@ -215,15 +211,7 @@ class EliminationSequence:
     @classmethod
     def parse(cls, text: str) -> "EliminationSequence":
         """Parse comma-separated 1-based voter indices, e.g. ``"1,2,3,1"``."""
-        parts = [p.strip() for p in text.split(",")]
-        turns = []
-        for p in parts:
-            if not p.isdigit() or int(p) < 1:
-                raise ParseError(f"bad voter index {p!r} in sequence {text!r}")
-            turns.append(int(p) - 1)
-        if not turns:
-            raise ParseError("empty elimination sequence")
-        return cls(tuple(turns))
+        return cls(parse_voters(text, "sequence"))
 
     def to_text(self) -> str:
         return ",".join(str(t + 1) for t in self.turns)
@@ -233,6 +221,21 @@ class EliminationSequence:
         if all(t < 9 for t in self.turns):
             return "".join(str(t + 1) for t in self.turns)
         return self.to_text()
+
+
+def parse_voters(text: str, what: str) -> tuple[int, ...]:
+    """0-based voter ids from comma-separated 1-based indices; any other
+    text, empty text included, is a :class:`ParseError` naming ``what``."""
+    voters = []
+    for p in map(str.strip, text.split(",")):
+        try:  # isdecimal, not isdigit: int() refuses "²", and too many digits
+            index = int(p) if p.isdecimal() else 0
+        except ValueError:
+            index = 0
+        if index < 1:
+            raise ParseError(f"bad voter index {p!r} in {what} {text!r}")
+        voters.append(index - 1)
+    return tuple(voters)
 
 
 def parse_profile(text: str) -> PreferenceProfile:

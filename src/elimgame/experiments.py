@@ -9,9 +9,9 @@ on the worker count.
 A sweep's whole result is one exact table of ascending ``(key, count, tag)``
 rows, a key per distinct Borda-score pair ``den * base + num`` with
 ``base = n(m-1) + 1``, and :func:`_finish` reads every statistic off it in
-Python ints and Fractions. A CB exhaustive study takes its counts from
-:func:`~elimgame.trajectories.cb_pair_table` and the maximum's first index
-from :func:`~elimgame.trajectories.cb_witness`, so it never runs a chunk.
+Python ints and Fractions. A CB exhaustive study takes its counts and the
+maximum's first index from one :func:`~elimgame.trajectories.cb_study`
+call, so it never runs a chunk.
 The numpy chunk engine in :mod:`elimgame.sweep` is imported only by the
 studies that run chunks: AB exhaustive and Monte-Carlo ones.
 """
@@ -38,7 +38,7 @@ from .core import (
 # imported under the name benchmark/inproc.py wraps for its witness span
 from .core import profile_at_index as exhaustive_witness
 from .errors import BudgetExceeded, ZeroWelfare
-from .trajectories import cb_pair_table, cb_witness
+from .trajectories import cb_study
 from .welfare import RatioMode, poa_for_sequence, ratio_json, sr_bound_for_sequence
 
 if TYPE_CHECKING:
@@ -127,9 +127,9 @@ def run_exhaustive(
     each relabelling orbit holds m! profiles with one (num, den) pair and
     exactly one of them pinned, and the pinned profiles are the full
     order's first ``(m!)**(n-1)``, in the same order, so every first index
-    and the witness stay the same. In CB mode the counts come from the
-    trajectory table and the maximum's first index from the trajectory
-    search, and no chunk runs. The refusals read the population's size in
+    and the witness stay the same. In CB mode the counts and the maximum's
+    first index come from the trajectory study, and no chunk runs. The
+    refusals read the population's size in
     CB mode too: neither the table nor the search has a bound of its own
     yet, and those refusals keep both within reach.
     """
@@ -157,19 +157,11 @@ def run_exhaustive(
         from . import sweep
         rows = sweep.exhaustive_table(seq, n, m, mode, workers)
         return _finish([(key, count * scale, tag) for key, count, tag in rows], base)
-    # CB: the counts come from the trajectory table, and the result is read
-    # off it with placeholder tags.
-    table = sorted(cb_pair_table(seq.turns, n, m).items())
-    res = _finish([(key, count * scale, key) for key, count in table], base)
-    if res.max_ratio == 1:
-        # pinned profile 0, every voter in identity order, eliminates from
-        # the bottom in both games and crowns candidate 0 twice
-        return replace(res, max_index=0)
-    # the maximum's first index: the lowest pinned index over the keys of
-    # the maximum ratio
-    top = [key for key, _ in table
-           if key % base * res.max_ratio.denominator == key // base * res.max_ratio.numerator]
-    return replace(res, max_index=cb_witness(seq.turns, n, m, top))
+    # CB: the trajectory study gives the counts and the maximum's first
+    # index, and the result is read off the counts with placeholder tags
+    table, index = cb_study(seq.turns, n, m)
+    res = _finish([(key, count * scale, key) for key, count in sorted(table.items())], base)
+    return replace(res, max_index=index)
 
 
 def run_montecarlo(

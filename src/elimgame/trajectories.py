@@ -20,40 +20,54 @@ profiles with one forward order one to one onto those with another, so
 each forward order holds the same table: (m!)**(n-1) profiles, the same
 population as the enumeration's pinned space (voter 1 in identity order).
 Renaming each candidate to its slot in voter 1's ranking maps the one
-population onto the other, which lets :func:`cb_witness` find the first
-pinned index of a pair from the same trajectory pairs. Both walk the same
-leaves and read one fill per voter relation, made once per game: its
-polynomial is the table's factor, and its key sets steer the search.
+population onto the other, which lets a search over the same leaves find
+the first pinned index of a pair. :func:`cb_study` runs both walks on one
+fill per voter relation, made within the call: its polynomial is the
+table's factor, and its key sets steer the search.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
+from fractions import Fraction
 from math import factorial
 
 
-def cb_pair_table(turns: tuple[int, ...], n: int, m: int) -> dict[int, int]:
-    """``{den * base + num: count}`` over the profiles whose sincere order
-    on ``turns`` is ``0, 1, ..., m-2``, with ``base = n(m-1) + 1``, ``num``
-    the Borda score of the sincere winner and ``den`` that of the sincere
-    winner on the reversed turns: the sum, over :func:`_leaves`, of the
-    product of the voters' polynomials.
+def cb_study(turns: tuple[int, ...], n: int, m: int) -> tuple[dict[int, int], int]:
+    """``(table, index)``: ``{den * base + num: count}`` over the profiles
+    whose sincere order on ``turns`` is ``0, 1, ..., m-2``, with ``base =
+    n(m-1) + 1``, ``num`` the Borda score of the sincere winner and ``den``
+    that of the sincere winner on the reversed turns, the sum over
+    :func:`_leaves` of the product of the voters' polynomials; and the
+    lowest pinned index of the maximum ratio, from :func:`_witness`. Pinned
+    profile 0, every voter in identity order, eliminates from the bottom in
+    both games and crowns candidate 0 twice, so when no ratio exceeds 1 the
+    index is 0 and no search runs.
     """
+    known: dict[tuple, tuple] = {}
     table: dict[int, int] = defaultdict(int)
-    for fills, _ in _leaves(turns, n, m):
+    for fills, _ in _leaves(turns, n, m, known):
         product = {0: 1}
         for poly, _ in fills:
             product = _multiply(product, poly)
         for key, count in product.items():
             table[key] += count
-    return dict(table)
+    base = n * (m - 1) + 1
+    # the ratios above 1: den >= 1 there, as the last voter of the reversed
+    # turns ranks its winner above a candidate
+    above = {key: Fraction(key % base, key // base) for key in table if key % base > key // base}
+    if not above:
+        return dict(table), 0
+    best = max(above.values())
+    top = [key for key, ratio in above.items() if ratio == best]
+    return dict(table), _witness(turns, n, m, top, known)
 
 
-def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int]) -> int | None:
+def _witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
+             known: dict[tuple, tuple]) -> int:
     """The lowest pinned enumeration index of a profile whose key
-    ``den * base + num`` (as in :func:`cb_pair_table`) is one of ``top``;
-    ``None`` if no profile holds one.
+    ``den * base + num`` (as in :func:`cb_study`) is one of ``top``, each
+    of which some profile holds.
 
     The profiles with one forward order map one to one onto the pinned
     space by renaming each candidate to its slot in voter 1's ranking, and
@@ -66,9 +80,10 @@ def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int]) -> int | 
     lowest index. Every placement must keep a key of ``top`` reachable:
     the rest of the voter's ranking can add the keys of its polynomial on
     the unplaced candidates, and the later voters the sums of their whole
-    polynomials' keys. The lowest index found so far cuts any branch that
-    cannot go under it, voter 1's as soon as voter 2's top candidate can no
-    longer take a low enough slot, and index 0 ends the search.
+    polynomials' keys. The lowest index found so far, at first the size of
+    the pinned space, cuts any branch that cannot go under it, voter 1's as
+    soon as voter 2's top candidate can no longer take a low enough slot,
+    and index 0 ends the search.
     """
     base = n * (m - 1) + 1
     full = (1 << m) - 1
@@ -148,19 +163,20 @@ def cb_witness(turns: tuple[int, ...], n: int, m: int, top: list[int]) -> int | 
 
         lead(full, 0)
 
-    for fills, w_r in _leaves(turns, n, m):
+    for fills, w_r in _leaves(turns, n, m, known):
         search(fills, w_r)
         if best == 0:
             break
-    return best if best < fact[m] ** (n - 1) else None
+    return best
 
 
-def _leaves(turns: tuple[int, ...], n: int, m: int):
+def _leaves(turns: tuple[int, ...], n: int, m: int, known: dict[tuple, tuple]):
     """Yield ``(fills, w_r)`` at each leaf of the search over the reverse
     orders whose forward order is ``0, 1, ..., m-2``: every voter's
-    :func:`_voter_fill` of its relation, and the strategic winner. Each
-    distinct (relation, ``w_r``) is filled once per game, and every walk
-    over the game's leaves, the table's and the witness's, reads that fill.
+    :func:`_voter_fill` of its relation, and the strategic winner. ``known``
+    holds the fills keyed ``(*below, w_r)``; a relation missing from it is
+    filled and added, so walks that share ``known`` fill each distinct
+    (relation, ``w_r``) once.
 
     Each voter keeps one relation: ``below[c]`` is the mask of the
     candidates it must rank directly below ``c``. The forward turns seed the
@@ -179,7 +195,6 @@ def _leaves(turns: tuple[int, ...], n: int, m: int):
     orders are those where each voter's ranking extends its relation.
     """
     full, base = (1 << m) - 1, n * (m - 1) + 1
-    known = _game_fills(turns, n, m)
     relations = [[0] * m for _ in range(n)]
     for t, voter in enumerate(turns):
         _place_below(relations[voter], t, full >> (t + 1) << (t + 1))
@@ -205,15 +220,6 @@ def _leaves(turns: tuple[int, ...], n: int, m: int):
         relations[voter] = below
 
     return search(0, full)
-
-
-@lru_cache(maxsize=1)
-def _game_fills(turns: tuple[int, ...], n: int, m: int) -> dict[tuple, tuple]:
-    """One game's fills, keyed ``(*below, w_r)``: empty until :func:`_leaves`
-    adds each relation it meets. ``base`` follows from ``n`` and ``m``, so
-    the key holds all a fill depends on, and the next game's walk drops
-    this game's fills."""
-    return {}
 
 
 def _place_below(below: list[int], x: int, others: int) -> list[int]:

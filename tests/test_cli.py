@@ -135,6 +135,28 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_digits_int_refuses_are_2(self, tmp_path, capsys):
+        # "²" is a digit but no decimal one: both lists are refused with one
+        # line, not a traceback
+        path = write(tmp_path, EXAMPLE2)
+        runs = [["bounds", "--n", "2", "--m", "3", "--sequence", "²,1"],
+                ["solve", "--profile", path, "--sequence", "1,2,3",
+                 "--behavior", "mixed", "--sincere-set", "²"]]
+        for argv in runs:
+            code, out, err = run_main(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and "'²'" in err
+
+    def test_fullwidth_digits_are_voters(self, tmp_path, capsys):
+        path = write(tmp_path, EXAMPLE2)
+        code, out, _ = run_main(capsys, "solve", "--profile", path, "--sequence", "１,2,3",
+                                "--behavior", "mixed", "--sincere-set", "１")
+        assert code == 0
+        code, plain, _ = run_main(capsys, "solve", "--profile", path, "--sequence", "1,2,3",
+                                  "--behavior", "mixed", "--sincere-set", "1")
+        assert out == plain
+
     def test_oracle_tree_guard_is_3(self, tmp_path, capsys):
         m = 11
         row = " ".join(f"c{i}" for i in range(1, m + 1))

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from elimgame import (
     CandidateUnknown,
@@ -120,9 +120,6 @@ class TestOccurrences:
         assert seq(1, 2, 3, 1, 2, 3).occurrences(3).counts == (2, 2, 2)
         assert seq(1).occurrences(3).counts == (1, 0, 0)
 
-    def test_argmax_prefers_lowest_index(self):
-        assert seq(2, 1, 1, 2).occurrences(2).argmax() == 0
-
     def test_rejects_out_of_range_voter(self):
         with pytest.raises(InvalidVoter):
             seq(1, 3).occurrences(2)
@@ -162,10 +159,26 @@ class TestSequence:
         s = EliminationSequence((9, 0))
         assert s.compact() == "10,1"
 
-    @pytest.mark.parametrize("text", ["", "0", "1,,2", "1,x", "-1", "1.5"])
+    @pytest.mark.parametrize("text", ["", "0", "1,,2", "1,x", "-1", "1.5", "²,1", "+1", "1_0",
+                                      pytest.param("1" * 5000, id="5000-digits")])
     def test_parse_rejects(self, text):
+        # "²" is a digit that int() refuses, and so are 5,000 digits
         with pytest.raises(ParseError):
             EliminationSequence.parse(text)
+
+    def test_parse_reads_any_decimal_digits(self):
+        assert EliminationSequence.parse("１,2").turns == (0, 1)
+
+    # numbers, punctuation and separators as well as any text, so digits
+    # such as "²" and "１" come up often
+    @given(st.one_of(st.text(), st.text(st.characters(categories=["N", "P", "Z"]))))
+    @example("²")
+    def test_parse_returns_a_sequence_or_refuses(self, text):
+        try:
+            s = EliminationSequence.parse(text)
+        except ParseError:
+            return
+        assert s.turns and all(t >= 0 for t in s.turns)
 
 
 class TestProfileText:

@@ -160,19 +160,6 @@ class TestExhaustiveExactness:
         w = profile_at_index(2, 5, res.max_index)
         assert ratio_cb(w, s) == res.max_ratio
 
-    def test_a_maximum_key_no_profile_holds_cannot_take_the_witness(self, monkeypatch):
-        # the maximum 2 = 8/4 first shows at index 201; a 6/3 key that no
-        # profile holds, added to the counted table, is a key of the maximum
-        # ratio with no index and must not take the witness from it
-        s = seq(1, 1, 2)
-        res = run_exhaustive(s, 3, 4, RatioMode.CB)
-        assert (res.max_ratio, res.max_index) == (2, 201)
-        table = experiments.cb_pair_table
-        monkeypatch.setattr("elimgame.experiments.cb_pair_table",
-                            lambda *a: {**table(*a), 3 * 10 + 6: 1})
-        padded = run_exhaustive(s, 3, 4, RatioMode.CB)
-        assert (padded.max_ratio, padded.max_index, padded.count) == (2, 201, res.count + 1)
-
 
 class TestDeterminism:
     def test_worker_count_is_invisible_exhaustive(self):
@@ -380,7 +367,7 @@ class TestPool:
             raise AssertionError("a search or chunk ran")
 
         monkeypatch.setattr("elimgame.sweep._exhaustive_chunk", refuse)
-        monkeypatch.setattr("elimgame.experiments.cb_witness", refuse)
+        monkeypatch.setattr("elimgame.trajectories._witness", refuse)
         s = EliminationSequence((voter,) * (m - 1))
         for fix_first in (True, False):
             res = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first,
@@ -602,8 +589,7 @@ class TestGuards:
         def no_chunks(*args, **kwargs):
             raise AssertionError("a table, search or chunk ran")
 
-        for module, name in [(sweep, "_run_chunks"), (experiments, "cb_pair_table"),
-                             (experiments, "cb_witness")]:
+        for module, name in [(sweep, "_run_chunks"), (experiments, "cb_study")]:
             monkeypatch.setattr(module, name, no_chunks)
         monkeypatch.setenv("ELIMGAME_BUDGET", str(10**1000))
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
@@ -625,7 +611,7 @@ class TestGuards:
             raise AssertionError("a table or chunk was built")
 
         for module, name in [(sweep, "_run_chunks"), (sweep, "permutation_table"),
-                             (experiments, "cb_pair_table"), (experiments, "cb_witness")]:
+                             (experiments, "cb_study")]:
             monkeypatch.setattr(module, name, no_work)
         monkeypatch.setenv("ELIMGAME_BUDGET", str(10**1000))
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
@@ -658,7 +644,7 @@ class TestGuards:
         def started(*args, **kwargs):
             raise AssertionError("started")
 
-        monkeypatch.setattr(experiments, "cb_pair_table", started)
+        monkeypatch.setattr(experiments, "cb_study", started)
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
         with pytest.raises(AssertionError, match="started"):
             run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first, budget=10**1000)

@@ -1,4 +1,4 @@
-"""The CB pair table counted from trajectory pairs, against enumeration."""
+"""The CB study counted from trajectory pairs, against enumeration."""
 
 import functools
 import itertools
@@ -9,7 +9,7 @@ import pytest
 
 from elimgame import CultureSpec, EliminationSequence, RatioMode, sweep, trajectories
 from elimgame.experiments import run_exhaustive, run_montecarlo
-from elimgame.trajectories import cb_pair_table, cb_witness
+from elimgame.trajectories import cb_study
 from helpers import seq_from
 
 #: every sequence at the small sizes, then both E1-size (3, 7) sequences,
@@ -45,23 +45,27 @@ def maximum_keys(table, base):
 
 CASE_IDS = ["{}x{}-{}".format(n, m, "".join(str(t + 1) for t in turns)) for n, m, turns in CASES]
 
+#: one study per case, whose table and index the two tests below check
+studied = functools.cache(cb_study)
+
 
 @pytest.mark.parametrize("n,m,turns", CASES, ids=CASE_IDS)
 def test_table_equals_enumeration(n, m, turns):
-    assert cb_pair_table(turns, n, m) == enumerated_table(turns, n, m)[0]
+    assert studied(turns, n, m)[0] == enumerated_table(turns, n, m)[0]
 
 
 @pytest.mark.parametrize("n,m,turns", CASES, ids=CASE_IDS)
 def test_witness_is_the_lowest_tag_of_the_maximum(n, m, turns):
     table, tags = enumerated_table(turns, n, m)
     top = maximum_keys(table, n * (m - 1) + 1)
-    assert cb_witness(turns, n, m, top) == min(tags[key] for key in top)
+    assert studied(turns, n, m)[1] == min(tags[key] for key in top)
 
 
 def test_one_fill_per_relation_serves_table_and_witness(monkeypatch):
     # E1: the table walks every leaf, and the witness walks them all again
     # before it settles at index 6,622,774; both must read the fills the
-    # table's walk made, each distinct (relation, w_r) filled once
+    # table's walk made, each distinct (relation, w_r) filled once, and a
+    # second study of the same game fills every relation again
     turns, n, m = seq_from("123123").turns, 3, 7
     made = []
 
@@ -72,50 +76,31 @@ def test_one_fill_per_relation_serves_table_and_witness(monkeypatch):
 
     walks = []
 
-    def recorded(turns, n, m):
+    def recorded(turns, n, m, known):
         read = set()
         walks.append(read)
-        for fills, w_r in leaves(turns, n, m):
+        for fills, w_r in leaves(turns, n, m, known):
             read.update(map(id, fills))
             yield fills, w_r
 
     fill_once, leaves = trajectories._voter_fill, trajectories._leaves
     monkeypatch.setattr(trajectories, "_voter_fill", counted)
     monkeypatch.setattr(trajectories, "_leaves", recorded)
-    trajectories._game_fills.cache_clear()
     res = run_exhaustive(EliminationSequence(turns), n, m, RatioMode.CB)
     assert res.max_index == 6_622_774
     relations = [relation for relation, _ in made]
     assert len(relations) == len(set(relations))
     assert walks == [{id(fill) for _, fill in made}] * 2
-
-
-def test_interleaved_games_keep_their_own_fills():
-    # (2, 5) and (3, 5) share their turns but not base = n(m-1) + 1, so a
-    # fill kept for one must not serve the other
-    a, b = ((0, 1, 0, 1), 2, 5), ((0, 1, 0, 1), 3, 5)
-    trajectories._game_fills.cache_clear()
-    assert cb_pair_table(*a) == enumerated_table(*a)[0]
-    for turns, n, m in (b, a):
-        table, tags = enumerated_table(turns, n, m)
-        top = maximum_keys(table, n * (m - 1) + 1)
-        assert cb_witness(turns, n, m, top) == min(tags[key] for key in top)
-
-
-def test_e1_witness_index():
-    # E1, (3, 7) 1,2,3,1,2,3: the maximum 2 = 14/7 first shows at index
-    # 6,622,774, 26% of the way into the pinned space
-    turns, base = seq_from("123123").turns, 19
-    top = [key for key in cb_pair_table(turns, 3, 7) if key % base == 2 * (key // base)]
-    assert top == [7 * base + 14]
-    assert cb_witness(turns, 3, 7, top) == 6_622_774
+    first = len(made)
+    assert cb_study(turns, n, m)[1] == 6_622_774
+    assert sorted(relation for relation, _ in made[first:]) == sorted(relations)
 
 
 @pytest.mark.parametrize("n,m,turns", [(5, 7, (0, 1, 2, 3, 4, 0)), (20, 4, (0, 10, 19))])
 def test_counts_cover_the_pinned_space(n, m, turns):
     # spaces far past any enumeration: (5, 7) holds 6.5e14 pinned profiles,
     # (20, 4) 24**19; the counts are Python ints and sum to (m!)**(n-1)
-    table = cb_pair_table(turns, n, m)
+    table = cb_study(turns, n, m)[0]
     assert sum(table.values()) == factorial(m) ** (n - 1)
     base = n * (m - 1) + 1
     assert all(base <= key < base * base and count > 0 for key, count in table.items())
@@ -129,7 +114,7 @@ def test_impartial_culture_sample_mean_meets_the_exact_mean():
     # errors of its mean, the error taken from its exact variance.
     s, n, m, samples = seq_from("123451"), 5, 7, 10**5
     base = n * (m - 1) + 1
-    table = cb_pair_table(s.turns, n, m)
+    table = cb_study(s.turns, n, m)[0]
     total = sum(table.values())
     ratios = {key: Fraction(key % base, key // base) for key in table}
     mean = sum(count * ratios[key] for key, count in table.items()) / total
