@@ -7,11 +7,11 @@ given the configuration; in particular CSV and histogram bytes do not depend
 on the worker count.
 
 A sweep's whole result is one exact table of ascending ``(key, count, tag)``
-rows, a key per distinct Borda-score pair ``den * base + num`` with
-``base = n(m-1) + 1``, and :func:`_finish` reads every statistic off it in
-Python ints and Fractions. A CB exhaustive study takes its counts and the
-maximum's first index from one :func:`~elimgame.trajectories.cb_study`
-call, so it never runs a chunk.
+rows of Python ints, a key per distinct Borda-score pair ``den * base + num``
+with ``base = n(m-1) + 1``, and :func:`_finish` reads every statistic off it
+in Python ints and Fractions. A CB exhaustive study takes its counts and the
+maximum's first index, every row's tag, from one
+:func:`~elimgame.trajectories.cb_study` call, so it never runs a chunk.
 The numpy chunk engine in :mod:`elimgame.sweep` is imported only by the
 studies that run chunks: AB exhaustive and Monte-Carlo ones.
 """
@@ -22,7 +22,7 @@ import csv
 import io
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, sqrt
@@ -136,7 +136,8 @@ def run_exhaustive(
     seq.validate(n, m)
     # Refused whatever the budget, before any chunk or table is built: from
     # m = 12 the m!*m-byte position table passes 1 GiB (5.4 GiB at m = 12),
-    # and from 2**63 profiles the int64 counts would wrap. m >= 12, and n >= 64
+    # and from 2**63 profiles the chunks' int64 grids and first indices would
+    # wrap (the folded counts are Python ints). m >= 12, and n >= 64
     # with m > 1 (2**(n-1) pinned profiles or more), go before the exact
     # count, which takes 0.1 s at (65,536, 11). For m <= 11, n(m-1) > 63
     # means 2**63 pinned profiles or more, so the grid keeps at most 4,096 cells.
@@ -152,16 +153,15 @@ def run_exhaustive(
             f"exhaustive sweep needs {total * scale} profiles, over the budget of {limit}; "
             "raise ELIMGAME_BUDGET or pass --force"
         )
-    base = n * (m - 1) + 1
     if mode is RatioMode.AB:
         from . import sweep
         rows = sweep.exhaustive_table(seq, n, m, mode, workers)
-        return _finish([(key, count * scale, tag) for key, count, tag in rows], base)
-    # CB: the trajectory study gives the counts and the maximum's first
-    # index, and the result is read off the counts with placeholder tags
-    table, index = cb_study(seq.turns, n, m)
-    res = _finish([(key, count * scale, key) for key, count in sorted(table.items())], base)
-    return replace(res, max_index=index)
+    else:
+        # CB: the trajectory study gives the counts and the maximum's first
+        # index, every row's tag, since _finish reads only the maximum's
+        table, index = cb_study(seq.turns, n, m)
+        rows = [(key, count, index) for key, count in sorted(table.items())]
+    return _finish([(key, count * scale, tag) for key, count, tag in rows], n * (m - 1) + 1)
 
 
 def run_montecarlo(

@@ -4,18 +4,20 @@ Each welfare ratio is a quotient of two integer Borda scores in
 ``0..n(m-1)``, so a sweep's whole result is one exact table: every distinct
 (numerator, denominator) pair, keyed ``den * base + num`` with
 ``base = n(m-1) + 1``, how often it occurs and the lowest enumeration or
-sample index that produced it. Every chunk returns such a table: a
-Monte-Carlo chunk sorts its one batch, and an exhaustive chunk counts its
-batches into a grid of every possible pair. The tables are folded in chunk
-order, and a fold is exact in any order, so results are bit-identical for
+sample index that produced it. Every chunk returns such a table as numpy
+``(keys, counts, tags)`` columns: a Monte-Carlo chunk sorts its one batch,
+and an exhaustive chunk counts its batches into a grid of every possible
+pair. :func:`_fold` adds the chunks' tables, in chunk order, into one dict
+of Python ints, where no count can wrap. Counts add and tags take the
+lowest, so the fold is exact in any order and results are bit-identical for
 every worker count and chunk size.
 
 This module only builds those tables. :func:`exhaustive_table` and
-:func:`montecarlo_table` return them as ascending ``(key, count, tag)``
-rows of Python ints, and :mod:`elimgame.experiments` reads the statistics
-and the witness off them. An exhaustive table covers the pinned space; only
-AB studies ask for one, because a CB study reads its counts and witness off
-trajectory pairs.
+:func:`montecarlo_table` return the fold's ascending ``(key, count, tag)``
+rows, and :mod:`elimgame.experiments` reads the statistics and the witness
+off them. An exhaustive table covers the pinned space; only AB studies ask
+for one, because a CB study reads its counts and witness off trajectory
+pairs.
 
 The batch play kernels live here, beside the chunks that call them; the
 scalar engine in :mod:`elimgame.play` is their test oracle. Monte-Carlo
@@ -204,21 +206,24 @@ def _batch_table(num, den, base: int, tag_offset: int):
     keys, first, counts = np.unique(
         _narrow(den * base + num, base), return_index=True, return_counts=True
     )
-    return keys.astype(np.int64), counts, first + tag_offset
+    return keys, counts, first + tag_offset
 
 
-def _fold(tables):
-    """One table from several: counts add and tags take the lowest, so the
-    result is the same in any order."""
-    keys, counts, tags = (np.concatenate(col) for col in zip(*tables))
-    order = np.argsort(keys)
-    keys = keys[order]
-    heads = np.flatnonzero(np.diff(keys, prepend=-1))
-    return (
-        keys[heads],
-        np.add.reduceat(counts[order], heads),
-        np.minimum.reduceat(tags[order], heads),
-    )
+def _fold(tables) -> list[tuple[int, int, int]]:
+    """One table from several ``(keys, counts, tags)`` tables, as ascending
+    ``(key, count, tag)`` rows of Python ints: counts add exactly and tags
+    take the lowest, so the result is the same in any order."""
+    folded: dict[int, list[int]] = {}
+    for keys, counts, tags in tables:
+        for key, count, tag in zip(keys.tolist(), counts.tolist(), tags.tolist()):
+            row = folded.get(key)
+            if row is None:
+                folded[key] = [count, tag]
+            else:
+                row[0] += count
+                if tag < row[1]:
+                    row[1] = tag
+    return [(key, count, tag) for key, (count, tag) in sorted(folded.items())]
 
 
 @lru_cache(maxsize=2)
@@ -333,8 +338,9 @@ def _in_order(pool, fn, args, depth: int):
 
 
 def _run_chunks(fn, static, total: int, chunk: int, workers: int):
-    """Fold the tables ``fn`` returns for the chunks of ``range(total)`` in
-    chunk order.
+    """Fold the tables ``fn`` returns for the chunks of ``range(total)``,
+    in chunk order, into :func:`_fold`'s ascending ``(key, count, tag)``
+    rows of Python ints.
 
     This is the one place chunk ranges are built: chunk ``k`` is called with
     ``(*static, start, count)`` for ``start = k * chunk`` and ``count`` up to
@@ -344,24 +350,11 @@ def _run_chunks(fn, static, total: int, chunk: int, workers: int):
     """
     args = ((*static, start, min(chunk, total - start)) for start in range(0, total, chunk))
     workers = min(workers, -(-total // chunk), _usable_cpus())
-
-    def fold(tables):
-        folded = None
-        for table in tables:
-            folded = table if folded is None else _fold((folded, table))
-        return folded
-
     if workers < 2:  # a serial study never imports the process pool
-        return fold(map(fn, args))
+        return _fold(map(fn, args))
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return fold(_in_order(pool, fn, args, 2 * workers))
-
-
-def _rows(table) -> list[tuple[int, int, int]]:
-    """A folded ``(keys, counts, tags)`` table as ``(key, count, tag)``
-    rows of Python ints, keys ascending."""
-    return list(zip(*(col.tolist() for col in table)))
+        return _fold(_in_order(pool, fn, args, 2 * workers))
 
 
 def exhaustive_table(seq: EliminationSequence, n: int, m: int, mode: RatioMode,
@@ -372,8 +365,8 @@ def exhaustive_table(seq: EliminationSequence, n: int, m: int, mode: RatioMode,
     """
     batch = min(factorial(m), max(1, MC_CHUNK // n))
     static = (seq.turns, seq.reverse().turns, n, m, mode, batch)
-    return _rows(_run_chunks(_exhaustive_chunk, static, enumeration_size(n, m),
-                             EXHAUSTIVE_OUTER_CHUNK * batch, workers))
+    return _run_chunks(_exhaustive_chunk, static, enumeration_size(n, m),
+                       EXHAUSTIVE_OUTER_CHUNK * batch, workers)
 
 
 def montecarlo_table(seq: EliminationSequence, n: int, m: int, mode: RatioMode,
@@ -383,5 +376,4 @@ def montecarlo_table(seq: EliminationSequence, n: int, m: int, mode: RatioMode,
     ascending ``(key, count, tag)`` rows, each tag a sample index. Sample
     ``i`` is a pure function of ``(seed, i)``."""
     static = (seq.turns, seq.reverse().turns, n, m, mode, culture, seed)
-    return _rows(_run_chunks(_montecarlo_chunk, static, samples,
-                             max(1, MC_CHUNK // n), workers))
+    return _run_chunks(_montecarlo_chunk, static, samples, max(1, MC_CHUNK // n), workers)

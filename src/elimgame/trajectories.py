@@ -82,8 +82,7 @@ def _witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
     the unplaced candidates, and the later voters the sums of their whole
     polynomials' keys. The lowest index found so far, at first the size of
     the pinned space, cuts any branch that cannot go under it, voter 1's as
-    soon as voter 2's top candidate can no longer take a low enough slot,
-    and index 0 ends the search.
+    soon as voter 2's top candidate can no longer take a low enough slot.
     """
     base = n * (m - 1) + 1
     full = (1 << m) - 1
@@ -113,19 +112,19 @@ def _witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
         if not reachable(0, full, 0):
             return
         order: list[int] = []  # voter 1's ranking, best first
-        heads = [c for c in range(m) if full ^ 1 << c in keys[1]] if n > 1 else []
+        heads = [c for c in range(m) if full ^ 1 << c in keys[1]]
 
         def lead(rest: int, key: int) -> None:
             # voter 1's ranking, top-down
             placed = len(order)
-            if n > 1 and min(order.index(c) if c in order else placed
-                             for c in heads) * fact[m - 1] * scale[1] >= best:
+            if min(order.index(c) if c in order else placed
+                   for c in heads) * fact[m - 1] * scale[1] >= best:
                 return
             if not rest:
                 follow(1, full, key, 0)
                 return
             moves = [c for c in range(m) if rest >> c & 1 and rest ^ 1 << c in keys[0]]
-            if n > 1 and rest in keys[1]:
+            if rest in keys[1]:
                 moves.sort(key=lambda c: rest ^ 1 << c not in keys[1])
             points = m - 1 - placed
             for c in moves:
@@ -133,8 +132,6 @@ def _witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
                     order.append(c)
                     lead(rest ^ 1 << c, key + points * weights[c])
                     order.pop()
-                    if best == 0:
-                        return
 
         def follow(v: int, rest: int, key: int, index: int) -> bool:
             # voter v's ranking, top-down in voter 1's slot order; True once
@@ -165,8 +162,6 @@ def _witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
 
     for fills, w_r in _leaves(turns, n, m, known):
         search(fills, w_r)
-        if best == 0:
-            break
     return best
 
 

@@ -311,6 +311,18 @@ class TestExitCodes:
         assert f"error: argument {argv[-2]}: must be at least 1, got 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["exhaustive", "--workers", "two"], ["montecarlo", "--samples", "1e3"]],
+    )
+    def test_non_integer_count_flags_are_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--n", "2", "--m", "3", "--sequence", "1,2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [["exhaustive"], ["montecarlo", "--samples", "10"]])
     def test_bins_above_cap_are_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -88,6 +88,11 @@ class TestBorda:
         for c in range(4):
             assert q.borda_score(perm[c]) == p.borda_score(c)
 
+    @pytest.mark.parametrize("perm", [(0, 0, 1), (1, 2, 3), (0, 1)])
+    def test_relabel_rejects_non_permutation(self, perm):
+        with pytest.raises(ValueError):
+            profile("abc", "cba").relabel(perm)
+
 
 class TestProfile:
     def test_shape_validation(self):
@@ -104,6 +109,11 @@ class TestProfile:
         assert default_labels(3) == ("a", "b", "c")
         assert default_labels(27)[26] == "c27"
         assert profile("cab").label(2) == "c"
+
+    @pytest.mark.parametrize("c", [-1, 3])
+    def test_label_out_of_range(self, c):
+        with pytest.raises(CandidateUnknown):
+            profile("cab").label(c)
 
     def test_rank_lookup(self):
         p = profile("abc", "cba")
@@ -123,6 +133,8 @@ class TestOccurrences:
     def test_rejects_out_of_range_voter(self):
         with pytest.raises(InvalidVoter):
             seq(1, 3).occurrences(2)
+        with pytest.raises(InvalidVoter):
+            EliminationSequence((-1,))
 
     def test_length_check(self):
         with pytest.raises(SequenceLengthMismatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from elimgame import (
+    EliminationSequence,
     ExtremalMode,
     RatioMode,
     StructureUnsatisfiable,
@@ -176,6 +177,11 @@ class TestSincerityTight:
     def test_rejects_single_voter(self):
         with pytest.raises(Unsatisfiable):
             gen_sr_tight(seq(1, 1, 1), 1, 4)
+
+    @pytest.mark.parametrize("gen", [gen_poa_tight, gen_sr_tight])
+    def test_rejects_single_candidate(self, gen):
+        with pytest.raises(Unsatisfiable):
+            gen(EliminationSequence(()), 2, 1)
 
 
 class TestBoundAudit:

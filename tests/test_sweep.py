@@ -501,7 +501,7 @@ class TestSummary:
 
     @staticmethod
     def build(base, batches):
-        """Fold the tables of (tag_offset, [(num, den), ...]) batches in order."""
+        """The folded rows of (tag_offset, [(num, den), ...]) batches' tables."""
         return sweep._fold([
             sweep._batch_table(
                 *(np.array(col, dtype=np.int64) for col in zip(*pairs)), base, tag_offset
@@ -513,17 +513,25 @@ class TestSummary:
         # 1/2, 2/4, 3/6 and 3/2, 6/4, 9/6 are two ratios under six keys
         a = [(10, [(2, 4), (6, 4), (5, 5)]), (20, [(1, 2), (3, 2)])]
         b = [(3, [(5, 5), (3, 6), (9, 6)]), (30, [(1, 2)])]
-        alone = experiments._finish(sweep._rows(self.build(10, a)), 10)
+        alone = experiments._finish(self.build(10, a), 10)
         assert alone.min_ratio == Fraction(1, 2)
         assert (alone.max_ratio, alone.max_index) == (Fraction(3, 2), 11)
         for first, second in [(a, b), (b, a)]:
-            folded = sweep._fold([self.build(10, first), self.build(10, second)])
-            res = experiments._finish(sweep._rows(folded), 10)
+            folded = self.build(10, first + second)
+            res = experiments._finish(folded, 10)
             assert res.min_ratio == Fraction(1, 2)
             assert (res.max_ratio, res.max_index) == (Fraction(3, 2), 5)
             assert res.count == 9 and res.spike_count == 2
-            for got, want in zip(folded, self.build(10, a + b)):
-                assert np.array_equal(got, want)
+            assert folded == self.build(10, a + b)
+
+    def test_fold_counts_are_exact_past_int64(self):
+        # each count fits int64, but the two sum past 2**63, where a numpy
+        # sum would wrap to a negative count
+        big = (1 << 62) + 5
+        one = tuple(np.array(col, dtype=np.int64) for col in ([3, 7], [1, big], [4, 9]))
+        two = tuple(np.array(col, dtype=np.int64) for col in ([7], [big], [2]))
+        for tables in [(one, two), (two, one)]:
+            assert sweep._fold(tables) == [(3, 1, 4), (7, 2 * big, 2)]
 
     def test_wide_moments_are_exact(self):
         # base = 2**27 + 1: the squared numerators pass 2**53, where float
@@ -533,7 +541,7 @@ class TestSummary:
         vals = [Fraction(num, den) for num, den in pairs]
         mean = sum(vals, Fraction(0)) / len(vals)
         table = self.build(d + 1, [(0, pairs[:3]), (3, pairs[3:])])
-        res = experiments._finish(sweep._rows(table), d + 1)
+        res = experiments._finish(table, d + 1)
         assert res.count == len(vals)
         assert res.mean == mean
         assert res.variance == sum((v - mean) ** 2 for v in vals) / len(vals)
@@ -567,7 +575,7 @@ class TestGuards:
         num, den = np.array([1, 2], dtype=np.int64), np.array([2, 0], dtype=np.int64)
         table = sweep._batch_table(num, den, 5, 0)
         with pytest.raises(ZeroWelfare):
-            experiments._finish(sweep._rows(table), 5)
+            experiments._finish(sweep._fold([table]), 5)
 
     def test_budget_bounds_the_grid(self):
         # for m <= 11, n(m-1) > 63 means at least 2**63 profiles, pinned and
