@@ -26,7 +26,6 @@ from .errors import (
     CandidateUnknown,
     ElimGameError,
     InvalidVoter,
-    LengthMismatch,
     OutOfDomain,
     ParseError,
     PhiOutOfRange,
@@ -77,7 +76,6 @@ __all__ = [
     "ExperimentConfig",
     "ExtremalMode",
     "InvalidVoter",
-    "LengthMismatch",
     "OutOfDomain",
     "ParseError",
     "PhiOutOfRange",

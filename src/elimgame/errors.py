@@ -54,10 +54,6 @@ class PhiOutOfRange(ElimGameError):
     code = "PHI_OUT_OF_RANGE"
 
 
-class LengthMismatch(ElimGameError):
-    code = "LENGTH_MISMATCH"
-
-
 class Unsatisfiable(ElimGameError):
     code = "UNSATISFIABLE"
 

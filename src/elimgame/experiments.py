@@ -155,7 +155,7 @@ def run_exhaustive(
         )
     if mode is RatioMode.AB:
         from . import sweep
-        rows = sweep.exhaustive_table(seq, n, m, mode, workers)
+        rows = sweep.exhaustive_table(seq, n, m, workers)
     else:
         # CB: the trajectory study gives the counts and the maximum's first
         # index, every row's tag, since _finish reads only the maximum's

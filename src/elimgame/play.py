@@ -120,8 +120,8 @@ def backward_induction(
     m = profile.m
     if m > max_candidates:
         raise TreeTooLarge(
-            f"{m} candidates means 2**{m} subgames; pass max_candidates={m} "
-            "to solve anyway"
+            f"{m} candidates means 2**{m} subgames; the game-tree oracle stops "
+            f"at {max_candidates} candidates"
         )
     if tie_break is None:
         tb_pos = list(range(m))

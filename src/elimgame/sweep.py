@@ -152,17 +152,16 @@ def range_batch_play(table: np.ndarray, ids, rows: np.ndarray, turns):
     the ranking ids ``ids`` (rows of the position table the table was built
     from) for the whole batch, and the last voter, ``len(ids)``, runs over
     ``rows``, the consecutive intp ranking ids ``low..high-1``, one a row.
-    Returns ``(alive, lone)``: the rows' final alive masks, a ``(B,)`` uint8
-    array or one int when the last voter never acts, and an intp map from
-    those masks to the winner, so ``lone.take(alive)`` equals
-    :func:`play_batch_winners` on the matching position rows.
+    Returns the rows' winners, equal to :func:`play_batch_winners` on the
+    matching position rows: a ``(B,)`` intp array, or one int when the last
+    voter never acts.
 
     The alive mask is one Python int until the last voter's first turn, and
     that turn is the slice ``table[alive, low:high]``. After it, each run of
     the other voters' turns composes into one ``2**m``-entry map of masks,
     and each later turn of the last voter is one gather from the flat table
     at that map times ``R``, taken at the alive masks, plus the ids. The
-    trailing run is composed into ``lone``.
+    trailing run is composed into the map from one-bit masks to candidates.
     """
     size, fact = table.shape
     last = len(ids)
@@ -179,8 +178,10 @@ def range_batch_play(table: np.ndarray, ids, rows: np.ndarray, turns):
         else:
             scaled = (np.arange(size) if run is None else run.astype(np.intp)) * fact
             alive, run = table.reshape(-1).take(scaled.take(alive) + rows), None
+    if isinstance(alive, int):
+        return alive.bit_length() - 1
     lone = _lone_candidate(size.bit_length() - 1)
-    return alive, (lone if run is None else lone.take(run))
+    return (lone if run is None else lone.take(run)).take(alive)
 
 
 @lru_cache(maxsize=8)
@@ -191,21 +192,16 @@ def _lone_candidate(m: int) -> np.ndarray:
     return lone
 
 
-def _narrow(keys, base: int):
-    # Keys go to the narrowest unsigned type that holds them because
-    # np.unique sorts stably when asked for first indices, and numpy's
-    # stable sort is a radix sort for 8- and 16-bit integers, faster than
-    # the timsort wider keys get; keys fit 16 bits while n(m-1) <= 255.
-    return keys.astype(np.min_scalar_type(base * base - 1))
-
-
 def _batch_table(num, den, base: int, tag_offset: int):
     """Exact table of one batch of pairs: (keys, counts, tags), one row per
     distinct key ``den * base + num``, keys ascending, each tag the lowest
     ``tag_offset + row index`` holding its key."""
-    keys, first, counts = np.unique(
-        _narrow(den * base + num, base), return_index=True, return_counts=True
-    )
+    # Keys go to the narrowest unsigned type that holds them because
+    # np.unique sorts stably when asked for first indices, and numpy's
+    # stable sort is a radix sort for 8- and 16-bit integers, faster than
+    # the timsort wider keys get; keys fit 16 bits while n(m-1) <= 255.
+    keys = (den * base + num).astype(np.min_scalar_type(base * base - 1))
+    keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
     return keys, counts, first + tag_offset
 
 
@@ -240,7 +236,7 @@ def _exhaustive_chunk(args):
     # every pair's count and lowest index; run_exhaustive's refusals leave
     # n(m-1) <= 63, so the grid holds at most 4,096 keys
     counts = np.zeros(base * base, dtype=np.int64)
-    tags = np.zeros(base * base, dtype=np.int64)
+    tags = np.full(base * base, np.iinfo(np.int64).max)
     span = None
     index, end = start, start + count
     while index < end:
@@ -250,7 +246,7 @@ def _exhaustive_chunk(args):
         low = ids.pop()
         high = min(fact, low + batch, low + end - index)
         if span != (low, high):
-            # most batches of a chunk share one range: E1's are all 0..5039
+            # most batches of a chunk share one range
             span, last = (low, high), np.arange(low, high)
             cells = last * m
             # AB's row max reduces over a slot-major copy: numpy's max over a
@@ -264,8 +260,7 @@ def _exhaustive_chunk(args):
             if table is None:
                 w = play_batch_winners([pos[i:i + 1] for i in ids] + [pos[low:high]], t)
             else:
-                alive, lone = range_batch_play(table, ids, last, t)
-                w = lone.take(alive)
+                w = range_batch_play(table, ids, last, t)
             return fixed.take(w) - pos.take(cells + w)
 
         # the strategic winner is sincere play on the reversed sequence
@@ -273,12 +268,11 @@ def _exhaustive_chunk(args):
         num = score(turns) if mode is RatioMode.CB else (fixed[:, None] - cols).max(axis=0)
         keys = den * base + num
         # Batches run in index order, so a key is new to the chunk exactly
-        # when its count is still 0; only the rows holding such keys are
-        # sorted for their first index.
+        # when its count is still 0 and its tag still the sentinel; the rows
+        # holding such keys lower each one's tag to its first index.
         rows = (counts == 0).take(keys).nonzero()[0]
         if rows.size:
-            new, first = np.unique(_narrow(keys[rows], base), return_index=True)
-            tags[new] = rows[first] + index
+            np.minimum.at(tags, keys[rows], rows + index)
         counts += np.bincount(keys, minlength=counts.shape[0])
         index += high - low
     keys = np.flatnonzero(counts)
@@ -357,14 +351,15 @@ def _run_chunks(fn, static, total: int, chunk: int, workers: int):
         return _fold(_in_order(pool, fn, args, 2 * workers))
 
 
-def exhaustive_table(seq: EliminationSequence, n: int, m: int, mode: RatioMode,
+def exhaustive_table(seq: EliminationSequence, n: int, m: int,
                      workers: int = 1) -> list[tuple[int, int, int]]:
-    """The pinned space's table, as ascending ``(key, count, tag)`` rows,
+    """The pinned space's AB table, as ascending ``(key, count, tag)`` rows,
     each tag a profile's pinned enumeration index. The caller refuses the
-    spaces too large to sweep.
+    spaces too large to sweep. A chunk's CB mode is the enumeration that
+    the trajectory study is tested against.
     """
     batch = min(factorial(m), max(1, MC_CHUNK // n))
-    static = (seq.turns, seq.reverse().turns, n, m, mode, batch)
+    static = (seq.turns, seq.reverse().turns, n, m, RatioMode.AB, batch)
     return _run_chunks(_exhaustive_chunk, static, enumeration_size(n, m),
                        EXHAUSTIVE_OUTER_CHUNK * batch, workers)
 

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 
-from elimgame import EliminationSequence, LengthMismatch, PreferenceProfile, Vote
+from elimgame import EliminationSequence, PreferenceProfile, Vote
 
 
 def profile(*rankings: str) -> PreferenceProfile:
@@ -61,7 +61,7 @@ def enumerate_profiles(n: int, m: int, fix_first: bool = True):
 def kendall_tau(v1: Vote, v2: Vote) -> int:
     """Number of candidate pairs the two votes order oppositely."""
     if v1.m != v2.m:
-        raise LengthMismatch(f"votes rank {v1.m} and {v2.m} candidates")
+        raise ValueError(f"votes rank {v1.m} and {v2.m} candidates")
     seq = [v2.positions[c] for c in v1.ranking]
     inv = 0
     for i in range(len(seq)):

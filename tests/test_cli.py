@@ -158,15 +158,18 @@ class TestExitCodes:
         assert out == plain
 
     def test_oracle_tree_guard_is_3(self, tmp_path, capsys):
+        # solve's oracle and extremal's re-check refuse 11 candidates in one
+        # line that names the limit and no option the command line lacks
         m = 11
         row = " ".join(f"c{i}" for i in range(1, m + 1))
         path = write(tmp_path, f"{row}\n{row}\n")
-        code, _, err = run_main(
-            capsys, "solve", "--profile", path,
-            "--sequence", ",".join(["1"] * (m - 1)), "--behavior", "oracle",
-        )
-        assert code == 3
-        assert "TREE_TOO_LARGE" in err
+        turns = ",".join(["1"] * (m - 1))
+        for argv in [("solve", "--profile", path, "--sequence", turns, "--behavior", "oracle"),
+                     ("extremal", "--n", "2", "--m", str(m), "--sequence", turns, "--oracle")]:
+            code, out, err = run_main(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err == ("error [TREE_TOO_LARGE]: 11 candidates means 2**11 subgames; "
+                           "the game-tree oracle stops at 10 candidates\n")
 
     def test_budget_exceeded_is_5_and_force_overrides(self, capsys, monkeypatch):
         monkeypatch.setenv("ELIMGAME_BUDGET", "10")

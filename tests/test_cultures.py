@@ -9,7 +9,6 @@ import pytest
 from elimgame import (
     BudgetExceeded,
     CultureSpec,
-    LengthMismatch,
     OutOfDomain,
     ParseError,
     PhiOutOfRange,
@@ -401,7 +400,7 @@ class TestKendall:
                 assert 0 <= d <= 6
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="votes rank 2 and 3 candidates"):
             kendall_tau(Vote((0, 1)), Vote((0, 1, 2)))
 
 

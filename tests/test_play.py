@@ -445,9 +445,9 @@ class TestWorstAliveTable:
             low = int(rng.integers(fact))
             high = int(rng.integers(low + 1, fact + 1))
             inner |= 0 < low and high < fact
-            alive, lone = range_batch_play(table, ids, np.arange(low, high), turns)
-            assert isinstance(alive, int) == (last not in turns)
-            got = np.broadcast_to(lone.take(alive), (high - low,))
+            winners = range_batch_play(table, ids, np.arange(low, high), turns)
+            assert isinstance(winners, int) == (last not in turns)
+            got = np.broadcast_to(winners, (high - low,))
             want = play_batch_winners([pos[i:i + 1] for i in ids] + [pos[low:high]], turns)
             assert got.tolist() == want.tolist()
         assert inner or m == 2

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
 from math import factorial
@@ -57,6 +58,23 @@ FULL_SPACE_CASES = [
 def assert_matches(res, want):
     for key, value in want.items():
         assert getattr(res, key) == value, key
+
+
+@contextmanager
+def chunks_run():
+    """The ``(start, count)`` of every exhaustive chunk that a serial study
+    runs inside the block, so a chunk test cannot pass without a chunk."""
+    calls = []
+    chunk = sweep._exhaustive_chunk
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "_exhaustive_chunk",
+                      lambda args: calls.append(args[-2:]) or chunk(args))
+        yield calls
+
+
+def tiles(total, chunk):
+    """The ``(start, count)`` chunks of ``range(total)``."""
+    return [(start, min(chunk, total - start)) for start in range(0, total, chunk)]
 
 
 class TestExhaustiveExactness:
@@ -162,10 +180,15 @@ class TestExhaustiveExactness:
 
 
 class TestDeterminism:
-    def test_worker_count_is_invisible_exhaustive(self):
+    def test_worker_count_is_invisible_exhaustive(self, monkeypatch):
+        # 576 profiles in batches of 24, three batches a chunk: eight chunks
+        # for a pool of up to four processes
         s = seq(1, 2, 3)
-        a = run_exhaustive(s, 3, 4, RatioMode.CB, workers=1)
-        b = run_exhaustive(s, 3, 4, RatioMode.CB, workers=4)
+        monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 3)
+        with chunks_run() as calls:
+            a = run_exhaustive(s, 3, 4, RatioMode.AB, workers=1)
+        assert calls == tiles(576, 72)
+        b = run_exhaustive(s, 3, 4, RatioMode.AB, workers=4)
         assert_same_result(a, b)
 
     def test_worker_count_is_invisible_montecarlo(self):
@@ -235,7 +258,7 @@ class TestDeterminism:
         ]
         for s, n, m, fix_first, batch in cases:
             kw = dict(fix_first=fix_first)
-            whole = run_exhaustive(s, n, m, RatioMode.CB, **kw)
+            whole = run_exhaustive(s, n, m, RatioMode.AB, **kw)
             # batches that do not divide m!, three batches a chunk
             assert factorial(m) % batch
             with monkeypatch.context() as patch:
@@ -243,8 +266,11 @@ class TestDeterminism:
                 patch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 3)
                 for table_max_m in (sweep.WORST_TABLE_MAX_M, 0):
                     patch.setattr("elimgame.sweep.WORST_TABLE_MAX_M", table_max_m)
-                    for workers in (1, 2) if n == 2 else (1,):
-                        chunked = run_exhaustive(s, n, m, RatioMode.CB, workers=workers, **kw)
+                    with chunks_run() as calls:
+                        assert_same_result(whole, run_exhaustive(s, n, m, RatioMode.AB, **kw))
+                    assert calls == tiles(enumeration_size(n, m), 3 * batch)
+                    if n == 2:  # the same chunks in a pool of two
+                        chunked = run_exhaustive(s, n, m, RatioMode.AB, workers=2, **kw)
                         assert_same_result(whole, chunked)
 
     def test_exhaustive_memory_does_not_scale_with_m_factorial(self):
@@ -252,14 +278,17 @@ class TestDeterminism:
         # own arrays are bounded by its batch of MC_CHUNK // n rows
         permutation_table(9)
         s = seq(1, 2, 1, 2, 1, 2, 1, 2)
-        tracemalloc.start()
-        try:
-            res = run_exhaustive(s, 2, 9, RatioMode.CB)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with chunks_run() as calls:
+            tracemalloc.start()
+            try:
+                res = run_exhaustive(s, 2, 9, RatioMode.AB)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert peak < 8 * 2**20
-        assert ratio_cb(profile_at_index(2, 9, res.max_index), s) == res.max_ratio
+        # one chunk of 32,768-row batches
+        assert calls == [(0, factorial(9))]
+        assert ratio_ab(profile_at_index(2, 9, res.max_index), s) == res.max_ratio
 
 
 class _RecordingPool:
@@ -459,12 +488,10 @@ class TestTracedKernel:
     def test_exhaustive_sweep_above_the_table_limit(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         s = seq(1, 2, 1, 2, 1, 2, 1)
-        # the chunk engine's table: this sequence's maximum is 1, so a CB
-        # study settles its witness without a chunk
-        sweep.exhaustive_table(s, 2, 8, RatioMode.CB)
+        sweep.exhaustive_table(s, 2, 8)
         # one chunk of two batches, 0..32767 and 32768..40319, each played
-        # on the reversed sequence and then on the sequence
-        assert calls == [s.reverse().turns, s.turns] * 2
+        # on the reversed sequence only: an AB numerator is the best score
+        assert calls == [s.reverse().turns] * 2
 
 
 class TestWorstTablePath:
@@ -475,12 +502,13 @@ class TestWorstTablePath:
         "s,n,m,mode,fix_first",
         [
             (seq(1, 2, 3), 3, 4, RatioMode.AB, True),
-            (seq(1, 2, 3), 3, 4, RatioMode.CB, True),
-            (seq(2, 1, 2, 1), 2, 5, RatioMode.CB, False),
-            (seq(1, 1, 1), 1, 4, RatioMode.CB, True),
+            # the last voter never acts, so the range kernel returns one int
+            (seq(1, 1, 2), 3, 4, RatioMode.AB, True),
+            (seq(2, 1, 2, 1), 2, 5, RatioMode.AB, False),
+            (seq(1, 1, 1), 1, 4, RatioMode.AB, True),
             (seq(1, 1, 1), 1, 4, RatioMode.AB, False),
             # the last voter acts first, consecutively and last
-            (seq(2, 2, 1, 2, 1, 2), 2, 7, RatioMode.CB, True),
+            (seq(2, 2, 1, 2, 1, 2), 2, 7, RatioMode.AB, True),
             (seq(3, 1, 3, 3, 2), 3, 6, RatioMode.AB, True),
         ],
     )
@@ -488,11 +516,12 @@ class TestWorstTablePath:
         # whole m! batches, then batches of m!//3 + 1 rows, whose ranges
         # start above 0, end below m!, or both
         for batch in (factorial(m), factorial(m) // 3 + 1):
-            with monkeypatch.context() as patch:
+            with monkeypatch.context() as patch, chunks_run() as calls:
                 patch.setattr("elimgame.sweep.MC_CHUNK", batch * n)
                 table = run_exhaustive(s, n, m, mode, fix_first=fix_first)
                 patch.setattr("elimgame.sweep.WORST_TABLE_MAX_M", 0)
                 plain = run_exhaustive(s, n, m, mode, fix_first=fix_first)
+            assert calls
             assert_same_result(table, plain)
 
 
