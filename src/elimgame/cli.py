@@ -71,7 +71,9 @@ def _add_study_args(p):
     _add_sequence_arg(p)
     p.add_argument("--mode", choices=["ab", "cb"], default="ab",
                    help="ratio: ab = anarchy, cb = sincerity")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="processes, capped at the usable CPUs; "
+                        "a CB exhaustive study runs in one")
     p.add_argument("--bins", type=_bins, default=60,
                    help=f"histogram bins, 1 to {MAX_BINS}")
     p.add_argument("--out", help="write histogram CSV to this path")
@@ -108,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, help="Mallows dispersion in (0,1]")
     p.add_argument("--reference", choices=["identity", "random"], default="identity",
                    help="Mallows reference ranking policy")
-    p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_positive_int, required=True,
+                   help="profiles to sample, at least 1")
+    p.add_argument("--seed", type=int, default=0, help="0 to 2**64-1")
     p.set_defaults(func=cmd_study, config=_montecarlo_config)
 
     p = sub.add_parser("extremal", help="construct a bound-attaining profile")

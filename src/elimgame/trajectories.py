@@ -21,8 +21,9 @@ each forward order holds the same table: (m!)**(n-1) profiles, the same
 population as the enumeration's pinned space (voter 1 in identity order).
 Renaming each candidate to its slot in voter 1's ranking maps the one
 population onto the other, which lets a search over the same leaves find
-the first pinned index of a pair. :func:`cb_study` runs both walks on one
-fill per voter relation, made within the call: its polynomial is the
+the first pinned index of a pair. :func:`_leaves` yields each leaf's voter
+relations and fills none; :func:`cb_study` fills each relation once, in a
+memo local to the call that both walks read: a fill's polynomial is the
 table's factor, and its key sets steer the search.
 """
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
 from math import factorial
 
 
@@ -39,20 +41,23 @@ def cb_study(turns: tuple[int, ...], n: int, m: int) -> tuple[dict[int, int], in
     n(m-1) + 1``, ``num`` the Borda score of the sincere winner and ``den``
     that of the sincere winner on the reversed turns, the sum over
     :func:`_leaves` of the product of the voters' polynomials; and the
-    lowest pinned index of the maximum ratio, from :func:`_witness`. Pinned
-    profile 0, every voter in identity order, eliminates from the bottom in
-    both games and crowns candidate 0 twice, so when no ratio exceeds 1 the
-    index is 0 and no search runs.
+    lowest pinned index of the maximum ratio, from :func:`_witness`, both
+    walks filling from one memo. Pinned profile 0, every voter in identity
+    order, eliminates from the bottom in both games and crowns candidate 0
+    twice, so when no ratio exceeds 1 the index is 0 and no search runs.
     """
-    known: dict[tuple, tuple] = {}
-    table: dict[int, int] = defaultdict(int)
-    for fills, _ in _leaves(turns, n, m, known):
-        product = {0: 1}
-        for poly, _ in fills:
-            product = _multiply(product, poly)
-        for key, count in product.items():
-            table[key] += count
     base = n * (m - 1) + 1
+    fills: dict[tuple[int, ...], tuple] = {}
+
+    def fill(relation: tuple[int, ...]) -> tuple:
+        if relation not in fills:
+            fills[relation] = _voter_fill(relation, m, base)
+        return fills[relation]
+
+    table: dict[int, int] = defaultdict(int)
+    for relations, _ in _leaves(turns, n, m):
+        for key, count in reduce(_multiply, (fill(r)[0] for r in relations)).items():
+            table[key] += count
     # the ratios above 1: den >= 1 there, as the last voter of the reversed
     # turns ranks its winner above a candidate
     above = {key: Fraction(key % base, key // base) for key in table if key % base > key // base}
@@ -60,14 +65,14 @@ def cb_study(turns: tuple[int, ...], n: int, m: int) -> tuple[dict[int, int], in
         return dict(table), 0
     best = max(above.values())
     top = [key for key, ratio in above.items() if ratio == best]
-    return dict(table), _witness(turns, n, m, top, known)
+    return dict(table), _witness(turns, n, m, top, fill)
 
 
-def _witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
-             known: dict[tuple, tuple]) -> int:
+def _witness(turns: tuple[int, ...], n: int, m: int, top: list[int], fill) -> int:
     """The lowest pinned enumeration index of a profile whose key
     ``den * base + num`` (as in :func:`cb_study`) is one of ``top``, each
-    of which some profile holds.
+    of which some profile holds and none twice; ``fill`` gives a voter
+    relation's :func:`_voter_fill`.
 
     The profiles with one forward order map one to one onto the pinned
     space by renaming each candidate to its slot in voter 1's ranking, and
@@ -89,7 +94,6 @@ def _witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
     fact = [factorial(k) for k in range(m + 1)]
     # the weight of voter v's ranking id in the pinned index
     scale = [fact[m] ** (n - 1 - v) for v in range(n)]
-    targets = sorted(set(top))
     best = fact[m] ** (n - 1)
 
     def search(fills, w_r) -> None:
@@ -107,7 +111,7 @@ def _witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
             bits = reach.get((v, rest))
             if bits is None:
                 bits = reach[v, rest] = _sumset(keys[v][rest], after[v])
-            return any(t >= key and bits >> (t - key) & 1 for t in targets)
+            return any(t >= key and bits >> (t - key) & 1 for t in top)
 
         if not reachable(0, full, 0):
             return
@@ -160,18 +164,17 @@ def _witness(turns: tuple[int, ...], n: int, m: int, top: list[int],
 
         lead(full, 0)
 
-    for fills, w_r in _leaves(turns, n, m, known):
-        search(fills, w_r)
+    for relations, w_r in _leaves(turns, n, m):
+        search([fill(r) for r in relations], w_r)
     return best
 
 
-def _leaves(turns: tuple[int, ...], n: int, m: int, known: dict[tuple, tuple]):
-    """Yield ``(fills, w_r)`` at each leaf of the search over the reverse
-    orders whose forward order is ``0, 1, ..., m-2``: every voter's
-    :func:`_voter_fill` of its relation, and the strategic winner. ``known``
-    holds the fills keyed ``(*below, w_r)``; a relation missing from it is
-    filled and added, so walks that share ``known`` fill each distinct
-    (relation, ``w_r``) once.
+def _leaves(turns: tuple[int, ...], n: int, m: int):
+    """Yield ``(relations, w_r)`` at each leaf of the search over the
+    reverse orders whose forward order is ``0, 1, ..., m-2``: every voter's
+    relation as the key ``(*below, w_r)``, and the strategic winner. The
+    walk fills nothing; its caller fills the relations it needs, once per
+    key, in a memo of its own.
 
     Each voter keeps one relation: ``below[c]`` is the mask of the
     candidates it must rank directly below ``c``. The forward turns seed the
@@ -189,7 +192,7 @@ def _leaves(turns: tuple[int, ...], n: int, m: int, known: dict[tuple, tuple]):
     branch reaches a leaf, and at a leaf the profiles behind the pair of
     orders are those where each voter's ranking extends its relation.
     """
-    full, base = (1 << m) - 1, n * (m - 1) + 1
+    full = (1 << m) - 1
     relations = [[0] * m for _ in range(n)]
     for t, voter in enumerate(turns):
         _place_below(relations[voter], t, full >> (t + 1) << (t + 1))
@@ -198,13 +201,7 @@ def _leaves(turns: tuple[int, ...], n: int, m: int, known: dict[tuple, tuple]):
     def search(depth: int, alive: int):
         if depth == m - 1:
             w_r = alive.bit_length() - 1
-            fills = []
-            for below in relations:
-                relation = (*below, w_r)
-                if relation not in known:
-                    known[relation] = _voter_fill(below, m, w_r, base)
-                fills.append(known[relation])
-            yield fills, w_r
+            yield [(*below, w_r) for below in relations], w_r
             return
         voter = rev[depth]
         below = relations[voter]
@@ -235,12 +232,12 @@ def _weights(m: int, w_r: int, base: int) -> list[int]:
     return weights
 
 
-def _voter_fill(below: list[int], m: int, w_r: int,
+def _voter_fill(relation: tuple[int, ...], m: int,
                 base: int) -> tuple[dict[int, int], dict[int, int]]:
     """``({points(w_r) * base + points(m-1): rankings}, {placed: keys})``
-    over one voter's rankings that extend ``below``: the polynomial of its
-    whole ranking, and for every set its ranking's bottom can hold, the keys
-    of that set's polynomial as a bitset.
+    over one voter's rankings that extend its relation ``(*below, w_r)``:
+    the polynomial of its whole ranking, and for every set its ranking's
+    bottom can hold, the keys of that set's polynomial as a bitset.
 
     The ranking is filled from the bottom, so a candidate placed onto ``k``
     others scores ``k`` points, and a candidate may be placed once all it
@@ -248,6 +245,7 @@ def _voter_fill(below: list[int], m: int, w_r: int,
     scored so far by the two winners, one polynomial per set; one shift
     places a candidate under every key of a set's bitset at once.
     """
+    *below, w_r = relation
     weights = _weights(m, w_r, base)
     keys, layer = {0: 1}, {0: {0: 1}}
     for size in range(m):

@@ -7,10 +7,18 @@ from math import factorial, sqrt
 
 import pytest
 
-from elimgame import CultureSpec, EliminationSequence, RatioMode, sweep, trajectories
+from elimgame import (
+    CultureSpec,
+    EliminationSequence,
+    RatioMode,
+    sincere_play,
+    spne_outcome,
+    sweep,
+    trajectories,
+)
 from elimgame.experiments import run_exhaustive, run_montecarlo
 from elimgame.trajectories import cb_study
-from helpers import seq_from
+from helpers import enumerate_profiles, seq_from
 
 #: every sequence at the small sizes, then both E1-size (3, 7) sequences,
 #: a two-voter m = 8 one and lone voters, whose space is one profile
@@ -62,38 +70,93 @@ def test_witness_is_the_lowest_tag_of_the_maximum(n, m, turns):
 
 
 def test_one_fill_per_relation_serves_table_and_witness(monkeypatch):
-    # E1: the table walks every leaf, and the witness walks them all again
-    # before it settles at index 6,622,774; both must read the fills the
-    # table's walk made, each distinct (relation, w_r) filled once, and a
-    # second study of the same game fills every relation again
+    # E1: the table walks all 61 leaves, and the witness walks them all
+    # again before it settles at index 6,622,774; both must read the fills
+    # of the study's one memo, each distinct (relation, w_r) at a leaf
+    # filled once, 103 of them, and a second study of the same game fills
+    # every relation again
     turns, n, m = seq_from("123123").turns, 3, 7
-    made = []
+    made = {}  # id of each fill -> (relation, fill), the fill kept alive
 
-    def counted(below, m, w_r, base):
-        fill = fill_once(below, m, w_r, base)
-        made.append(((*below, w_r), fill))
+    def counted(relation, m, base):
+        fill = fill_once(relation, m, base)
+        made[id(fill)] = relation, fill
         return fill
 
     walks = []
 
-    def recorded(turns, n, m, known):
-        read = set()
-        walks.append(read)
-        for fills, w_r in leaves(turns, n, m, known):
-            read.update(map(id, fills))
-            yield fills, w_r
+    def recorded(turns, n, m):
+        seen = []
+        walks.append(seen)
+        for relations, w_r in leaves(turns, n, m):
+            seen.extend(relations)
+            yield relations, w_r
+
+    # the made polynomials the table's products read; a made fill is alive,
+    # so no other object at the call shares its id
+    multiplied = set()
+
+    def product(a, b):
+        polys = {id(fill[0]): key for key, (_, fill) in made.items()}
+        multiplied.update(polys[id(p)] for p in (a, b) if id(p) in polys)
+        return multiply(a, b)
+
+    searched = set()
+
+    def witnessed(turns, n, m, top, fill):
+        def read(relation):
+            out = fill(relation)
+            searched.add(id(out))
+            return out
+        return witness(turns, n, m, top, read)
 
     fill_once, leaves = trajectories._voter_fill, trajectories._leaves
+    multiply, witness = trajectories._multiply, trajectories._witness
     monkeypatch.setattr(trajectories, "_voter_fill", counted)
     monkeypatch.setattr(trajectories, "_leaves", recorded)
+    monkeypatch.setattr(trajectories, "_multiply", product)
+    monkeypatch.setattr(trajectories, "_witness", witnessed)
     res = run_exhaustive(EliminationSequence(turns), n, m, RatioMode.CB)
     assert res.max_index == 6_622_774
-    relations = [relation for relation, _ in made]
-    assert len(relations) == len(set(relations))
-    assert walks == [{id(fill) for _, fill in made}] * 2
-    first = len(made)
+    relations = [relation for relation, _ in made.values()]
+    assert len(relations) == len(set(relations)) == 103
+    assert [len(seen) for seen in walks] == [61 * n] * 2
+    assert [set(seen) for seen in walks] == [set(relations)] * 2
+    assert multiplied == searched == set(made)
+    made.clear()
     assert cb_study(turns, n, m)[1] == 6_622_774
-    assert sorted(relation for relation, _ in made[first:]) == sorted(relations)
+    assert sorted(relation for relation, _ in made.values()) == sorted(relations)
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4)])
+def test_leaves_split_the_profiles_of_the_pinned_forward_order(n, m):
+    # the walk's own contract, apart from any fill: every profile whose
+    # sincere order on turns is 0, 1, ..., m-2 extends the relations of
+    # exactly one leaf, whose w_r is the profile's strategic winner. Renaming
+    # each pinned profile's candidates by its sincere elimination order
+    # builds those profiles, and there are (m!)**(n-1) of them.
+    pinned = list(enumerate_profiles(n, m))
+    rankings = list(itertools.permutations(range(m)))
+    # under[r][c]: the candidates ranking r places below c
+    under = {r: [sum(1 << d for d in r[r.index(c) + 1:]) for c in range(m)] for r in rankings}
+    for turns in itertools.product(range(n), repeat=m - 1):
+        s = EliminationSequence(turns)
+        leaves = list(trajectories._leaves(turns, n, m))
+        # fits[v][r]: the leaves whose voter-v relation ranking r extends
+        fits = [{r: {i for i, (relations, _) in enumerate(leaves)
+                     if all(relations[v][c] & ~under[r][c] == 0 for c in range(m))}
+                 for r in rankings} for v in range(n)]
+        renamed = set()
+        for p in pinned:
+            trace = sincere_play(p, s)
+            order = [c for _, c in trace.steps] + [trace.winner]
+            q = p.relabel(order.index(c) for c in range(m))
+            assert [c for _, c in sincere_play(q, s).steps] == list(range(m - 1))
+            rows = tuple(vote.ranking for vote in q.votes)
+            (leaf,) = set.intersection(*(fits[v][rows[v]] for v in range(n)))
+            assert leaves[leaf][1] == spne_outcome(q, s).winner
+            renamed.add(rows)
+        assert len(renamed) == factorial(m) ** (n - 1)
 
 
 @pytest.mark.parametrize("n,m,turns", [(5, 7, (0, 1, 2, 3, 4, 0)), (20, 4, (0, 10, 19))])
@@ -104,7 +167,6 @@ def test_counts_cover_the_pinned_space(n, m, turns):
     assert sum(table.values()) == factorial(m) ** (n - 1)
     base = n * (m - 1) + 1
     assert all(base <= key < base * base and count > 0 for key, count in table.items())
-
 
 
 def test_impartial_culture_sample_mean_meets_the_exact_mean():
