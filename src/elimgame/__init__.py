@@ -7,14 +7,15 @@ constructs worst-case profiles attaining the closed-form bounds, and runs
 exhaustive and Monte-Carlo ratio studies reproducibly across worker counts.
 
 The top level re-exports the entry points and the types they take; every
-other name lives in its submodule. Importing the package loads no numpy.
-The culture names load it on first use, and the study names when a study
-runs chunks: AB and Monte-Carlo studies do, CB exhaustive studies need not.
+other name lives in its submodule. Importing the package or naming a culture
+loads no numpy; ``sample_rankings_batch`` loads it on first use, and the study
+names when a study runs chunks: AB and Monte-Carlo ones, not CB exhaustive ones.
 """
 
 from importlib import import_module
 
 from .core import (
+    CultureSpec,
     EliminationSequence,
     PreferenceProfile,
     Vote,
@@ -56,7 +57,7 @@ __version__ = "0.1.0"
 
 #: the study names and their modules, imported on first use: ``cultures``
 #: loads numpy, and ``experiments`` loads it only once a study runs chunks
-_STUDY_NAMES = {"CultureSpec": "cultures", "sample_rankings_batch": "cultures",
+_STUDY_NAMES = {"sample_rankings_batch": "cultures",
                 "ExperimentConfig": "experiments", "run_experiment": "experiments"}
 
 

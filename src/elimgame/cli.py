@@ -13,7 +13,8 @@ import json
 import os
 import sys
 
-from .core import EliminationSequence, format_profile, parse_profile, parse_voters
+from .core import CultureKind, CultureSpec, EliminationSequence
+from .core import format_profile, parse_profile, parse_voters
 from .errors import BudgetExceeded, ElimGameError, OutOfDomain, ParseError, Unsatisfiable
 from .extremal import ExtremalMode, generate, verify_tight
 from .play import (
@@ -65,10 +66,14 @@ def _add_sequence_arg(p):
                    help="comma-separated 1-based voter turns, e.g. 1,2,3,1")
 
 
-def _add_study_args(p):
+def _add_game_args(p):
     p.add_argument("--n", type=int, required=True, help="number of voters")
     p.add_argument("--m", type=int, required=True, help="number of candidates")
     _add_sequence_arg(p)
+
+
+def _add_study_args(p):
+    _add_game_args(p)
     p.add_argument("--mode", choices=["ab", "cb"], default="ab",
                    help="ratio: ab = anarchy, cb = sincerity")
     p.add_argument("--workers", type=_positive_int, default=1,
@@ -116,18 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_study, config=_montecarlo_config)
 
     p = sub.add_parser("extremal", help="construct a bound-attaining profile")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_sequence_arg(p)
+    _add_game_args(p)
     p.add_argument("--mode", choices=["poa", "sr"], default="poa")
     p.add_argument("--oracle", action="store_true",
                    help="re-verify the strategic winner by backward induction")
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("bounds", help="print the closed-form bounds")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_sequence_arg(p)
+    _add_game_args(p)
     p.set_defaults(func=cmd_bounds)
 
     return parser
@@ -170,18 +171,17 @@ def _exhaustive_config(args):
         mode=RatioMode.parse(args.mode),
         workers=args.workers, histogram_bins=args.bins,
         fix_first=args.fix_first,
-        budget=(1 << 62) if args.force else None,
+        budget=(1 << 63) if args.force else None,
     )
 
 
 def _montecarlo_config(args):
-    from .cultures import CultureSpec
     from .experiments import ExperimentConfig
     if not 0 <= args.seed < 1 << 64:
         raise ParseError(f"--seed must lie in 0..2**64-1, got {args.seed}")
     culture = CultureSpec.parse(args.culture, phi=args.phi)
     if args.reference == "random":
-        if culture.kind.value != "mallows":
+        if culture.kind is not CultureKind.MALLOWS:
             raise OutOfDomain("--reference only applies to Mallows cultures")
         culture = CultureSpec.mallows(culture.phi, random_reference=True)
     return ExperimentConfig(
@@ -275,7 +275,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-
-
-if __name__ == "__main__":
-    sys.exit(main(argv=None))

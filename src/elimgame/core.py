@@ -1,5 +1,6 @@
 """Votes, preference profiles, elimination sequences and Borda scoring,
-and the pinned enumeration that exhaustive studies index.
+the culture specs that name a vote distribution (:mod:`elimgame.cultures`
+samples them), and the pinned enumeration that exhaustive studies index.
 
 Candidates and voters are 0-based integers everywhere inside the package.
 1-based numbering appears only at the text boundary: profile files,
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 from math import factorial
 
@@ -23,6 +25,7 @@ from .errors import (
     InvalidVoter,
     OutOfDomain,
     ParseError,
+    PhiOutOfRange,
     SequenceLengthMismatch,
 )
 
@@ -176,9 +179,6 @@ class EliminationSequence:
         if any(t < 0 for t in self.turns):
             raise InvalidVoter("voter indices must be non-negative")
 
-    def __len__(self) -> int:
-        return len(self.turns)
-
     def validate(self, n: int, m: int | None = None) -> None:
         """Check entries fit ``n`` voters and, when given, length ``m - 1``.
 
@@ -286,6 +286,66 @@ def format_profile(profile: PreferenceProfile) -> str:
         " ".join(profile.label(c) for c in v.ranking) for v in profile.votes
     ]
     return "\n".join(lines) + "\n"
+
+
+class CultureKind(Enum):
+    IMPARTIAL = "ic"
+    MALLOWS = "mallows"
+
+
+@dataclass(frozen=True)
+class CultureSpec:
+    """A vote distribution: impartial culture or a Mallows model.
+
+    ``phi`` is the Mallows dispersion in (0, 1]; 1 coincides with impartial
+    culture. The Mallows reference ranking is the identity, or with
+    ``random_reference`` a fresh uniform one per profile (per sample, not
+    per vote), which relabels the candidates and so moves no ratio: sweeps
+    sample identity-reference profiles, and only returned rankings change.
+    """
+
+    kind: CultureKind
+    phi: float = 1.0
+    random_reference: bool = False
+
+    def __post_init__(self):
+        if self.kind is CultureKind.MALLOWS and not 0.0 < self.phi <= 1.0:
+            raise PhiOutOfRange(f"phi must lie in (0, 1], got {self.phi}")
+
+    @classmethod
+    def impartial(cls) -> "CultureSpec":
+        return cls(CultureKind.IMPARTIAL)
+
+    @classmethod
+    def mallows(cls, phi: float, random_reference: bool = False) -> "CultureSpec":
+        return cls(CultureKind.MALLOWS, phi, random_reference)
+
+    @classmethod
+    def parse(cls, text: str, phi: float | None = None) -> "CultureSpec":
+        """Parse command-line culture strings: ``ic`` or ``mallows:phi=0.6``.
+
+        A bare ``mallows`` takes its dispersion from the ``phi`` argument,
+        which no other culture string accepts.
+        """
+        text = text.strip()
+        if phi is not None and text != "mallows":
+            raise ParseError(f"phi applies only to a bare mallows culture, not {text!r}")
+        if text == "ic":
+            return cls.impartial()
+        if text == "mallows" or text.startswith("mallows:"):
+            if ":" in text:
+                _, _, tail = text.partition(":")
+                key, _, value = tail.partition("=")
+                if key != "phi" or not value:
+                    raise ParseError(f"bad culture spec {text!r}")
+                try:
+                    phi = float(value)
+                except ValueError:
+                    raise ParseError(f"bad phi value {value!r} in {text!r}")
+            if phi is None:
+                raise ParseError("mallows culture needs phi (use mallows:phi=X or --phi)")
+            return cls.mallows(phi)
+        raise ParseError(f"unknown culture {text!r} (expected ic or mallows:phi=X)")
 
 
 def resolve_budget(budget: int | None = None) -> int:

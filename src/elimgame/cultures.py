@@ -1,4 +1,5 @@
-"""Profile generation: Impartial Culture, Mallows and the ranking table.
+"""Profile sampling: Impartial Culture and Mallows, as a plain-value
+:class:`~elimgame.core.CultureSpec` names them, and the ranking table.
 
 Samples come from :func:`fill_positions`, the one sampler body;
 :func:`sample_rankings_batch` is its one fresh-array entry.
@@ -23,15 +24,13 @@ the Kendall tau distance ``d`` (candidate pairs ordered oppositely).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-# resolve_budget is looked up here by benchmark/inproc.py
-from .core import resolve_budget
-from .errors import OutOfDomain, ParseError, PhiOutOfRange
+# CultureSpec and resolve_budget are looked up here by benchmark/inproc.py
+from .core import CultureKind, CultureSpec, resolve_budget
+from .errors import OutOfDomain
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -91,66 +90,6 @@ def _word_rows(keys: np.ndarray, first: int, voters: int, width: int,
         ks = (offsets + np.uint64(first + k + 1)) * _GOLDEN
         np.add(ks[:, None], keys, out=x)
         yield _mix64(x, tmp, finish).reshape(-1)
-
-
-class CultureKind(Enum):
-    IMPARTIAL = "ic"
-    MALLOWS = "mallows"
-
-
-@dataclass(frozen=True)
-class CultureSpec:
-    """A vote distribution: impartial culture or a Mallows model.
-
-    ``phi`` is the Mallows dispersion in (0, 1]; 1 coincides with impartial
-    culture. The Mallows reference ranking is the identity, or with
-    ``random_reference`` a fresh uniform one per profile (per sample, not
-    per vote), which relabels the candidates and so moves no ratio: sweeps
-    sample identity-reference profiles, and only returned rankings change.
-    """
-
-    kind: CultureKind
-    phi: float = 1.0
-    random_reference: bool = False
-
-    def __post_init__(self):
-        if self.kind is CultureKind.MALLOWS and not 0.0 < self.phi <= 1.0:
-            raise PhiOutOfRange(f"phi must lie in (0, 1], got {self.phi}")
-
-    @classmethod
-    def impartial(cls) -> "CultureSpec":
-        return cls(CultureKind.IMPARTIAL)
-
-    @classmethod
-    def mallows(cls, phi: float, random_reference: bool = False) -> "CultureSpec":
-        return cls(CultureKind.MALLOWS, phi, random_reference)
-
-    @classmethod
-    def parse(cls, text: str, phi: float | None = None) -> "CultureSpec":
-        """Parse command-line culture strings: ``ic`` or ``mallows:phi=0.6``.
-
-        A bare ``mallows`` takes its dispersion from the ``phi`` argument,
-        which no other culture string accepts.
-        """
-        text = text.strip()
-        if phi is not None and text != "mallows":
-            raise ParseError(f"phi applies only to a bare mallows culture, not {text!r}")
-        if text == "ic":
-            return cls.impartial()
-        if text == "mallows" or text.startswith("mallows:"):
-            if ":" in text:
-                _, _, tail = text.partition(":")
-                key, _, value = tail.partition("=")
-                if key != "phi" or not value:
-                    raise ParseError(f"bad culture spec {text!r}")
-                try:
-                    phi = float(value)
-                except ValueError:
-                    raise ParseError(f"bad phi value {value!r} in {text!r}")
-            if phi is None:
-                raise ParseError("mallows culture needs phi (use mallows:phi=X or --phi)")
-            return cls.mallows(phi)
-        raise ParseError(f"unknown culture {text!r} (expected ic or mallows:phi=X)")
 
 
 #: Fisher-Yates steps ``j`` below this run as compare-select, the rest as a

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, sqrt
-from typing import TYPE_CHECKING
 
 from .core import (
+    CultureKind,
+    CultureSpec,
     EliminationSequence,
     PreferenceProfile,
     enumeration_size,
@@ -41,8 +42,6 @@ from .errors import BudgetExceeded, ZeroWelfare
 from .trajectories import cb_study
 from .welfare import RatioMode, poa_for_sequence, ratio_json, sr_bound_for_sequence
 
-if TYPE_CHECKING:
-    from .cultures import CultureSpec
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -284,15 +283,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config, res, bound, witness)
 
 
+def _culture_fields(culture: CultureSpec | None) -> tuple[str, float | None]:
+    """A report's culture name and Mallows phi, or None (an empty CSV field)."""
+    if culture is None:
+        return "exhaustive", None
+    return ("ic", None) if culture.kind is CultureKind.IMPARTIAL else ("mallows", culture.phi)
+
+
 def csv_row(result: ExperimentResult) -> str:
     """One summary row under CSV_HEADER, reduced max as num/den fields."""
     cfg = result.config
-    culture = "exhaustive" if cfg.culture is None else cfg.culture.kind.value
-    phi = "" if cfg.culture is None or cfg.culture.kind.value == "ic" else str(cfg.culture.phi)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="")
     writer.writerow([
-        cfg.sequence.compact(), cfg.n, cfg.m, cfg.mode.value, culture, phi,
+        cfg.sequence.compact(), cfg.n, cfg.m, cfg.mode.value, *_culture_fields(cfg.culture),
         result.sweep.count, repr(result.mean), repr(result.std),
         result.sweep.max_ratio.numerator, result.sweep.max_ratio.denominator,
     ])
@@ -347,12 +351,13 @@ def write_histogram_csv(path, result: ExperimentResult) -> None:
 def json_summary(result: ExperimentResult) -> dict:
     cfg = result.config
     sweep = result.sweep
+    culture, phi = _culture_fields(cfg.culture)
     out = {
         "sequence": cfg.sequence.to_text(),
         "n": cfg.n,
         "m": cfg.m,
         "mode": cfg.mode.value,
-        "culture": "exhaustive" if cfg.culture is None else cfg.culture.kind.value,
+        "culture": culture,
         "count": sweep.count,
         "mean": float(sweep.mean),
         "std": sweep.std,
@@ -364,9 +369,7 @@ def json_summary(result: ExperimentResult) -> dict:
         "max_witness": format_profile(result.witness).splitlines(),
     }
     if cfg.culture is not None:
-        out["phi"] = None if cfg.culture.kind.value == "ic" else cfg.culture.phi
-        out["samples"] = cfg.samples
-        out["seed"] = cfg.seed
+        out.update(phi=phi, samples=cfg.samples, seed=cfg.seed)
     return out
 
 

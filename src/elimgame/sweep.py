@@ -36,9 +36,8 @@ from math import factorial
 
 import numpy as np
 
-from .core import MAX_VOTERS, EliminationSequence, enumeration_size, ranking_ids
+from .core import MAX_VOTERS, CultureSpec, EliminationSequence, enumeration_size, ranking_ids
 from .cultures import (
-    CultureSpec,
     fill_positions,
     permutation_table,
     # looked up here by experiments.montecarlo_witness and wrapped here by

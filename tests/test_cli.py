@@ -180,6 +180,17 @@ class TestExitCodes:
         code, out, _ = run_main(capsys, *(args + ["--force"]))
         assert code == 0
 
+    def test_force_admits_every_space_under_2_63(self, capsys):
+        # 6**24 pinned profiles lie between 2**62 and 2**63; --force used to
+        # pass a budget of 2**62 and refuse them with exit 5
+        code, out, err = run_main(
+            capsys, "exhaustive", "--n", "25", "--m", "3", "--sequence", "1,2",
+            "--mode", "cb", "--force",
+        )
+        assert (code, err) == (0, "")
+        assert 1 << 62 < 6**24 < 1 << 63
+        assert json.loads(out.splitlines()[-1])["count"] == 6**24
+
     def test_position_table_over_1_gib_is_5(self, capsys, monkeypatch):
         # refused before the 5.4 GiB table of m = 12 is built, even with --force
         def no_table(m):

@@ -19,7 +19,6 @@ from elimgame import (
 from elimgame.cultures import (
     INSERT_BITS,
     SELECT_STEPS,
-    CultureKind,
     _finish64,
     _fisher_yates,
     _insertion_slots,
@@ -31,6 +30,7 @@ from elimgame.cultures import (
 )
 from elimgame import cultures, sweep
 from elimgame.core import (
+    CultureKind,
     EliminationSequence,
     enumeration_size,
     profile_at_index,

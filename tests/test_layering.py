@@ -144,6 +144,20 @@ def test_chunked_studies_still_run():
     assert modules_left_loaded(runs, {"numpy", "elimgame.sweep"}) == ["elimgame.sweep", "numpy"]
 
 
+def test_culture_specs_load_no_numpy():
+    # a culture spec is a plain value in core: parsing one and configuring a
+    # Monte-Carlo study import neither numpy nor the sampler
+    script = (
+        "import sys\n"
+        "import elimgame\n"
+        "culture = elimgame.CultureSpec.parse('mallows:phi=0.6')\n"
+        "elimgame.ExperimentConfig(n=3, m=5, sequence=elimgame.EliminationSequence.parse("
+        "'1,2,3,1'), mode=elimgame.RatioMode.CB, culture=culture, samples=10)\n"
+        "print(sorted({'numpy', 'elimgame.cultures'} & set(sys.modules)))\n"
+    )
+    assert run_fresh(script) == "[]\n"
+
+
 def test_serial_studies_load_no_process_pool():
     game = ["--n", "3", "--m", "5", "--sequence", "1,2,3,1", "--workers", "1"]
     runs = [["exhaustive", *game, "--mode", "cb"],
@@ -164,21 +178,27 @@ def modules_left_loaded(runs, heavy) -> list[str]:
         "heavy = set(json.loads(sys.argv[2]))\n"
         "print(json.dumps([codes, sorted(heavy & set(sys.modules))]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(runs), json.dumps(sorted(heavy))],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    out = run_fresh(script, json.dumps(runs), json.dumps(sorted(heavy)))
+    codes, loaded = json.loads(out.splitlines()[-1])
     assert codes == [0] * len(runs)
     return loaded
 
 
-def test_study_names_resolve_on_first_use():
-    from elimgame import cultures, experiments, sweep, welfare
+def run_fresh(script: str, *args: str) -> str:
+    """The stdout of a fresh interpreter that runs ``script`` with ``args``
+    and this package on its path, and must exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
-    for module, names in [(cultures, ["CultureSpec", "sample_rankings_batch"]),
+
+def test_study_names_resolve_on_first_use():
+    from elimgame import core, cultures, experiments, sweep, welfare
+
+    for module, names in [(core, ["CultureSpec"]), (cultures, ["sample_rankings_batch"]),
                           (experiments, ["ExperimentConfig", "run_experiment"]),
                           (welfare, ["RatioMode"]), (sweep, ["RatioMode"])]:
         for name in names:
