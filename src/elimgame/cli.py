@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sequence_arg(p)
     p.add_argument("--behavior", choices=["sincere", "strategic", "oracle", "mixed"],
                    default="sincere")
-    p.add_argument("--sincere-set", default="",
+    p.add_argument("--sincere-set",
                    help="mixed only: comma-separated 1-based sincere voters")
     p.set_defaults(func=cmd_solve)
 
@@ -148,6 +148,8 @@ def _parse_voter_set(text: str) -> BehaviorAssignment:
 
 
 def cmd_solve(args) -> int:
+    if args.sincere_set is not None and args.behavior != "mixed":
+        raise ParseError("--sincere-set applies only to --behavior mixed")
     profile = _read_profile(args.profile)
     seq = EliminationSequence.parse(args.sequence)
     if args.behavior == "sincere":
@@ -157,26 +159,17 @@ def cmd_solve(args) -> int:
     elif args.behavior == "oracle":
         trace = backward_induction(profile, seq)
     else:
-        behavior = _parse_voter_set(args.sincere_set)
+        behavior = _parse_voter_set(args.sincere_set or "")
         trace = mixed_play(profile, seq, behavior)
     print(json.dumps(trace_report(trace, profile), indent=2))
     return EXIT_OK
 
 
-def _exhaustive_config(args):
-    from .experiments import ExperimentConfig
-    return ExperimentConfig(
-        n=args.n, m=args.m,
-        sequence=EliminationSequence.parse(args.sequence),
-        mode=RatioMode.parse(args.mode),
-        workers=args.workers, histogram_bins=args.bins,
-        fix_first=args.fix_first,
-        budget=(1 << 63) if args.force else None,
-    )
+def _exhaustive_config(args) -> dict:
+    return {"fix_first": args.fix_first, "budget": (1 << 63) if args.force else None}
 
 
-def _montecarlo_config(args):
-    from .experiments import ExperimentConfig
+def _montecarlo_config(args) -> dict:
     if not 0 <= args.seed < 1 << 64:
         raise ParseError(f"--seed must lie in 0..2**64-1, got {args.seed}")
     culture = CultureSpec.parse(args.culture, phi=args.phi)
@@ -184,13 +177,7 @@ def _montecarlo_config(args):
         if culture.kind is not CultureKind.MALLOWS:
             raise OutOfDomain("--reference only applies to Mallows cultures")
         culture = CultureSpec.mallows(culture.phi, random_reference=True)
-    return ExperimentConfig(
-        n=args.n, m=args.m,
-        sequence=EliminationSequence.parse(args.sequence),
-        mode=RatioMode.parse(args.mode),
-        culture=culture, samples=args.samples, seed=args.seed,
-        workers=args.workers, histogram_bins=args.bins,
-    )
+    return {"culture": culture, "samples": args.samples, "seed": args.seed}
 
 
 def _check_writable(path: str) -> None:
@@ -212,8 +199,11 @@ def cmd_study(args) -> int:
     # The package calls no BLAS routine, so OpenBLAS's thread pool would only
     # spin beside the sweep; a value the user set still wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from .experiments import render_report, run_experiment, write_histogram_csv
-    config = args.config(args)
+    from .experiments import ExperimentConfig, render_report, run_experiment, write_histogram_csv
+    own = args.config(args)  # first, so its refusals precede the sequence's
+    config = ExperimentConfig(args.n, args.m, EliminationSequence.parse(args.sequence),
+                              RatioMode.parse(args.mode), workers=args.workers,
+                              histogram_bins=args.bins, **own)
     if args.out:
         _check_writable(args.out)
     result = run_experiment(config)

@@ -61,7 +61,7 @@ class SweepResult:
     max_index: int
     min_ratio: Fraction
     spike_count: int
-    pairs: tuple[tuple[int, int, int], ...] = field(compare=False, repr=False)
+    pairs: tuple[tuple[int, int, int], ...] = field(repr=False)
 
     @property
     def std(self) -> float:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .core import EliminationSequence, PreferenceProfile
 from .errors import StructureUnsatisfiable, Unsatisfiable
 from .play import backward_induction, spne_outcome
-from .welfare import poa_formula, ratio_ab, ratio_cb, sr_upper_bound
+from .welfare import poa_for_sequence, ratio_ab, ratio_cb, sr_bound_for_sequence
 
 
 class ExtremalMode(Enum):
@@ -224,13 +224,12 @@ def verify_tight(
     backward induction (small m only) and checked against the reversed-
     sequence shortcut.
     """
-    o_max = seq.occurrences(profile.n).o_max
     if mode is ExtremalMode.POA:
         achieved = ratio_ab(profile, seq)
-        bound = poa_formula(profile.n, profile.m, o_max)
+        bound = poa_for_sequence(seq, profile.n, profile.m)
     else:
         achieved = ratio_cb(profile, seq)
-        bound = sr_upper_bound(profile.n, profile.m, o_max)
+        bound = sr_bound_for_sequence(seq, profile.n, profile.m)
     agrees = None
     if oracle:
         agrees = (

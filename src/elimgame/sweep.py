@@ -118,24 +118,25 @@ def _play_buffers(shape: tuple[int, int], dtype: np.dtype):
             np.empty(shape, dtype=ids.dtype), ids)
 
 
-def next_mask_table(pos: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=2)
+def next_mask_table(m: int) -> np.ndarray:
     """``N[mask, r]``: ``mask`` without the candidate ranking ``r`` puts lowest.
 
-    ``pos`` is an ``(R, m)`` position table (``pos[r, c]`` is the slot of
-    candidate ``c`` in ranking ``r``) with ``m <= 8``; the result is
-    ``(2**m, R)`` uint8, mask-major so that one alive mask's entries for a
-    range of consecutive ranking ids are one contiguous slice, with row
+    ``r`` is a row of ``pos = permutation_table(m)``, where ``pos[r, c]``
+    is the slot of candidate ``c`` in ranking ``r``, and ``m <= 8``. The
+    result is ``(2**m, m!)`` uint8, built once per process for each of the
+    last two ``m`` asked for, mask-major so that one alive mask's entries for
+    a range of consecutive ranking ids are one contiguous slice, with row
     ``N[0]`` unused. Masks are filled in increasing order from the mask
     without their lowest candidate ``c``: when ``c`` sits below the rest's
     lowest slot ``c`` leaves, else the rest's lowest leaves and ``c`` stays.
     Every array is one byte per entry, so building the table peaks at about
     twice its size.
     """
-    rows, m = pos.shape
-    cols = np.ascontiguousarray(pos.T)
-    table = np.zeros((1 << m, rows), dtype=np.uint8)
+    cols = np.ascontiguousarray(permutation_table(m).T)
+    table = np.zeros((1 << m, cols.shape[1]), dtype=np.uint8)
     # slot[mask]: the lowest slot among mask's candidates; -1 for mask 0
-    slot = np.full((1 << m, rows), -1, dtype=np.int8)
+    slot = np.full(table.shape, -1, dtype=np.int8)
     for mask in range(1, 1 << m):
         c = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << c)
@@ -147,10 +148,10 @@ def next_mask_table(pos: np.ndarray) -> np.ndarray:
 def range_batch_play(table: np.ndarray, ids, rows: np.ndarray, turns):
     """Vectorised sincere play over a batch of profiles given as ranking ids.
 
-    ``table`` is a :func:`next_mask_table`. Voters ``0..len(ids)-1`` keep
-    the ranking ids ``ids`` (rows of the position table the table was built
-    from) for the whole batch, and the last voter, ``len(ids)``, runs over
-    ``rows``, the consecutive intp ranking ids ``low..high-1``, one a row.
+    ``table`` is :func:`next_mask_table` ``(m)``. Voters ``0..len(ids)-1``
+    keep the ranking ids ``ids``, rows of ``permutation_table(m)``, for the
+    whole batch, and the last voter, ``len(ids)``, runs over ``rows``, the
+    consecutive intp ranking ids ``low..high-1``, one a row.
     Returns the rows' winners, equal to :func:`play_batch_winners` on the
     matching position rows: a ``(B,)`` intp array, or one int when the last
     voter never acts.
@@ -221,16 +222,11 @@ def _fold(tables) -> list[tuple[int, int, int]]:
     return [(key, count, tag) for key, (count, tag) in sorted(folded.items())]
 
 
-@lru_cache(maxsize=2)
-def _next_mask_table(m: int) -> np.ndarray:
-    return next_mask_table(permutation_table(m))
-
-
 def _exhaustive_chunk(args):
-    turns, rev_turns, n, m, mode, batch, start, count = args
+    turns, n, m, mode, batch, start, count = args
     pos = permutation_table(m)
     fact = pos.shape[0]
-    table = _next_mask_table(m) if m <= WORST_TABLE_MAX_M else None
+    table = next_mask_table(m) if m <= WORST_TABLE_MAX_M else None
     base = n * (m - 1) + 1
     # every pair's count and lowest index; run_exhaustive's refusals leave
     # n(m-1) <= 63, so the grid holds at most 4,096 keys
@@ -263,7 +259,7 @@ def _exhaustive_chunk(args):
             return fixed.take(w) - pos.take(cells + w)
 
         # the strategic winner is sincere play on the reversed sequence
-        den = score(rev_turns)
+        den = score(turns[::-1])
         num = score(turns) if mode is RatioMode.CB else (fixed[:, None] - cols).max(axis=0)
         keys = den * base + num
         # Batches run in index order, so a key is new to the chunk exactly
@@ -293,7 +289,7 @@ def _chunk_buffers(n: int, m: int, count: int):
 
 
 def _montecarlo_chunk(args):
-    turns, rev_turns, n, m, mode, culture, seed, start, count = args
+    turns, n, m, mode, culture, seed, start, count = args
     block, scratch, scores = _chunk_buffers(n, m, count)
     fill_positions(block, scratch, culture, seed, start)
     # Borda scores n(m-1) - slot sums, (m, count); a row's score of w is the
@@ -307,7 +303,7 @@ def _montecarlo_chunk(args):
         return scores.take(rows + w.astype(np.intp) * count).astype(np.int64)
 
     # the strategic winner is sincere play on the reversed sequence
-    den = score(rev_turns)
+    den = score(turns[::-1])
     num = score(turns) if mode is RatioMode.CB else scores.max(axis=0).astype(np.int64)
     return _batch_table(num, den, n * (m - 1) + 1, start)
 
@@ -358,7 +354,7 @@ def exhaustive_table(seq: EliminationSequence, n: int, m: int,
     the trajectory study is tested against.
     """
     batch = min(factorial(m), max(1, MC_CHUNK // n))
-    static = (seq.turns, seq.reverse().turns, n, m, RatioMode.AB, batch)
+    static = (seq.turns, n, m, RatioMode.AB, batch)
     return _run_chunks(_exhaustive_chunk, static, enumeration_size(n, m),
                        EXHAUSTIVE_OUTER_CHUNK * batch, workers)
 
@@ -369,5 +365,5 @@ def montecarlo_table(seq: EliminationSequence, n: int, m: int, mode: RatioMode,
     """The table of samples ``0..samples-1`` drawn from ``culture``, as
     ascending ``(key, count, tag)`` rows, each tag a sample index. Sample
     ``i`` is a pure function of ``(seed, i)``."""
-    static = (seq.turns, seq.reverse().turns, n, m, mode, culture, seed)
+    static = (seq.turns, n, m, mode, culture, seed)
     return _run_chunks(_montecarlo_chunk, static, samples, max(1, MC_CHUNK // n), workers)

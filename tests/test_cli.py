@@ -127,6 +127,27 @@ class TestExitCodes:
         assert code == 3
         assert err == "error [INVALID_VOTER]: voter 9 outside 1..3\n"
 
+    def test_sincere_set_outside_mixed_is_2(self, tmp_path, capsys):
+        # voter 9 of 2 would name no voter, but the set is refused before the
+        # profile is read, for every behavior but mixed
+        path = write(tmp_path, "a b c\nb c a\n")
+        for behavior in ["sincere", "strategic", "oracle"]:
+            code, out, err = run_main(
+                capsys, "solve", "--profile", path, "--sequence", "1,2",
+                "--behavior", behavior, "--sincere-set", "9",
+            )
+            assert (code, out) == (2, "")
+            assert err == ("error [PARSE_ERROR]: "
+                           "--sincere-set applies only to --behavior mixed\n")
+        code, _, err = run_main(capsys, "solve", "--profile", "/nonexistent/p.txt",
+                                "--sequence", "1,2", "--sincere-set", "1")
+        assert code == 2 and "--sincere-set" in err
+        # mixed without the set still plays every voter strategically
+        winners = [json.loads(run_main(capsys, "solve", "--profile", path, "--sequence", "1,2",
+                                       "--behavior", behavior)[1])["winner"]
+                   for behavior in ["mixed", "strategic"]]
+        assert winners[0] == winners[1]
+
     def test_bad_sincere_set_text_is_2(self, tmp_path, capsys):
         path = write(tmp_path, EXAMPLE2)
         code, _, err = run_main(

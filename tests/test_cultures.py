@@ -350,11 +350,11 @@ class TestPositionSampler:
         for n, m, count in [(3, 7, 300), (2, 9, 257)]:
             turns = tuple(v % n for v in range(m - 1))
             for k, culture in enumerate([CultureSpec.mallows(0.6), IC, CultureSpec.mallows(0.3)]):
-                runs.append((turns, turns[::-1], n, m, RatioMode.CB, culture, 4, 100 * k, count))
+                runs.append((turns, n, m, RatioMode.CB, culture, 4, 100 * k, count))
 
         def chunk(args):
             table = sweep._montecarlo_chunk(args)
-            n, m, culture, seed, start, count = args[2], args[3], *args[5:]
+            n, m, culture, seed, start, count = args[1], args[2], *args[4:]
             block = sweep._chunk_buffers(n, m, count)[0]
             want = filled(n, m, culture, seed, start, count)
             assert np.array_equal(block.transpose(2, 1, 0), want)

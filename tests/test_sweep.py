@@ -214,7 +214,7 @@ class TestDeterminism:
         chunk = sweep._montecarlo_chunk
         monkeypatch.setattr(
             "elimgame.sweep._montecarlo_chunk",
-            lambda args: counts.append(args[8]) or chunk(args),
+            lambda args: counts.append(args[-1]) or chunk(args),
         )
         # a budget of 1,202 voter rows holds 400 samples of 3 voters; a budget
         # below the voter count still holds one sample
@@ -229,7 +229,7 @@ class TestDeterminism:
         counts = []
         monkeypatch.setattr(
             "elimgame.sweep._montecarlo_chunk",
-            lambda args: counts.append(args[8]) or (np.array([3]), np.array([1]), np.array([0])),
+            lambda args: counts.append(args[-1]) or (np.array([3]), np.array([1]), np.array([0])),
         )
         monkeypatch.setattr("elimgame.experiments._finish", lambda *args: None)
         # MC_CHUNK voter rows per chunk: 65,536 // n samples, one at the
@@ -553,6 +553,17 @@ class TestSummary:
             assert res.count == 9 and res.spike_count == 2
             assert folded == self.build(10, a + b)
 
+    def test_results_differ_by_their_tables_alone(self):
+        # 1/2 and 3/2 against 2/4 and 6/4: every statistic and the maximum's
+        # index agree, so only the pair tables tell the two results apart
+        halves = experiments._finish([(21, 1, 0), (23, 1, 1)], 10)
+        quarters = experiments._finish([(42, 1, 0), (46, 1, 1)], 10)
+        assert (halves.count, halves.mean, halves.variance) == (2, 1, Fraction(1, 4))
+        assert (halves.max_ratio, halves.max_index) == (Fraction(3, 2), 1)
+        assert all(getattr(halves, f.name) == getattr(quarters, f.name)
+                   for f in fields(SweepResult) if f.name != "pairs")
+        assert halves != quarters
+
     def test_fold_counts_are_exact_past_int64(self):
         # each count fits int64, but the two sum past 2**63, where a numpy
         # sum would wrap to a negative count
@@ -588,7 +599,7 @@ class TestSummary:
                 pairs.append((top, scores[spne_outcome(p, s).winner]))
             num, den = (np.array(col, dtype=np.int64) for col in zip(*pairs))
             want = sweep._batch_table(num, den, n * (m - 1) + 1, 0)
-            args = (s.turns, s.reverse().turns, n, m, mode, factorial(m), 0, len(profiles))
+            args = (s.turns, n, m, mode, factorial(m), 0, len(profiles))
             for got, col in zip(sweep._exhaustive_chunk(args), want):
                 assert np.array_equal(got, col), mode
 

@@ -38,7 +38,7 @@ def enumerated_table(turns, n, m):
     from one in-order exhaustive chunk over the whole pinned space, no scan
     stopped early; enumerated once per case for all the tests here."""
     batch = factorial(m)
-    args = (turns, turns[::-1], n, m, RatioMode.CB, batch, 0, batch ** (n - 1))
+    args = (turns, n, m, RatioMode.CB, batch, 0, batch ** (n - 1))
     keys, counts, tags = sweep._exhaustive_chunk(args)
     return dict(zip(keys.tolist(), counts.tolist())), dict(zip(keys.tolist(), tags.tolist()))
 
