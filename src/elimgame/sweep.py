@@ -7,10 +7,11 @@ Each welfare ratio is a quotient of two integer Borda scores in
 sample index that produced it. Every chunk returns such a table as numpy
 ``(keys, counts, tags)`` columns: a Monte-Carlo chunk sorts its one batch,
 and an exhaustive chunk counts its batches into a grid of every possible
-pair. :func:`_fold` adds the chunks' tables, in chunk order, into one dict
-of Python ints, where no count can wrap. Counts add and tags take the
-lowest, so the fold is exact in any order and results are bit-identical for
-every worker count and chunk size.
+pair. :func:`_fold` adds tables into one dict of Python ints, where no
+count can wrap: each worker folds its fixed share of the chunks, and a
+parallel sweep's parent folds the workers' tables. Counts add and tags take
+the lowest, so the fold is exact in any order and results are bit-identical
+for every worker count and chunk size.
 
 This module only builds those tables. :func:`exhaustive_table` and
 :func:`montecarlo_table` return the fold's ascending ``(key, count, tag)``
@@ -30,7 +31,7 @@ of last-voter ranking ids through a :func:`next_mask_table` with
 from __future__ import annotations
 
 import os
-from collections import deque
+import pickle
 from functools import lru_cache
 from math import factorial
 
@@ -308,42 +309,61 @@ def _montecarlo_chunk(args):
     return _batch_table(num, den, n * (m - 1) + 1, start)
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_order(pool, fn, args, depth: int):
-    """Yield ``fn(a)`` for each of ``args`` in order, run on ``pool`` with at
-    most ``depth`` tasks submitted and not yet yielded."""
-    pending = deque()
-    for a in args:
-        pending.append(pool.submit(fn, a))
-        if len(pending) == depth:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def _run_chunks(fn, static, total: int, chunk: int, workers: int):
-    """Fold the tables ``fn`` returns for the chunks of ``range(total)``,
-    in chunk order, into :func:`_fold`'s ascending ``(key, count, tag)``
-    rows of Python ints.
+    """Fold the tables ``fn`` returns for the chunks of ``range(total)``
+    into :func:`_fold`'s ascending ``(key, count, tag)`` rows of Python ints.
 
     This is the one place chunk ranges are built: chunk ``k`` is called with
     ``(*static, start, count)`` for ``start = k * chunk`` and ``count`` up to
-    ``chunk``. The arguments are built lazily; the pool has at most one
-    process per usable CPU and keeps at most two chunks per process in
-    flight, so memory does not grow with the chunk count.
+    ``chunk``. With W workers, at most one per chunk and per usable CPU (one
+    where :func:`os.fork` does not exist), W forked children fold the static
+    shares ``w, w + W, ...`` of the chunks and each pipes back its pickled
+    table, or its exception, which is re-raised here. The parent runs no
+    chunk; it folds the shares and reaps every child, killing them on error.
     """
-    args = ((*static, start, min(chunk, total - start)) for start in range(0, total, chunk))
-    workers = min(workers, -(-total // chunk), _usable_cpus())
-    if workers < 2:  # a serial study never imports the process pool
-        return _fold(map(fn, args))
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _fold(_in_order(pool, fn, args, 2 * workers))
+    starts = range(0, total, chunk)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(starts), cpus or 1) if hasattr(os, "fork") else 1
+
+    def share(w):
+        return _fold(fn((*static, start, min(chunk, total - start))) for start in starts[w::workers])
+
+    if workers < 2:
+        return share(0)
+    children, tables = [], []
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: pipe back its table as columns, or its error
+                try:
+                    try:
+                        result = np.array(share(w)).T
+                    except BaseException as exc:
+                        result = exc
+                    with open(write, "wb") as out:
+                        out.write(pickle.dumps(result))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        for w, (_, pipe) in enumerate(children):
+            data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"sweep worker {w} exited without sending its table")
+            tables.append(pickle.loads(data))
+            if isinstance(tables[-1], BaseException):
+                raise tables[-1]
+        return _fold(tables)
+    except BaseException:
+        from signal import SIGKILL
+        for pid, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def exhaustive_table(seq: EliminationSequence, n: int, m: int,

@@ -6,9 +6,10 @@ start the command line. The reference engine, the closed forms and the
 trajectory counts import only the standard library. The numpy modules,
 ``cultures`` and ``sweep``, load only when chunks must run: the study layer
 ``experiments`` imports without them, and a CB exhaustive study loads
-neither numpy nor a process pool; a serial study loads no process pool
-either. The last check keeps every test in ``tests/`` collectable: a second
-definition of a name silently replaces the first.
+neither numpy nor a process pool; no study loads a process pool, because
+a parallel sweep forks its own workers. The last check keeps every test in
+``tests/`` collectable: a second definition of a name silently replaces the
+first.
 """
 
 import ast
@@ -127,8 +128,8 @@ def test_cb_exhaustive_studies_load_no_numpy():
 
 
 def test_long_cb_witness_searches_load_no_numpy():
-    # two of the longest witness searches at their sizes, with a pool
-    # allowed: the search runs to the end alone and no chunk runs
+    # two of the longest witness searches at their sizes, with two
+    # workers allowed: the search runs to the end alone and no chunk runs
     runs = [["exhaustive", "--n", "2", "--m", "9", "--sequence", "1,1,1,1,2,2,2,2"],
             ["exhaustive", "--n", "3", "--m", "7", "--sequence", "3,3,3,3,3,2"]]
     runs = [[*argv, "--mode", "cb", "--workers", "2"] for argv in runs]
@@ -159,10 +160,15 @@ def test_culture_specs_load_no_numpy():
 
 
 def test_serial_studies_load_no_process_pool():
-    game = ["--n", "3", "--m", "5", "--sequence", "1,2,3,1", "--workers", "1"]
-    runs = [["exhaustive", *game, "--mode", "cb"],
+    # and neither do parallel ones: a sweep forks its own workers. 30,000
+    # samples of 3 voters and the 14,400 pinned (3, 5) profiles are two
+    # chunks each, so on two or more CPUs the last two studies fork two
+    game = ["--n", "3", "--m", "5", "--sequence", "1,2,3,1"]
+    runs = [["exhaustive", *game, "--mode", "cb", "--workers", "1"],
             ["montecarlo", *game, "--mode", "ab", "--culture", "mallows:phi=0.6",
-             "--samples", "500", "--seed", "1"]]
+             "--samples", "500", "--seed", "1", "--workers", "1"],
+            ["montecarlo", *game, "--mode", "cb", "--samples", "30000", "--workers", "2"],
+            ["exhaustive", *game, "--mode", "ab", "--workers", "2"]]
     heavy = {"concurrent.futures.process", "multiprocessing"}
     assert modules_left_loaded(runs, heavy) == []
 

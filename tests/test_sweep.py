@@ -1,4 +1,6 @@
 import itertools
+import os
+import time
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
@@ -75,6 +77,33 @@ def chunks_run():
 def tiles(total, chunk):
     """The ``(start, count)`` chunks of ``range(total)``."""
     return [(start, min(chunk, total - start)) for start in range(0, total, chunk)]
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three usable CPUs, whatever the host has, so sweeps may fork three."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch, three_cpus):
+    """The pid of every child this process forks while the test runs."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def assert_all_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestExhaustiveExactness:
@@ -180,20 +209,22 @@ class TestExhaustiveExactness:
 
 
 class TestDeterminism:
-    def test_worker_count_is_invisible_exhaustive(self, monkeypatch):
-        # 576 profiles in batches of 24, three batches a chunk: eight chunks
-        # for a pool of up to four processes
+    def test_worker_count_is_invisible_exhaustive(self, monkeypatch, three_cpus):
+        # 576 profiles in batches of 24, three batches a chunk: eight chunks,
+        # in shares of 3, 3 and 2 chunks for three workers
         s = seq(1, 2, 3)
         monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 3)
         with chunks_run() as calls:
             a = run_exhaustive(s, 3, 4, RatioMode.AB, workers=1)
         assert calls == tiles(576, 72)
-        b = run_exhaustive(s, 3, 4, RatioMode.AB, workers=4)
-        assert_same_result(a, b)
+        assert_same_result(a, run_exhaustive(s, 3, 4, RatioMode.AB, workers=3))
 
-    def test_worker_count_is_invisible_montecarlo(self):
+    def test_worker_count_is_invisible_montecarlo(self, monkeypatch, three_cpus):
+        # a random-reference Mallows study of four chunks of 700 samples and
+        # a last one of 200: shares of 2, 2 and 1 chunks for three workers
         s = seq(1, 2, 2, 1, 3)
-        kw = dict(culture=CultureSpec.mallows(0.7), samples=3000, seed=11)
+        kw = dict(culture=CultureSpec.mallows(0.7, True), samples=3000, seed=11)
+        monkeypatch.setattr("elimgame.sweep.MC_CHUNK", 700 * 3)
         a = run_montecarlo(s, 3, 6, RatioMode.AB, workers=1, **kw)
         b = run_montecarlo(s, 3, 6, RatioMode.AB, workers=3, **kw)
         assert_same_result(a, b)
@@ -246,7 +277,7 @@ class TestDeterminism:
                            CultureSpec.impartial(), 2, seed=0)
         assert counts == []
 
-    def test_exhaustive_chunk_size_is_invisible(self, monkeypatch):
+    def test_exhaustive_chunk_size_is_invisible(self, monkeypatch, three_cpus):
         # (sequence, n, m, fix_first, batch rows); m = 8 plays on rank
         # positions whatever the table limit
         cases = [
@@ -269,8 +300,9 @@ class TestDeterminism:
                     with chunks_run() as calls:
                         assert_same_result(whole, run_exhaustive(s, n, m, RatioMode.AB, **kw))
                     assert calls == tiles(enumeration_size(n, m), 3 * batch)
-                    if n == 2:  # the same chunks in a pool of two
-                        chunked = run_exhaustive(s, n, m, RatioMode.AB, workers=2, **kw)
+                    for workers in (2, 3) if n == 2 else ():
+                        # the same chunks in two or three uneven shares
+                        chunked = run_exhaustive(s, n, m, RatioMode.AB, workers=workers, **kw)
                         assert_same_result(whole, chunked)
 
     def test_exhaustive_memory_does_not_scale_with_m_factorial(self):
@@ -291,65 +323,58 @@ class TestDeterminism:
         assert ratio_ab(profile_at_index(2, 9, res.max_index), s) == res.max_ratio
 
 
-class _RecordingPool:
-    """Stand-in for ProcessPoolExecutor that runs each task as it is submitted
-    and records its size and the most tasks submitted and not yet collected."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.in_flight = self.peak = 0
-        self.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, arg):
-        self.in_flight += 1
-        self.peak = max(self.peak, self.in_flight)
-        value = fn(arg)
-        pool = self
-
-        class Done:
-            def result(self):
-                pool.in_flight -= 1
-                return value
-
-        return Done()
-
-
 class TestPool:
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        _RecordingPool.made = []
-        # sweep imports the pool class only when it starts a pool
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr("elimgame.sweep.os.sched_getaffinity",
-                            lambda pid: {0, 1, 2}, raising=False)
-        return _RecordingPool.made
+    """The forked children a parallel sweep runs its chunk shares in."""
 
-    def test_pool_is_clamped_and_bounded(self, monkeypatch, pools):
+    def test_pool_is_clamped_and_bounded(self, monkeypatch, forks):
         s = seq(1, 2, 1)
         kw = dict(culture=CultureSpec.mallows(0.5), samples=1000, seed=4)
         serial = run_montecarlo(s, 2, 4, RatioMode.CB, **kw)
+        assert forks == []
         # 25 samples of 2 voters per chunk: 40 chunks
         monkeypatch.setattr("elimgame.sweep.MC_CHUNK", 50)
         assert run_montecarlo(s, 2, 4, RatioMode.CB, workers=64, **kw) == serial
-        assert [(p.max_workers, p.peak, p.in_flight) for p in pools] == [(3, 6, 0)]
+        assert len(forks) == 3
+        assert_all_reaped()
 
-    def test_pool_never_outnumbers_chunks(self, monkeypatch, pools):
+    def test_pool_never_outnumbers_chunks(self, monkeypatch, forks):
         s = seq(1, 2, 3)
         serial = run_exhaustive(s, 3, 4, RatioMode.AB)
         # 576 profiles in batches of 24: two chunks of 12 batches, then one chunk
-        monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 12)
-        assert run_exhaustive(s, 3, 4, RatioMode.AB, workers=64) == serial
-        monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", 24)
-        assert run_exhaustive(s, 3, 4, RatioMode.AB, workers=64) == serial
-        assert [(p.max_workers, p.peak) for p in pools] == [(2, 2)]
+        for outer, children in [(12, 2), (24, 0)]:
+            forks.clear()
+            monkeypatch.setattr("elimgame.sweep.EXHAUSTIVE_OUTER_CHUNK", outer)
+            assert run_exhaustive(s, 3, 4, RatioMode.AB, workers=64) == serial
+            assert len(forks) == children
+        assert_all_reaped()
+
+    def test_a_failing_share_is_raised_and_its_siblings_killed(self, monkeypatch, forks):
+        # share 0 raises at once while shares 1 and 2 would run for a
+        # minute: the parent re-raises the error, kills and reaps them all
+        def chunk(args):
+            if args[-2] == 0:
+                raise OutOfDomain("chunk 0 refused")
+            time.sleep(60)
+
+        monkeypatch.setattr("elimgame.sweep._montecarlo_chunk", chunk)
+        t0 = time.monotonic()
+        with pytest.raises(OutOfDomain, match="chunk 0 refused"):
+            run_montecarlo(seq(1, 2), 2, 3, RatioMode.AB, CultureSpec.impartial(),
+                           3 * (sweep.MC_CHUNK // 2), seed=0, workers=3)
+        assert time.monotonic() - t0 < 30
+        assert len(forks) == 3
+        assert_all_reaped()
+
+    def test_a_child_that_dies_without_a_table_is_one_line_error(self, monkeypatch, forks):
+        chunk = sweep._montecarlo_chunk
+        monkeypatch.setattr("elimgame.sweep._montecarlo_chunk",
+                            lambda args: os._exit(3) if args[-2] else chunk(args))
+        with pytest.raises(ChildProcessError) as info:
+            run_montecarlo(seq(1, 2), 2, 3, RatioMode.AB, CultureSpec.impartial(),
+                           2 * (sweep.MC_CHUNK // 2), seed=0, workers=2)
+        assert str(info.value) == "sweep worker 1 exited without sending its table"
+        assert len(forks) == 2
+        assert_all_reaped()
 
     @pytest.mark.parametrize(
         "s,n,m,fix_first,index",
@@ -368,9 +393,9 @@ class TestPool:
             (seq(1, 2, 1, 2), 2, 5, True, None),
         ],
     )
-    def test_cb_search_settles_without_chunks(self, monkeypatch, pools, s, n, m, fix_first, index):
+    def test_cb_search_settles_without_chunks(self, monkeypatch, forks, s, n, m, fix_first, index):
         # the counts come from the trajectory table and the maximum's first
-        # index from the trajectory search, so no chunk runs and no pool
+        # index from the trajectory search, so no chunk runs and no worker
         # starts; ``index`` None compares every field with the enumeration
         def no_chunk(args):
             raise AssertionError("a chunk ran")
@@ -381,14 +406,14 @@ class TestPool:
             assert_matches(res, naive_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first))
         else:
             assert res.max_index == index
-        assert pools == []
+        assert forks == []
 
     @pytest.mark.parametrize(
         "n,m,voter",
         [(n, m, voter) for n, ms in [(2, range(3, 7)), (3, range(4, 8))]
          for m in ms for voter in range(n)],
     )
-    def test_cb_maximum_one_is_witnessed_by_index_zero(self, monkeypatch, pools, n, m, voter):
+    def test_cb_maximum_one_is_witnessed_by_index_zero(self, monkeypatch, forks, n, m, voter):
         # one voter takes every turn, so both games crown its favourite and
         # every ratio is 1. Pinned profile 0 attains it, the lowest index
         # there is, so neither the search nor a chunk runs
@@ -402,7 +427,7 @@ class TestPool:
             res = run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first,
                                  budget=10**12, workers=2)
             assert (res.max_ratio, res.max_index, res.min_ratio) == (1, 0, 1)
-        assert pools == []
+        assert forks == []
 
 
 class TestMonteCarlo:
