@@ -16,15 +16,6 @@ import sys
 from .core import CultureKind, CultureSpec, EliminationSequence
 from .core import format_profile, parse_profile, parse_voters
 from .errors import BudgetExceeded, ElimGameError, OutOfDomain, ParseError, Unsatisfiable
-from .extremal import ExtremalMode, generate, verify_tight
-from .play import (
-    BehaviorAssignment,
-    backward_induction,
-    mixed_play,
-    sincere_play,
-    spne_outcome,
-    trace_report,
-)
 from .welfare import RatioMode, poa_for_sequence, ratio_json, sr_bound_for_sequence
 
 EXIT_OK = 0
@@ -141,13 +132,9 @@ def _read_profile(path: str):
         return parse_profile(fh.read())
 
 
-def _parse_voter_set(text: str) -> BehaviorAssignment:
-    # empty text is the empty set; anything else is a voter list
-    voters = parse_voters(text, "sincere set") if text.strip() else ()
-    return BehaviorAssignment(frozenset(voters))
-
-
 def cmd_solve(args) -> int:
+    from .play import (BehaviorAssignment, backward_induction, mixed_play, sincere_play,
+                       spne_outcome, trace_report)
     if args.sincere_set is not None and args.behavior != "mixed":
         raise ParseError("--sincere-set applies only to --behavior mixed")
     profile = _read_profile(args.profile)
@@ -159,8 +146,10 @@ def cmd_solve(args) -> int:
     elif args.behavior == "oracle":
         trace = backward_induction(profile, seq)
     else:
-        behavior = _parse_voter_set(args.sincere_set or "")
-        trace = mixed_play(profile, seq, behavior)
+        # an empty or missing set is the empty set; anything else is a voter list
+        text = args.sincere_set or ""
+        voters = parse_voters(text, "sincere set") if text.strip() else ()
+        trace = mixed_play(profile, seq, BehaviorAssignment(frozenset(voters)))
     print(json.dumps(trace_report(trace, profile), indent=2))
     return EXIT_OK
 
@@ -193,9 +182,10 @@ def _check_writable(path: str) -> None:
 
 
 def cmd_study(args) -> int:
-    # Only the study commands import the study layer. It loads numpy once a
-    # study runs chunks (AB exhaustive and Monte-Carlo studies; a CB
-    # exhaustive study never does) or builds a culture.
+    # Each command imports the engine it runs, so only the study commands
+    # import the study layer. It loads numpy once a study runs chunks (AB
+    # exhaustive and Monte-Carlo studies; a CB exhaustive study never does)
+    # or builds a culture.
     # The package calls no BLAS routine, so OpenBLAS's thread pool would only
     # spin beside the sweep; a value the user set still wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -214,6 +204,7 @@ def cmd_study(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    from .extremal import ExtremalMode, generate, verify_tight
     seq = EliminationSequence.parse(args.sequence)
     mode = ExtremalMode.parse(args.mode)
     profile, spec = generate(mode, seq, args.n, args.m)

@@ -79,9 +79,6 @@ class Vote:
             raise CandidateUnknown(f"candidate {c} not in a vote over {self.m} candidates")
         return self.positions[c] + 1
 
-    def prefers(self, c: int, d: int) -> bool:
-        return self.rank(c) < self.rank(d)
-
     def worst_among(self, alive) -> int:
         """Least preferred candidate in the non-empty collection ``alive``."""
         return max(alive, key=self.positions.__getitem__)
@@ -133,13 +130,6 @@ class PreferenceProfile:
             raise InvalidVoter(f"voter {voter + 1} outside 1..{self.n}")
         return self.votes[voter].rank(c)
 
-    def borda_score(self, c: int) -> int:
-        """Sum over voters of ``m - rank(c)``."""
-        if not 0 <= c < self.m:
-            raise CandidateUnknown(f"candidate {c} not in profile with m={self.m}")
-        m = self.m
-        return sum(m - 1 - v.positions[c] for v in self.votes)
-
     def borda_scores(self) -> tuple[int, ...]:
         m = self.m
         scores = [0] * m
@@ -147,15 +137,6 @@ class PreferenceProfile:
             for c in range(m):
                 scores[c] += m - 1 - v.positions[c]
         return tuple(scores)
-
-    def relabel(self, perm) -> "PreferenceProfile":
-        """Rename candidate ``c`` to ``perm[c]`` in every vote. Labels drop."""
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.m)):
-            raise ValueError("perm must be a candidate permutation")
-        return PreferenceProfile.from_rankings(
-            tuple(tuple(perm[c] for c in v.ranking) for v in self.votes)
-        )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,14 @@ def profile(*rankings: str) -> PreferenceProfile:
     )
 
 
+def relabel(p: PreferenceProfile, perm) -> PreferenceProfile:
+    """``p`` with candidate ``c`` renamed ``perm[c]`` in every vote; labels drop."""
+    perm = tuple(perm)
+    if sorted(perm) != list(range(p.m)):
+        raise ValueError("perm must be a candidate permutation")
+    return PreferenceProfile.from_rankings([[perm[c] for c in v.ranking] for v in p.votes])
+
+
 def seq(*turns: int) -> EliminationSequence:
     """Sequence from 1-based voter numbers."""
     return EliminationSequence(tuple(t - 1 for t in turns))

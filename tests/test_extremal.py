@@ -91,8 +91,8 @@ class TestSincerityTight:
         sinc = sincere_play(p, s).winner
         strat = spne_outcome(p, s).winner
         assert sinc == spec.c and strat == spec.b
-        assert p.borda_score(sinc) == 16
-        assert p.borda_score(strat) == 7
+        assert p.borda_scores()[sinc] == 16
+        assert p.borda_scores()[strat] == 7
         assert ratio_cb(p, s) == Fraction(16, 7)
         assert sr_bound_for_sequence(s, 3, 7) == Fraction(16, 7)
         assert backward_induction(p, s).winner == strat

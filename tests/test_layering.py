@@ -1,15 +1,16 @@
 """Package imports flow one way, from the command line down to the errors.
 
 Each module may import only modules on a strictly lower layer. The package
-``__init__`` and ``__main__`` sit outside the order: they re-export and
-start the command line. The reference engine, the closed forms and the
-trajectory counts import only the standard library. The numpy modules,
-``cultures`` and ``sweep``, load only when chunks must run: the study layer
-``experiments`` imports without them, and a CB exhaustive study loads
-neither numpy nor a process pool; no study loads a process pool, because
-a parallel sweep forks its own workers. The last check keeps every test in
-``tests/`` collectable: a second definition of a name silently replaces the
-first.
+``__init__`` and ``__main__`` sit outside the order: they export names on
+first use and start the command line, and ``import elimgame`` loads no
+submodule. Each command loads only the modules it runs. The reference
+engine, the closed forms and the trajectory counts import only the standard
+library. The numpy modules, ``cultures`` and ``sweep``, load only when
+chunks must run: the study layer ``experiments`` imports without them, and
+a CB exhaustive study loads neither numpy nor a process pool; no study
+loads a process pool, because a parallel sweep forks its own workers. The
+last check keeps every test in ``tests/`` collectable: a second definition
+of a name silently replaces the first.
 """
 
 import ast
@@ -18,6 +19,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -114,6 +116,23 @@ def test_reference_commands_load_no_numpy(tmp_path):
     assert modules_left_loaded(runs, {"numpy", "concurrent.futures.process"}) == []
 
 
+@pytest.mark.parametrize("argv,loaded", [
+    (["bounds", "--n", "3", "--m", "5"], []),
+    (["solve", "--profile", "{profile}", "--behavior", "strategic"], []),
+    (["exhaustive", "--n", "3", "--m", "5", "--mode", "cb"], ["elimgame.experiments"]),
+    (["montecarlo", "--n", "3", "--m", "5", "--samples", "300"], ["elimgame.experiments"]),
+    (["extremal", "--n", "3", "--m", "5", "--oracle"], ["elimgame.extremal"]),
+], ids=["bounds", "solve", "exhaustive", "montecarlo", "extremal"])
+def test_each_command_loads_only_its_own_engine(tmp_path, argv, loaded):
+    # the extremal constructions load only for their command, and the
+    # study layer only for the studies
+    profile = tmp_path / "profile.txt"
+    profile.write_text("a b c d e\ne d c b a\nd e b c a\n")
+    argv = [str(profile) if arg == "{profile}" else arg for arg in argv]
+    runs = [[*argv, "--sequence", "1,2,3,1"]]
+    assert modules_left_loaded(runs, {"elimgame.experiments", "elimgame.extremal"}) == loaded
+
+
 def test_cb_exhaustive_studies_load_no_numpy():
     # the trajectory table, the witness search, the finish and the histogram
     # are pure Python: fix-first or not, serial or not, and a maximum of 1,
@@ -201,14 +220,24 @@ def run_fresh(script: str, *args: str) -> str:
     return proc.stdout
 
 
-def test_study_names_resolve_on_first_use():
-    from elimgame import core, cultures, experiments, sweep, welfare
+def test_package_import_loads_no_submodule():
+    script = ("import sys\n"
+              "import elimgame\n"
+              "print(sorted(m for m in sys.modules if m.startswith('elimgame.')))\n")
+    assert run_fresh(script) == "[]\n"
 
-    for module, names in [(core, ["CultureSpec"]), (cultures, ["sample_rankings_batch"]),
-                          (experiments, ["ExperimentConfig", "run_experiment"]),
-                          (welfare, ["RatioMode"]), (sweep, ["RatioMode"])]:
-        for name in names:
-            assert getattr(elimgame, name) is getattr(module, name)
+
+def test_study_names_resolve_on_first_use():
+    # every exported name is the object that its own module defines, and
+    # the modules that import one from another share it
+    from elimgame import cultures, sweep
+
+    for name in set(elimgame.__all__) - {"__version__"}:
+        value = getattr(elimgame, name)
+        assert value.__module__.startswith("elimgame."), name
+        assert getattr(import_module(value.__module__), name) is value
+    assert cultures.CultureSpec is elimgame.CultureSpec
+    assert sweep.RatioMode is elimgame.RatioMode
     star = {}
     exec("from elimgame import *", star)
     assert set(elimgame.__all__) <= star.keys()

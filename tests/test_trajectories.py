@@ -18,7 +18,7 @@ from elimgame import (
 )
 from elimgame.experiments import run_exhaustive, run_montecarlo
 from elimgame.trajectories import cb_study
-from helpers import enumerate_profiles, seq_from
+from helpers import enumerate_profiles, relabel, seq_from
 
 #: every sequence at the small sizes, then both E1-size (3, 7) sequences,
 #: a two-voter m = 8 one and lone voters, whose space is one profile
@@ -150,7 +150,7 @@ def test_leaves_split_the_profiles_of_the_pinned_forward_order(n, m):
         for p in pinned:
             trace = sincere_play(p, s)
             order = [c for _, c in trace.steps] + [trace.winner]
-            q = p.relabel(order.index(c) for c in range(m))
+            q = relabel(p, (order.index(c) for c in range(m)))
             assert [c for _, c in sincere_play(q, s).steps] == list(range(m - 1))
             rows = tuple(vote.ranking for vote in q.votes)
             (leaf,) = set.intersection(*(fits[v][rows[v]] for v in range(n)))

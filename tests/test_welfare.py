@@ -17,7 +17,7 @@ from elimgame import (
 from elimgame.core import profile_at_index
 from elimgame.experiments import run_exhaustive
 from elimgame.welfare import _score_ratio, ratio_json, sr_bound_for_sequence
-from helpers import enumerate_profiles, profile, random_instance, seq
+from helpers import enumerate_profiles, profile, random_instance, relabel, seq
 
 
 EXAMPLE = profile("abcd", "cbad", "cadb")
@@ -74,7 +74,7 @@ class TestRatios:
             p, s = random_instance(rng)
             perm = list(range(p.m))
             rng.shuffle(perm)
-            q = p.relabel(tuple(perm))
+            q = relabel(p, perm)
             assert ratio_ab(p, s) == ratio_ab(q, s)
             assert ratio_cb(p, s) == ratio_cb(q, s)
 
