@@ -249,7 +249,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a write to a full disk or a closed pipe fails here, as one line and
+        # exit 2, even when stdout is block-buffered, not at interpreter exit
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
     except ElimGameError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

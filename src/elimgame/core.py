@@ -15,7 +15,6 @@ budget an exhaustive study may spend.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import factorial
@@ -48,8 +47,64 @@ def default_labels(m: int) -> tuple[str, ...]:
     return tuple(f"c{i + 1}" for i in range(m))
 
 
-@dataclass(frozen=True)
-class Vote:
+class Record:
+    """Base of the package's immutable value records.
+
+    A subclass's fields are its annotated names, in order, with class-level
+    values as defaults. Records take fields by position or keyword, run
+    ``__post_init__`` once they are set, compare and hash by type and field
+    values, and refuse assignment and deletion (``cached_property`` writes
+    the instance dict directly). The repr leaves out the fields in ``_hidden``.
+    Unlike the standard library's records, it loads no :mod:`inspect` at start.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or len(values) != len(names)
+                or kwargs and not kwargs.keys() <= set(names[len(args):])):
+            raise TypeError(
+                f"{type(self).__name__} takes the fields ({', '.join(names)}), "
+                f"got {len(args)} by position and {sorted(kwargs)} by keyword"
+            )
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = (f"{f}={self.__dict__[f]!r}" for f in self._fields if f not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+
+class Vote(Record):
     """A strict linear order over candidates ``0..m-1``, best first."""
 
     ranking: tuple[int, ...]
@@ -73,19 +128,12 @@ class Vote:
             pos[c] = slot
         return tuple(pos)
 
-    def rank(self, c: int) -> int:
-        """1-based rank of ``c``: 1 for the favourite, m for the least liked."""
-        if not 0 <= c < self.m:
-            raise CandidateUnknown(f"candidate {c} not in a vote over {self.m} candidates")
-        return self.positions[c] + 1
-
     def worst_among(self, alive) -> int:
         """Least preferred candidate in the non-empty collection ``alive``."""
         return max(alive, key=self.positions.__getitem__)
 
 
-@dataclass(frozen=True)
-class PreferenceProfile:
+class PreferenceProfile(Record):
     """One vote per voter over a common candidate set.
 
     ``labels`` keeps the display names from a parsed file; profiles built in
@@ -125,11 +173,6 @@ class PreferenceProfile:
             return self.labels[c]
         return default_labels(self.m)[c]
 
-    def rank(self, c: int, voter: int) -> int:
-        if not 0 <= voter < self.n:
-            raise InvalidVoter(f"voter {voter + 1} outside 1..{self.n}")
-        return self.votes[voter].rank(c)
-
     def borda_scores(self) -> tuple[int, ...]:
         m = self.m
         scores = [0] * m
@@ -139,8 +182,7 @@ class PreferenceProfile:
         return tuple(scores)
 
 
-@dataclass(frozen=True)
-class OccurrenceTable:
+class OccurrenceTable(Record):
     """Per-voter turn counts of an elimination sequence."""
 
     counts: tuple[int, ...]
@@ -150,8 +192,7 @@ class OccurrenceTable:
         return max(self.counts) if self.counts else 0
 
 
-@dataclass(frozen=True)
-class EliminationSequence:
+class EliminationSequence(Record):
     """Order in which voters take elimination turns; 0-based voter ids."""
 
     turns: tuple[int, ...]
@@ -274,8 +315,7 @@ class CultureKind(Enum):
     MALLOWS = "mallows"
 
 
-@dataclass(frozen=True)
-class CultureSpec:
+class CultureSpec(Record):
     """A vote distribution: impartial culture or a Mallows model.
 
     ``phi`` is the Mallows dispersion in (0, 1]; 1 coincides with impartial

@@ -22,7 +22,6 @@ import csv
 import io
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, sqrt
@@ -32,6 +31,7 @@ from .core import (
     CultureSpec,
     EliminationSequence,
     PreferenceProfile,
+    Record,
     enumeration_size,
     format_profile,
     resolve_budget,
@@ -39,12 +39,10 @@ from .core import (
 # imported under the name benchmark/inproc.py wraps for its witness span
 from .core import profile_at_index as exhaustive_witness
 from .errors import BudgetExceeded, ZeroWelfare
-from .trajectories import cb_study
 from .welfare import RatioMode, poa_for_sequence, ratio_json, sr_bound_for_sequence
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """Exact reduction of a ratio population.
 
     ``max_index`` identifies the first profile attaining the maximum, the
@@ -61,7 +59,9 @@ class SweepResult:
     max_index: int
     min_ratio: Fraction
     spike_count: int
-    pairs: tuple[tuple[int, int, int], ...] = field(repr=False)
+    pairs: tuple[tuple[int, int, int], ...]
+
+    _hidden = ("pairs",)
 
     @property
     def std(self) -> float:
@@ -158,6 +158,7 @@ def run_exhaustive(
     else:
         # CB: the trajectory study gives the counts and the maximum's first
         # index, every row's tag, since _finish reads only the maximum's
+        from .trajectories import cb_study  # no other study compiles the walk
         table, index = cb_study(seq.turns, n, m)
         rows = [(key, count, index) for key, count in sorted(table.items())]
     return _finish([(key, count * scale, tag) for key, count, tag in rows], n * (m - 1) + 1)
@@ -201,8 +202,7 @@ CSV_HEADER = "sequence,n,m,mode,culture,phi,count,mean,std,max_num,max_den"
 HIST_HEADER = "bin_left,bin_right,count"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """One ratio study: a sequence, a ratio mode and a profile source.
 
     ``culture`` None means exhaustive enumeration; otherwise ``samples``
@@ -246,8 +246,7 @@ def ratio_range(config: ExperimentConfig) -> tuple[Fraction, Fraction]:
     return 1 / high, high
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(Record):
     config: ExperimentConfig
     sweep: SweepResult
     bound: Fraction

@@ -24,11 +24,10 @@ orderings required are mirror images, so they cannot both hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import EliminationSequence, PreferenceProfile
+from .core import EliminationSequence, PreferenceProfile, Record
 from .errors import StructureUnsatisfiable, Unsatisfiable
 from .play import backward_induction, spne_outcome
 from .welfare import poa_for_sequence, ratio_ab, ratio_cb, sr_bound_for_sequence
@@ -43,8 +42,7 @@ class ExtremalMode(Enum):
         return cls(text.lower())
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
+class ExtremalSpec(Record):
     """Structure behind a generated worst-case profile.
 
     Candidate ids: ``b`` wins strategic play in both modes. POA mode also
@@ -201,8 +199,7 @@ def generate(
     return gen_sr_tight(seq, n, m)
 
 
-@dataclass(frozen=True)
-class TightnessReport:
+class TightnessReport(Record):
     """Outcome of re-deriving a bound from an actual profile."""
 
     mode: ExtremalMode

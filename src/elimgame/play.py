@@ -13,9 +13,7 @@ This is the pure-Python reference engine. The numpy batch kernels live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .core import EliminationSequence, PreferenceProfile
+from .core import EliminationSequence, PreferenceProfile, Record
 from .errors import InvalidVoter, TreeTooLarge
 
 #: largest candidate count backward_induction accepts without an override;
@@ -23,8 +21,7 @@ from .errors import InvalidVoter, TreeTooLarge
 ORACLE_CANDIDATE_GUARD = 10
 
 
-@dataclass(frozen=True)
-class GameTrace:
+class GameTrace(Record):
     """Record of one play-through.
 
     ``steps`` holds ``(voter, eliminated_candidate)`` pairs in execution
@@ -40,11 +37,10 @@ class GameTrace:
     semantics: str = "elimination-path"
 
 
-@dataclass(frozen=True)
-class BehaviorAssignment:
+class BehaviorAssignment(Record):
     """Which voters play sincerely; everyone else plays strategically."""
 
-    sincere: frozenset[int] = field(default_factory=frozenset)
+    sincere: frozenset[int] = frozenset()
 
     @classmethod
     def of(cls, *voters: int) -> "BehaviorAssignment":

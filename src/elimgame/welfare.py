@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .core import EliminationSequence, PreferenceProfile
 from .errors import OutOfDomain, ZeroWelfare
-from .play import sincere_play, spne_outcome
 
 
 class RatioMode(Enum):
@@ -58,6 +57,7 @@ def _score_ratio(scores: tuple[int, ...], top: int, bottom: int) -> Fraction:
 
 def ratio_ab(profile: PreferenceProfile, seq: EliminationSequence) -> Fraction:
     """Best Borda score over the strategic winner's score (>= 1)."""
+    from .play import spne_outcome  # here, so bounds and studies never load play
     scores = profile.borda_scores()
     best = scores.index(max(scores))
     return _score_ratio(scores, best, spne_outcome(profile, seq).winner)
@@ -65,6 +65,7 @@ def ratio_ab(profile: PreferenceProfile, seq: EliminationSequence) -> Fraction:
 
 def ratio_cb(profile: PreferenceProfile, seq: EliminationSequence) -> Fraction:
     """Sincere winner's Borda score over the strategic winner's."""
+    from .play import sincere_play, spne_outcome
     return _score_ratio(
         profile.borda_scores(),
         sincere_play(profile, seq).winner,

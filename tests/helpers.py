@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 
-from elimgame import EliminationSequence, PreferenceProfile, Vote
+from elimgame import CandidateUnknown, EliminationSequence, InvalidVoter, PreferenceProfile, Vote
 
 
 def profile(*rankings: str) -> PreferenceProfile:
@@ -34,6 +34,20 @@ def seq(*turns: int) -> EliminationSequence:
 
 def seq_from(compact: str) -> EliminationSequence:
     return EliminationSequence(tuple(int(c) - 1 for c in compact))
+
+
+def vote_rank(v: Vote, c: int) -> int:
+    """1-based rank of ``c`` in ``v``: 1 for the favourite, m for the least liked."""
+    if not 0 <= c < v.m:
+        raise CandidateUnknown(f"candidate {c} not in a vote over {v.m} candidates")
+    return v.positions[c] + 1
+
+
+def rank(p: PreferenceProfile, c: int, voter: int) -> int:
+    """1-based rank of ``c`` in the vote of the 0-based ``voter``."""
+    if not 0 <= voter < p.n:
+        raise InvalidVoter(f"voter {voter + 1} outside 1..{p.n}")
+    return vote_rank(p.votes[voter], c)
 
 
 def random_vote(rng: random.Random, m: int) -> Vote:

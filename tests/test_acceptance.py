@@ -69,7 +69,7 @@ from elimgame import (
 )
 from elimgame.sweep import play_batch_winners
 from elimgame.welfare import sr_bound_for_sequence
-from helpers import enumerate_profiles, mallows_pmf, random_instance, relabel, seq, seq_from
+from helpers import enumerate_profiles, mallows_pmf, random_instance, rank, relabel, seq, seq_from
 
 WORKERS = min(8, os.cpu_count() or 1)
 
@@ -363,7 +363,7 @@ def test_c08_property_suites_hold_with_zero_violations():
         occ = s.occurrences(p.n)
         for t in (sincere_play(p, s), spne_outcome(p, s)):
             for voter in range(p.n):
-                if p.rank(t.winner, voter) > p.m - occ.counts[voter]:
+                if rank(p, t.winner, voter) > p.m - occ.counts[voter]:
                     bad += 1
     violations["rank-bound"] = bad
 

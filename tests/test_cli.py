@@ -15,9 +15,15 @@ from elimgame.sweep import MC_CHUNK
 from helpers import profile, seq
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 EXAMPLE1 = "a b c d e\ne d c b a\nd e b c a\n"
 EXAMPLE2 = "a b c d\nc b a d\nc a d b\n"
 MIXED4 = "a b c d e f\ne d c b a f\nf d e b c a\na f e c d b\n"
+
+
+def run_module(argv, **kwargs):
+    """``python -m elimgame`` on ``argv`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "elimgame", *argv], timeout=120, **kwargs)
 
 
 def run_main(capsys, *argv):
@@ -526,22 +532,24 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["winner"] == "b"
 
-    def test_declared_entry_point_round_trip(self, tmp_path, capsys, monkeypatch):
+    def test_declared_entry_point_round_trip(self, tmp_path):
         # Read the [project.scripts] target and call it the way the generated
-        # console-script wrapper does: sys.exit(main()) with argv in sys.argv.
+        # console-script wrapper does: sys.exit(entry()) with argv in
+        # sys.argv, in a fresh interpreter, since the entry point ends it.
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with pyproject.open("rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["elimgame"]
         module_name, _, attr = target.partition(":")
-        entry = getattr(importlib.import_module(module_name), attr)
+        assert callable(getattr(importlib.import_module(module_name), attr))
         path = write(tmp_path, EXAMPLE1, "p.txt")
-        monkeypatch.setattr(sys, "argv",
-                            ["elimgame", "solve", "--profile", path, "--sequence", "1,2,3,1"])
-        with pytest.raises(SystemExit) as exc:
-            sys.exit(entry())
-        assert exc.value.code == 0
-        assert json.loads(capsys.readouterr().out)["winner"] == "b"
+        script = f"import sys\nfrom {module_name} import {attr}\nsys.exit({attr}())\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "solve", "--profile", path, "--sequence", "1,2,3,1"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["winner"] == "b"
 
     @pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
     def test_studies_run_blas_single_threaded_by_default(self, preset, want):
@@ -580,3 +588,69 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["o_max"] == 2
+
+    @pytest.mark.parametrize("argv,code", [
+        (["bounds", "--n", "3", "--m", "7", "--sequence", "1,2,3,1,2,3"], 0),
+        (["extremal", "--n", "3", "--m", "5", "--sequence", "1,2,3,1", "--oracle"], 0),
+        (["bounds", "--n", "3", "--m", "4", "--sequence", "1,x"], 2),
+        (["exhaustive", "--n", "1", "--m", "3", "--sequence", "1,1"], 3),
+        (["extremal", "--n", "2", "--m", "4", "--sequence", "1,2,1", "--mode", "sr"], 4),
+        (["exhaustive", "--n", "4", "--m", "8", "--sequence", "1,2,3,4,1,2,3"], 5),
+    ], ids=["bounds", "extremal", "parse", "shape", "infeasible", "budget"])
+    def test_module_exit_codes_and_bytes_match_main(self, capsys, monkeypatch, argv, code):
+        # the module entry ends without interpreter teardown; what it prints
+        # and the status it exits with are those of main in process
+        monkeypatch.delenv("ELIMGAME_BUDGET", raising=False)
+        proc = run_module(argv, capture_output=True)
+        assert main(argv) == code == proc.returncode
+        captured = capsys.readouterr()
+        assert proc.stdout == captured.out.encode()
+        assert proc.stderr == captured.err.encode()
+
+    def test_module_argument_errors_and_help_exit_through_argparse(self):
+        proc = run_module(["--help"], capture_output=True)
+        assert proc.returncode == 0 and proc.stdout.startswith(b"usage: elimgame")
+        proc = run_module(["bounds", "--n", "x"], capture_output=True)
+        assert proc.returncode == 2 and b"invalid int value" in proc.stderr
+
+    def test_parallel_module_study_writes_whole_outputs_and_leaves_no_process(self, tmp_path):
+        # two workers fold the three chunks; both are reaped before the
+        # study's own process ends, so its process group is empty after it
+        name = "mc-ic-ab-2x4-two-chunks"
+        argv = json.loads((GOLDEN / "cases.json").read_text())[name]["argv"]
+        assert argv[argv.index("--workers") + 1] == "2"
+        hist = tmp_path / "hist.csv"
+        with subprocess.Popen([sys.executable, "-m", "elimgame", *argv, "--out", str(hist)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              start_new_session=True) as study:
+            out, err = study.communicate(timeout=120)
+        assert study.returncode == 0, err
+        assert out == (GOLDEN / f"{name}.stdout").read_bytes()
+        assert hist.read_bytes() == (GOLDEN / f"{name}.hist.csv").read_bytes()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(study.pid, 0)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("target", ["full-device", "closed-pipe"])
+    def test_a_failed_stdout_write_exits_2_with_one_line(self, target, unbuffered):
+        # block-buffered stdout fails when main flushes it, not at
+        # interpreter exit, where Python would print two lines and exit 120
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = ["bounds", "--n", "3", "--m", "7", "--sequence", "1,2,3,1,2,3"]
+        if target == "full-device":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("this platform has no /dev/full")
+            with open("/dev/full", "wb") as out:
+                proc = run_module(argv, stdout=out, stderr=subprocess.PIPE, env=env)
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = run_module(argv, stdout=write, stderr=subprocess.PIPE, env=env)
+            finally:
+                os.close(write)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 2 and len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: [Errno ")

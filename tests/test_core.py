@@ -1,21 +1,32 @@
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from elimgame import (
+    BehaviorAssignment,
     CandidateUnknown,
+    CultureSpec,
     EliminationSequence,
+    ExperimentConfig,
+    ExtremalMode,
     InvalidVoter,
     ParseError,
+    PhiOutOfRange,
     PreferenceProfile,
+    RatioMode,
     SequenceLengthMismatch,
     Vote,
     format_profile,
     parse_profile,
 )
-from elimgame.core import default_labels
-from helpers import profile, relabel, seq
+from elimgame.core import CultureKind, OccurrenceTable, default_labels
+from elimgame.experiments import ExperimentResult, SweepResult, _finish
+from elimgame.extremal import ExtremalSpec, TightnessReport
+from elimgame.play import GameTrace
+from helpers import profile, rank, relabel, seq, vote_rank
 
 
 def permutations(m_max=7):
@@ -26,9 +37,9 @@ def permutations(m_max=7):
 
 class TestVote:
     def test_rank_examples(self):
-        assert Vote((0, 1, 2, 3)).rank(0) == 1
-        assert Vote((0, 1, 2, 3)).rank(2) == 3
-        assert Vote((4, 3, 2, 1, 0)).rank(1) == 4
+        assert vote_rank(Vote((0, 1, 2, 3)), 0) == 1
+        assert vote_rank(Vote((0, 1, 2, 3)), 2) == 3
+        assert vote_rank(Vote((4, 3, 2, 1, 0)), 1) == 4
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
@@ -38,14 +49,14 @@ class TestVote:
 
     def test_unknown_candidate(self):
         with pytest.raises(CandidateUnknown):
-            Vote((0, 1, 2)).rank(3)
+            vote_rank(Vote((0, 1, 2)), 3)
 
     @given(permutations())
     def test_rank_is_a_bijection(self, ranking):
         v = Vote(ranking)
-        assert sorted(v.rank(c) for c in range(v.m)) == list(range(1, v.m + 1))
+        assert sorted(vote_rank(v, c) for c in range(v.m)) == list(range(1, v.m + 1))
         for slot, c in enumerate(ranking):
-            assert v.rank(c) == slot + 1
+            assert vote_rank(v, c) == slot + 1
 
     def test_prefers_and_worst(self):
         v = Vote((2, 0, 1))
@@ -108,10 +119,10 @@ class TestProfile:
 
     def test_rank_lookup(self):
         p = profile("abc", "cba")
-        assert p.rank(0, 0) == 1
-        assert p.rank(0, 1) == 3
+        assert rank(p, 0, 0) == 1
+        assert rank(p, 0, 1) == 3
         with pytest.raises(InvalidVoter):
-            p.rank(0, 2)
+            rank(p, 0, 2)
 
 
 class TestOccurrences:
@@ -225,3 +236,117 @@ class TestProfileText:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_profile("# only comments\n")
+
+
+#: a builder of one record of each type; two calls build equal records
+RECORDS = {
+    "Vote": lambda: Vote((2, 0, 1)),
+    "PreferenceProfile": lambda: PreferenceProfile.from_rankings([[0, 1, 2], [2, 1, 0]],
+                                                                 labels="xyz"),
+    "OccurrenceTable": lambda: OccurrenceTable((2, 1)),
+    "EliminationSequence": lambda: seq(1, 2, 1),
+    "CultureSpec": lambda: CultureSpec.mallows(0.6, random_reference=True),
+    "SweepResult": lambda: _finish([(21, 1, 0), (23, 2, 1)], 10),
+    "ExperimentConfig": lambda: ExperimentConfig(3, 5, seq(1, 2, 3, 1), RatioMode.CB,
+                                                 culture=CultureSpec.impartial(), samples=9),
+    "ExperimentResult": lambda: ExperimentResult(RECORDS["ExperimentConfig"](),
+                                                 RECORDS["SweepResult"](), Fraction(7, 3),
+                                                 profile("abc", "cba")),
+    "GameTrace": lambda: GameTrace("sincere", ((0, 2), (1, 0)), 1),
+    "BehaviorAssignment": lambda: BehaviorAssignment.of(0, 2),
+    "ExtremalSpec": lambda: ExtremalSpec(ExtremalMode.POA, 2, 3, seq(1, 2), 0, b=1, a=2),
+    "TightnessReport": lambda: TightnessReport(ExtremalMode.SR, Fraction(3, 2),
+                                               Fraction(3, 2), True),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_equal_and_hash_by_value(self, name):
+        a, b = RECORDS[name](), RECORDS[name]()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_a_pickle_round_trip_keeps_the_record(self, name):
+        record = RECORDS[name]()
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record)
+        assert back == record and hash(back) == hash(record) and repr(back) == repr(record)
+
+    def test_records_of_different_types_are_unequal(self):
+        # the same field values under two types, and a record against its tuple
+        assert EliminationSequence((0, 1)) != OccurrenceTable((0, 1))
+        assert OccurrenceTable((0, 1)) != EliminationSequence((0, 1))
+        assert EliminationSequence((0, 1)) != ((0, 1),)
+        assert seq(1, 2) == seq(1, 2) and seq(1, 2) != seq(2, 1)
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_assignment_and_deletion_raise(self, name):
+        record = RECORDS[name]()
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.new_attribute = 1
+        assert record == RECORDS[name]()
+
+    def test_fields_by_position_keyword_and_default(self):
+        assert CultureSpec(kind=CultureKind.MALLOWS, phi=0.5) == CultureSpec.mallows(0.5)
+        assert CultureSpec(CultureKind.IMPARTIAL).phi == 1.0
+        assert BehaviorAssignment().sincere == frozenset()
+        trace = GameTrace("sincere", (), 0)
+        assert trace.semantics == "elimination-path"
+        assert trace == GameTrace(winner=0, steps=(), mode="sincere")
+
+    @pytest.mark.parametrize("build", [
+        lambda: Vote(),
+        lambda: GameTrace("sincere", ()),
+        lambda: Vote((0, 1), extra=1),
+        lambda: Vote((0, 1), ranking=(0, 1)),
+        lambda: Vote((0, 1), (1, 0)),
+        lambda: CultureSpec(CultureKind.IMPARTIAL, phi=1.0, kind=CultureKind.IMPARTIAL),
+    ], ids=["missing", "missing-last", "unknown", "twice", "too-many", "twice-by-keyword"])
+    def test_a_missing_or_unknown_field_raises_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    @pytest.mark.parametrize("build,error", [
+        (lambda: Vote((0, 0, 1)), ValueError),
+        (lambda: Vote((1, 2, 3)), ValueError),
+        (lambda: PreferenceProfile(()), ValueError),
+        (lambda: PreferenceProfile((Vote((0, 1)), Vote((0, 1, 2)))), ValueError),
+        (lambda: PreferenceProfile((Vote((0, 1)),), labels=("a", "a")), ValueError),
+        (lambda: PreferenceProfile((Vote((0, 1)),), labels=("a",)), ValueError),
+        (lambda: EliminationSequence((0, -1)), InvalidVoter),
+        (lambda: CultureSpec(CultureKind.MALLOWS, 0.0), PhiOutOfRange),
+        (lambda: CultureSpec(CultureKind.MALLOWS, phi=1.5), PhiOutOfRange),
+        (lambda: ExperimentConfig(3, 5, seq(1, 2, 3), RatioMode.AB), SequenceLengthMismatch),
+        (lambda: ExperimentConfig(3, 5, seq(1, 2, 4, 1), RatioMode.AB), InvalidVoter),
+        (lambda: ExperimentConfig(3, 5, seq(1, 2, 3, 1), RatioMode.AB, workers=0), ValueError),
+        (lambda: ExperimentConfig(3, 5, seq(1, 2, 3, 1), RatioMode.AB, histogram_bins=0),
+         ValueError),
+        (lambda: ExperimentConfig(3, 5, seq(1, 2, 3, 1), RatioMode.AB,
+                                  culture=CultureSpec.impartial()), ValueError),
+    ])
+    def test_post_init_refusals(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_sweep_result_repr_leaves_out_the_pairs(self):
+        result = RECORDS["SweepResult"]()
+        assert result.pairs == ((1, 2, 1), (3, 2, 2))
+        text = repr(result)
+        assert text.startswith("SweepResult(count=3, mean=Fraction(7, 6), ")
+        assert "pairs" not in text and "min_ratio=Fraction(1, 2)" in text
+
+    def test_vote_positions_are_computed_once(self):
+        vote = Vote((2, 0, 1))
+        assert "positions" not in vars(vote)
+        first = vote.positions
+        assert first == (1, 2, 0) and vars(vote)["positions"] is first
+        assert vote.positions is first
+        assert vote == Vote((2, 0, 1)) and hash(vote) == hash(Vote((2, 0, 1)))

@@ -1,7 +1,6 @@
 import itertools
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,7 +249,7 @@ class TestPositionSampler:
     def test_equals_argsort_of_oracle_rankings(self, culture, n, m):
         # fill_positions draws identity-reference profiles; the rankings
         # sample_rankings_batch returns carry the random reference too
-        identity = replace(culture, random_reference=False)
+        identity = CultureSpec(culture.kind, culture.phi)
         want = np.argsort(oracle_rankings(n, m, identity, 19, 3, 257), axis=2)
         got = filled(n, m, culture, 19, 3, 257)
         assert got.dtype == np.int8 and got.shape == (257, n, m)
@@ -260,7 +259,7 @@ class TestPositionSampler:
 
     @pytest.mark.parametrize("culture", SAMPLER_CULTURES)
     def test_rankings_are_the_inverse(self, culture):
-        identity = replace(culture, random_reference=False)
+        identity = CultureSpec(culture.kind, culture.phi)
         pos = filled(3, 6, culture, 4, 0, 200)
         rankings = sample_rankings_batch(3, 6, identity, 4, 0, 200)
         assert np.array_equal(rankings, oracle_rankings(3, 6, identity, 4, 0, 200))
@@ -298,7 +297,7 @@ class TestPositionSampler:
         pos = fill_positions(block, scratch, culture, 4, 0).transpose(2, 1, 0)
         assert pos.transpose(2, 1, 0).flags.c_contiguous
         assert pos[:, 1, :].T.strides == (3 * 200, 1)
-        identity = replace(culture, random_reference=False)
+        identity = CultureSpec(culture.kind, culture.phi)
         rankings = sample_rankings_batch(3, 6, identity, 4, 0, 200)
         assert np.array_equal(rankings, np.argsort(pos, axis=2))
 
@@ -335,7 +334,7 @@ class TestPositionSampler:
         n, m, count = 3, 7, 200
         block = np.empty((m, n, count), dtype=np.int8)
         scratch = np.empty((2, n, count), dtype=np.uint64)
-        identity = replace(culture, random_reference=False)
+        identity = CultureSpec(culture.kind, culture.phi)
         for start in (0, 200, 5):
             got = fill_positions(block, scratch, culture, 8, start)
             assert got is block

@@ -21,7 +21,7 @@ from elimgame import (
 from elimgame.extremal import gen_poa_tight, gen_sr_tight
 from elimgame.experiments import run_exhaustive
 from elimgame.welfare import sr_bound_for_sequence
-from helpers import profile, seq, seq_from
+from helpers import profile, rank, seq, seq_from
 
 
 POA_SEQS = [
@@ -49,17 +49,17 @@ class TestAnarchyTight:
         x, a, b = spec.x, spec.a, spec.b
         # b sits exactly O_i from the bottom for every voter
         for i in range(n):
-            assert p.rank(b, i) == m - counts[i]
+            assert rank(p, b, i) == m - counts[i]
         # x puts the favourite a right below b; everyone else tops a
-        assert p.rank(a, x) == p.rank(b, x) + 1
+        assert rank(p, a, x) == rank(p, b, x) + 1
         for i in range(n):
             if i != x:
-                assert p.rank(a, i) == 1
+                assert rank(p, a, i) == 1
         # nobody shares a below-b candidate with another voter
         seen = {}
         for i in range(n):
             for c in range(m):
-                if p.rank(c, i) > p.rank(b, i):
+                if rank(p, c, i) > rank(p, b, i):
                     assert c not in seen, (c, seen[c], i)
                     seen[c] = i
 
@@ -118,20 +118,20 @@ class TestSincerityTight:
         p, spec = gen_sr_tight(s, n, m)
         counts = s.occurrences(n).counts
         x, y, b, c, e = spec.x, spec.y, spec.b, spec.c, spec.e
-        assert p.rank(c, x) == m - counts[x]
-        assert p.rank(b, x) == m - counts[x] - 1
+        assert rank(p, c, x) == m - counts[x]
+        assert rank(p, b, x) == m - counts[x] - 1
         for i in range(n):
             if i != x:
-                assert p.rank(c, i) == 1
-                assert p.rank(b, i) == m - counts[i]
+                assert rank(p, c, i) == 1
+                assert rank(p, b, i) == m - counts[i]
         # exactly one candidate (e) is below b for two voters: x and y
         shared = {
             cand
             for cand in range(m)
-            if sum(p.rank(cand, i) > p.rank(b, i) for i in range(n)) > 1
+            if sum(rank(p, cand, i) > rank(p, b, i) for i in range(n)) > 1
         }
         assert shared == {e}
-        assert p.rank(e, x) > p.rank(b, x) and p.rank(e, y) > p.rank(b, y)
+        assert rank(p, e, x) > rank(p, b, x) and rank(p, e, y) > rank(p, b, y)
 
     def test_reversed_sequence_hits_the_reciprocal_minimum(self):
         s = seq(1, 1, 2)

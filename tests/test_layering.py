@@ -8,7 +8,9 @@ engine, the closed forms and the trajectory counts import only the standard
 library. The numpy modules, ``cultures`` and ``sweep``, load only when
 chunks must run: the study layer ``experiments`` imports without them, and
 a CB exhaustive study loads neither numpy nor a process pool; no study
-loads a process pool, because a parallel sweep forks its own workers. The
+loads a process pool, because a parallel sweep forks its own workers. No
+command loads ``dataclasses``, only ``solve`` and ``extremal`` load the
+scalar engine, and the numpy-free commands load no ``inspect``. The
 last check keeps every test in ``tests/`` collectable: a second definition
 of a name silently replaces the first.
 """
@@ -118,19 +120,38 @@ def test_reference_commands_load_no_numpy(tmp_path):
 
 @pytest.mark.parametrize("argv,loaded", [
     (["bounds", "--n", "3", "--m", "5"], []),
-    (["solve", "--profile", "{profile}", "--behavior", "strategic"], []),
-    (["exhaustive", "--n", "3", "--m", "5", "--mode", "cb"], ["elimgame.experiments"]),
+    (["solve", "--profile", "{profile}", "--behavior", "strategic"], ["elimgame.play"]),
+    (["exhaustive", "--n", "3", "--m", "5", "--mode", "cb"],
+     ["elimgame.experiments", "elimgame.trajectories"]),
     (["montecarlo", "--n", "3", "--m", "5", "--samples", "300"], ["elimgame.experiments"]),
-    (["extremal", "--n", "3", "--m", "5", "--oracle"], ["elimgame.extremal"]),
-], ids=["bounds", "solve", "exhaustive", "montecarlo", "extremal"])
+    (["extremal", "--n", "3", "--m", "5", "--oracle"], ["elimgame.extremal", "elimgame.play"]),
+    (["exhaustive", "--n", "3", "--m", "5", "--mode", "ab"], ["elimgame.experiments"]),
+], ids=["bounds", "solve", "exhaustive", "montecarlo", "extremal", "exhaustive-ab"])
 def test_each_command_loads_only_its_own_engine(tmp_path, argv, loaded):
-    # the extremal constructions load only for their command, and the
-    # study layer only for the studies
+    # the extremal constructions load only for their command, the study
+    # layer only for the studies, the trajectory walk only for CB exhaustive
+    # ones, and the scalar engine only for solve and extremal: welfare
+    # imports it inside the ratio functions. No command loads dataclasses.
     profile = tmp_path / "profile.txt"
     profile.write_text("a b c d e\ne d c b a\nd e b c a\n")
     argv = [str(profile) if arg == "{profile}" else arg for arg in argv]
     runs = [[*argv, "--sequence", "1,2,3,1"]]
-    assert modules_left_loaded(runs, {"elimgame.experiments", "elimgame.extremal"}) == loaded
+    heavy = {"dataclasses", "elimgame.experiments", "elimgame.extremal", "elimgame.play",
+             "elimgame.trajectories"}
+    assert modules_left_loaded(runs, heavy) == loaded
+
+
+def test_numpy_free_commands_load_no_inspect(tmp_path):
+    # inspect costs several milliseconds at every start; dataclasses and
+    # numpy are what would load it
+    profile = tmp_path / "profile.txt"
+    profile.write_text("a b c d e\ne d c b a\nd e b c a\n")
+    game = ["--n", "3", "--m", "5", "--sequence", "1,2,3,1"]
+    runs = [["bounds", *game], ["exhaustive", *game, "--mode", "cb"],
+            ["extremal", *game, "--oracle"],
+            ["solve", "--profile", str(profile), "--sequence", "1,2,3,1",
+             "--behavior", "strategic"]]
+    assert modules_left_loaded(runs, {"dataclasses", "inspect"}) == []
 
 
 def test_cb_exhaustive_studies_load_no_numpy():

@@ -20,7 +20,7 @@ from elimgame.cultures import permutation_table
 from elimgame.play import GameTrace, trace_report
 from elimgame import sweep
 from elimgame.sweep import next_mask_table, play_batch_winners, range_batch_play
-from helpers import profile, random_instance, random_sequence, seq
+from helpers import profile, random_instance, random_sequence, rank, seq
 
 
 def names(p, trace):
@@ -215,7 +215,7 @@ class TestWinnerGuarantees:
             for t in (sincere_play(p, s), spne_outcome(p, s)):
                 for voter in range(p.n):
                     q = occ.counts[voter]
-                    assert p.rank(t.winner, voter) <= p.m - q
+                    assert rank(p, t.winner, voter) <= p.m - q
 
 
 class TestTraceReport:

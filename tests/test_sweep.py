@@ -4,7 +4,6 @@ import time
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import fields
 from fractions import Fraction
 from math import factorial
 
@@ -22,7 +21,7 @@ from elimgame import (
     sincere_play,
     spne_outcome,
 )
-from elimgame import experiments, sweep
+from elimgame import experiments, sweep, trajectories
 from elimgame.core import EliminationSequence, enumeration_size, profile_at_index
 from elimgame.cultures import permutation_table
 from elimgame.experiments import SweepResult, montecarlo_witness, run_exhaustive, run_montecarlo
@@ -30,8 +29,8 @@ from helpers import enumerate_profiles, seq
 
 
 def assert_same_result(a, b):
-    for field in fields(SweepResult):
-        assert getattr(a, field.name) == getattr(b, field.name), field.name
+    for name in SweepResult._fields:
+        assert getattr(a, name) == getattr(b, name), name
 
 
 def naive_exhaustive(s, n, m, mode, fix_first=True):
@@ -586,8 +585,8 @@ class TestSummary:
         quarters = experiments._finish([(42, 1, 0), (46, 1, 1)], 10)
         assert (halves.count, halves.mean, halves.variance) == (2, 1, Fraction(1, 4))
         assert (halves.max_ratio, halves.max_index) == (Fraction(3, 2), 1)
-        assert all(getattr(halves, f.name) == getattr(quarters, f.name)
-                   for f in fields(SweepResult) if f.name != "pairs")
+        assert all(getattr(halves, name) == getattr(quarters, name)
+                   for name in SweepResult._fields if name != "pairs")
         assert halves != quarters
 
     def test_fold_counts_are_exact_past_int64(self):
@@ -663,7 +662,7 @@ class TestGuards:
         def no_chunks(*args, **kwargs):
             raise AssertionError("a table, search or chunk ran")
 
-        for module, name in [(sweep, "_run_chunks"), (experiments, "cb_study")]:
+        for module, name in [(sweep, "_run_chunks"), (trajectories, "cb_study")]:
             monkeypatch.setattr(module, name, no_chunks)
         monkeypatch.setenv("ELIMGAME_BUDGET", str(10**1000))
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
@@ -685,7 +684,7 @@ class TestGuards:
             raise AssertionError("a table or chunk was built")
 
         for module, name in [(sweep, "_run_chunks"), (sweep, "permutation_table"),
-                             (experiments, "cb_study")]:
+                             (trajectories, "cb_study")]:
             monkeypatch.setattr(module, name, no_work)
         monkeypatch.setenv("ELIMGAME_BUDGET", str(10**1000))
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
@@ -718,7 +717,7 @@ class TestGuards:
         def started(*args, **kwargs):
             raise AssertionError("started")
 
-        monkeypatch.setattr(experiments, "cb_study", started)
+        monkeypatch.setattr(trajectories, "cb_study", started)
         s = EliminationSequence(tuple(v % n for v in range(m - 1)))
         with pytest.raises(AssertionError, match="started"):
             run_exhaustive(s, n, m, RatioMode.CB, fix_first=fix_first, budget=10**1000)
